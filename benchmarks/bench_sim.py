@@ -1,10 +1,10 @@
-"""The simulator hot path: event-driven fast-forwarding vs. the stepped loop.
+"""The simulator hot path: the packed engine vs. the stepped oracle loop.
 
 Two entry points share :mod:`repro.bench`:
 
 * under pytest-benchmark (``pytest benchmarks/bench_sim.py``) the quick
   A/B run executes once under timing and asserts the regression gate --
-  identical results, and the event engine calls the ECU cascade at least
+  identical results, and the packed engine calls the ECU cascade at least
   5x less often than the stepped loop;
 * as a standalone script (``python benchmarks/bench_sim.py [--quick]
   [--out BENCH_sim.json]``) it writes the perf-trajectory JSON, the same
@@ -26,7 +26,7 @@ from repro.bench import (  # noqa: E402
 )
 
 
-def test_sim_event_vs_stepped(benchmark):
+def test_sim_packed_vs_stepped(benchmark):
     from conftest import run_once
 
     payload = run_once(benchmark, lambda: run_sim_bench(quick=True))

@@ -25,9 +25,9 @@ Seven checks, all byte-level:
    own path.
 7. **Golden traces**: every committed reference snapshot under
    ``tests/golden/`` (H.264 deblocking and the JPEG encoder) must match a
-   fresh simulation exactly -- under each of the three ``REPRO_SIM``
-   engines (stepped, event, packed), which pins the engines' byte-identity
-   contract at the gate level.
+   fresh simulation exactly -- under every ``REPRO_SIM`` engine (the
+   stepped oracle and the packed engine), which pins the engines'
+   byte-identity contract at the gate level.
 
 Exit status is non-zero on any mismatch, so CI can gate on it::
 

@@ -5,7 +5,7 @@ declarations that must stay in lockstep for the repo's A/B identities to
 hold:
 
 * ``dual-impl-signature`` -- the naive, incremental and packed selector
-  cores, and the stepped, event and packed simulator engines, must keep
+  cores, and the stepped and packed simulator engines, must keep
   identical call signatures (one drifting silently breaks
   ``REPRO_SELECTOR`` / ``REPRO_SIM`` interchangeability), and the
   dual-entry methods (``RuntimePolicy.execute`` / ``execute_run``) must
@@ -54,8 +54,6 @@ DUAL_IMPLEMENTATIONS: Tuple[Tuple[str, Optional[str], str, str, str], ...] = (
     ("core/selector.py", "ISESelector", "_select_incremental",
      "_select_packed", "exact"),
     ("sim/simulator.py", "Simulator", "_run_kernels_stepped",
-     "_run_kernels_event", "exact"),
-    ("sim/simulator.py", "Simulator", "_run_kernels_event",
      "_run_kernels_packed", "exact"),
     ("sim/policy.py", "RuntimePolicy", "execute", "execute_run", "extends"),
 )

@@ -17,6 +17,7 @@ class RiscModePolicy(RuntimePolicy):
     """No acceleration: the first bar/combination of Figs. 8 and 10."""
 
     name = "risc"
+    time_invariant = True
 
     def on_block_entry(
         self,

@@ -8,12 +8,11 @@ sweep -- all doubling as regression gates:
   per-budget stats payloads must be byte-identical across all three and
   the incremental implementation must never compute more profits than the
   naive one (``BENCH_selector.json``).
-* ``sim`` -- stepped vs. event-driven vs. packed execution engine:
-  per-budget stats payloads must be byte-identical across all three, the
-  event engine must evaluate the ECU cascade at least
-  :data:`SIM_REDUCTION_THRESHOLD` times less often, and the packed engine
-  must beat the stepped engine's per-cell wall clock by at least
-  :data:`PACKED_SPEEDUP_THRESHOLD` (``BENCH_sim.json``).
+* ``sim`` -- the stepped oracle vs. the packed production engine:
+  per-budget stats payloads must be byte-identical, the packed engine
+  must evaluate the ECU cascade at least :data:`SIM_REDUCTION_THRESHOLD`
+  times less often and beat the stepped engine's per-cell wall clock by
+  at least :data:`PACKED_SPEEDUP_THRESHOLD` (``BENCH_sim.json``).
 * ``engine`` -- serial vs. pool vs. distributed sweep executor backends:
   cell records must be byte-identical across all three, and the per-worker
   construction memos must cut application builds + library compiles by at
@@ -66,7 +65,7 @@ FIG8_BUDGETS: Tuple[Tuple[int, int], ...] = tuple(
 #: Representative cut of the grid for the quick smoke run.
 QUICK_BUDGETS: Tuple[Tuple[int, int], ...] = ((1, 1), (2, 2), (3, 2))
 
-#: Minimum factor by which the event engine must reduce ECU cascade calls
+#: Minimum factor by which the packed engine must reduce ECU cascade calls
 #: on the fig8 reference grid (the sim suite's perf gate).
 SIM_REDUCTION_THRESHOLD = 5.0
 
@@ -222,7 +221,8 @@ def run_sim_bench(
     budgets: Optional[Sequence[Tuple[int, int]]] = None,
     quick: bool = False,
 ) -> Dict[str, object]:
-    """Benchmark both execution engines on the fig8 workload.
+    """Benchmark the stepped oracle and the packed engine on the fig8
+    workload.
 
     Runs the mRTS policy over the budget grid once per engine and returns
     a JSON-able payload with per-engine counter totals, wall times, the
@@ -275,15 +275,11 @@ def run_sim_bench(
         )
 
     stepped = engines["stepped"]
-    event = engines["event"]
     packed = engines["packed"]
-    identical = all(
-        payloads[engine] == payloads[ENGINE_MODES[0]]
-        for engine in ENGINE_MODES
-    )
-    event_calls = event["ecu_calls"]
+    identical = payloads["packed"] == payloads["stepped"]
+    packed_calls = packed["ecu_calls"]
     reduction = (
-        stepped["ecu_calls"] / event_calls if event_calls else float("inf")
+        stepped["ecu_calls"] / packed_calls if packed_calls else float("inf")
     )
     packed_wall = packed["wall_seconds"]
     packed_speedup = (
@@ -708,19 +704,18 @@ def check_gate(payload: Dict[str, object]) -> List[str]:
 
 
 def check_sim_gate(payload: Dict[str, object]) -> List[str]:
-    """The regression conditions of the sim suite (empty = pass): all
-    engines must produce byte-identical stats, the event engine must
-    reduce ECU cascade calls by at least the threshold factor, and the
-    packed engine must beat the stepped wall clock by at least the
-    packed-speedup threshold."""
+    """The regression conditions of the sim suite (empty = pass): both
+    engines must produce byte-identical stats, and the packed engine must
+    reduce ECU cascade calls by at least the threshold factor and beat
+    the stepped wall clock by at least the packed-speedup threshold."""
     failures = []
     if not payload["identical_results"]:
-        failures.append("stepped, event and packed engine stats differ")
+        failures.append("stepped and packed engine stats differ")
     reduction = payload["ecu_call_reduction_factor"]
     threshold = payload["reduction_threshold"]
     if reduction < threshold:
         failures.append(
-            f"event engine reduced ECU calls only {reduction}x "
+            f"packed engine reduced ECU calls only {reduction}x "
             f"(threshold {threshold}x)"
         )
     speedup = payload["packed_speedup"]

@@ -13,8 +13,9 @@ Variables
     Selector implementation (``naive`` | ``incremental`` | ``packed``);
     see :func:`repro.core.selector.resolve_selector_mode`.
 ``REPRO_SIM``
-    Simulator execution engine (``stepped`` | ``event`` | ``packed``);
-    see :func:`repro.sim.simulator.resolve_engine_mode`.
+    Simulator execution engine (``stepped`` | ``packed``; default
+    ``packed``, ``stepped`` is the literal Fig. 7 reference loop); see
+    :func:`repro.sim.simulator.resolve_engine_mode`.
 ``REPRO_CACHE_DIR``
     Default location of the content-addressed sweep cell cache
     (``.repro_cache`` when unset); explicit ``cache_dir`` arguments and the
@@ -97,11 +98,11 @@ def selector_mode(explicit: Optional[str] = None) -> str:
 
 def sim_engine_mode(explicit: Optional[str] = None) -> str:
     """The simulator execution engine to use
-    (``stepped`` | ``event`` | ``packed``)."""
+    (``stepped`` | ``packed``)."""
     from repro.sim.simulator import ENGINE_MODES
 
     return env_choice(
-        ENGINE_MODE_ENV, ENGINE_MODES, "event",
+        ENGINE_MODE_ENV, ENGINE_MODES, "packed",
         explicit=explicit, what="simulator engine",
     )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.config_env import SELECTOR_MODE_ENV, env_str
 from repro.core.config import MRTSConfig
 from repro.core.ecu import ExecutionControlUnit, ExecutionDecision
 from repro.core.mpu import MonitoringPredictionUnit
@@ -70,16 +71,16 @@ class MRTS(RuntimePolicy):
         """Switch the selector to its packed-array implementation (the
         packed simulator engine calls this after :meth:`attach`).
 
-        Only a plain :class:`ISESelector` in its default ``incremental``
-        mode is swapped: an explicit ``naive``/``packed`` choice
-        (constructor argument or ``$REPRO_SELECTOR``) stays honoured, and
+        Only a default choice is upgraded: a selector mode given in the
+        config or through ``$REPRO_SELECTOR`` stays as chosen, and
         subclasses installing a selector of their own (the online-optimal
         baseline's ``OptimalSelector``, the RISPP baseline's
         ``QuantizedProfitSelector`` with its overridden profit arithmetic)
         are left alone -- a replacement would drop their overrides."""
         if (
             type(self.selector) is ISESelector
-            and self.selector.mode == "incremental"
+            and not self.config.selector_mode
+            and env_str(SELECTOR_MODE_ENV) is None
         ):
             self.selector = ISESelector(self.library, mode="packed")
 

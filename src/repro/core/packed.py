@@ -20,23 +20,22 @@ break the byte-identity contract of the golden payloads):
 :class:`PackedProgram`
     One packing per :class:`~repro.sim.program.Application`: the profiled
     trigger instructions per block and, per block iteration, the
-    run-length-encoded ``(kernel, gap, length)`` step groups of the
-    deterministic interleaving together with prefix-sum arrays (gap cycles
-    and per-kernel execution counts) that let the packed engine collapse a
-    whole iteration suffix into O(kernels) arithmetic once every remaining
-    kernel sits in a valid infinite-horizon regime.
+    run-length-encoded ``(kernel id, length)`` groups of the deterministic
+    interleaving in compact typed arrays, plus per-kernel pair tables that
+    let the packed engine collapse a whole iteration (or its suffix) into
+    O(kernels) arithmetic once no remaining decision can change.
 
 **When packing is skipped.**  Packing covers only what is provably static:
 candidate structure (fixed at library build), and the interleaving/profiled
 triggers (fixed at application build).  Everything dynamic -- fabric state,
 coverage, reservations, regimes -- stays in the per-call working arrays of
-the packed selector / the ECU's regime cache; there is nothing to pack for
-policies without an ECU, which simply never hit the packed fast path.
+the packed selector / the ECU's regime cache.
 
 The consumers are :meth:`repro.core.selector.ISESelector._select_packed`
 and :meth:`repro.sim.simulator.Simulator._run_kernels_packed`; both are
-locked to their object-model twins by the ``dual-impl-signature`` lint
-invariant, the hypothesis A/B/C identity suites and the golden traces (see
+locked to their reference twins (the naive/incremental selectors, the
+stepped simulator loop) by the ``dual-impl-signature`` lint invariant,
+the hypothesis identity suites and the golden traces (see
 ``docs/simulator.md`` for the equivalence argument).
 """
 
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.fabric.datapath import FabricType
 from repro.ise.library import ISELibrary
@@ -248,64 +247,83 @@ def pack_library(library: ISELibrary) -> PackedLibrary:
 # --------------------------------------------------------------------------
 
 
+def _compact(values: Sequence[int]) -> array:
+    """``values`` in the narrowest unsigned typed array that holds them."""
+    top = max(values, default=0)
+    for typecode in ("B", "H", "I"):
+        if top < 1 << (8 * array(typecode).itemsize):
+            return array(typecode, values)
+    return array("Q", values)
+
+
 class PackedIteration:
-    """RLE step groups and prefix sums of one block iteration.
+    """Compact run-length encoding of one block iteration.
 
-    ``runs[j] = (kernel, gap, length)`` -- maximal groups of identical
-    ``(kernel, gap)`` steps of the deterministic interleaving, exactly the
-    grouping the event engine recomputes per iteration.  The prefix arrays
-    support the packed engine's bulk suffix skip::
+    The deterministic interleaving is cut into maximal groups of
+    back-to-back executions of one kernel -- exactly the batches the packed
+    engine hands to the ECU regime path.  A kernel's gap is constant within
+    an iteration, so a group is just ``(kernel id, length)``.  Kernel ids
+    number the kernels in order of first appearance::
 
-        gap_suffix[j]          sum of length*gap over runs[j:]
-        cnt_prefix[k][j]       executions of kernel k in runs[:j]
-        total_cnt[k]           executions of kernel k in the iteration
-        last_run_of[k]         index of kernel k's last run
+        kernels[i]              kernel name of id i
+        gaps[i]                 its gap cycles before each execution
+        totals[i]               its executions in the iteration
+        run_kernel[j]           kernel id of group j
+        run_length[j]           executions in group j
+        before_first[i*n + i2]  executions of kernel i2 in the groups
+                                before kernel i's first group
+        through_last[i*n + i2]  executions of kernel i2 in the groups up to
+                                and including kernel i's last group
+
+    With every kernel's period (gap + latency) fixed, the start of kernel
+    i's first execution and the end of its last one are linear in the two
+    O(kernels^2) pair tables -- what the whole-iteration and bulk suffix
+    folds of the packed engine evaluate instead of walking the groups.
     """
 
     __slots__ = (
-        "runs",
-        "n_runs",
-        "gap_suffix",
         "kernels",
-        "cnt_prefix",
-        "total_cnt",
-        "last_run_of",
+        "gaps",
+        "totals",
+        "run_kernel",
+        "run_length",
+        "before_first",
+        "through_last",
     )
 
     def __init__(self, iteration: BlockIteration):
-        steps = interleave(iteration.kernels)
-        n_steps = len(steps)
-        runs: List[Tuple[str, int, int]] = []
-        index = 0
-        while index < n_steps:
-            kernel_name, gap = steps[index]
-            stop = index + 1
-            while stop < n_steps and steps[stop] == (kernel_name, gap):
-                stop += 1
-            runs.append((kernel_name, gap, stop - index))
-            index = stop
-        self.runs = runs
-        self.n_runs = len(runs)
-
-        self.gap_suffix = array("q", [0] * (self.n_runs + 1))
-        for j in range(self.n_runs - 1, -1, -1):
-            _, gap, length = runs[j]
-            self.gap_suffix[j] = self.gap_suffix[j + 1] + length * gap
-
-        self.kernels: List[str] = []
-        self.cnt_prefix: Dict[str, array] = {}
-        self.total_cnt: Dict[str, int] = {}
-        self.last_run_of: Dict[str, int] = {}
-        for kernel_name, _, _ in runs:
-            if kernel_name not in self.cnt_prefix:
-                self.kernels.append(kernel_name)
-                self.cnt_prefix[kernel_name] = array("q", [0] * (self.n_runs + 1))
-        for j, (kernel_name, _, length) in enumerate(runs):
-            for k, prefix in self.cnt_prefix.items():
-                prefix[j + 1] = prefix[j] + (length if k == kernel_name else 0)
-            self.last_run_of[kernel_name] = j
-        for kernel_name, prefix in self.cnt_prefix.items():
-            self.total_cnt[kernel_name] = prefix[self.n_runs]
+        ids: Dict[str, int] = {}
+        gaps: List[int] = []
+        run_kernel: List[int] = []
+        run_length: List[int] = []
+        for kernel_name, gap in interleave(iteration.kernels):
+            kid = ids.get(kernel_name)
+            if kid is None:
+                kid = ids[kernel_name] = len(gaps)
+                gaps.append(gap)
+            if run_kernel and run_kernel[-1] == kid:
+                run_length[-1] += 1
+            else:
+                run_kernel.append(kid)
+                run_length.append(1)
+        n = len(gaps)
+        counts = [0] * n
+        before_first = [0] * (n * n)
+        through_last = [0] * (n * n)
+        seen = 0
+        for kid, length in zip(run_kernel, run_length):
+            if kid == seen:
+                before_first[kid * n:kid * n + n] = counts
+                seen += 1
+            counts[kid] += length
+            through_last[kid * n:kid * n + n] = counts
+        self.kernels: Tuple[str, ...] = tuple(ids)
+        self.gaps = _compact(gaps)
+        self.totals = _compact(counts)
+        self.run_kernel = _compact(run_kernel)
+        self.run_length = _compact(run_length)
+        self.before_first = _compact(before_first)
+        self.through_last = _compact(through_last)
 
 
 class PackedProgram:

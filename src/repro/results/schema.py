@@ -161,6 +161,10 @@ def _encode_column(role: str, name: str, cells: List[object]) -> Dict[str, objec
     return column
 
 
+def _interned_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    return {sys.intern(key): value for key, value in pairs}
+
+
 def _decode_column(column: Dict[str, object], rows: int) -> List[object]:
     """Decode one column back to a per-row list (MISSING where absent)."""
     kind = column["kind"]
@@ -170,9 +174,14 @@ def _decode_column(column: Dict[str, object], rows: int) -> List[object]:
         values = list(_unpack_array("d", column["data"]))
     elif kind in ("str", "json"):
         table = column["table"]
+        if kind == "str":
+            table = [sys.intern(value) for value in table]
         values = [table[slot] for slot in _unpack_array("I", column["data"])]
         if kind == "json":
-            values = [json.loads(value) for value in values]
+            values = [
+                json.loads(value, object_pairs_hook=_interned_keys)
+                for value in values
+            ]
     else:
         raise ValueError(f"unknown column kind {kind!r}")
     if "present" in column:
@@ -260,7 +269,10 @@ def decode_rows(
             continue
         if role == "record" and wanted is not None and name not in wanted:
             continue
-        decoded.append((role, name, _decode_column(column, rows)))
+        # Decoded records hold no copies of repeated strings: column names,
+        # string values and the keys of JSON objects are interned, so rows
+        # from every shard share them.
+        decoded.append((role, sys.intern(name), _decode_column(column, rows)))
     if len(indices) != rows:
         raise ValueError("shard is missing its index column")
     out: List[Row] = []

@@ -46,18 +46,22 @@ class RecordStore:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
         self._pending_index: Dict[str, List[float]] = {}
         self.reads = 0
         self.hits = 0
         self.writes = 0
 
     # -------------------------------------------------------------- layout
-    def _record_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _record_path(self, key: str) -> str:
+        # A plain string: pathlib interns every component it parses, and a
+        # fresh record file name per cell keeps growing the interpreter's
+        # interned-string table in a long-running daemon.
+        return os.path.join(self._root, key[:2], key + ".json")
 
     def _stat_entry(self, key: str) -> Optional[List[float]]:
         try:
-            stat = self._record_path(key).stat()
+            stat = os.stat(self._record_path(key))
         except OSError:
             return None
         return [stat.st_size, stat.st_mtime]
@@ -103,14 +107,15 @@ class RecordStore:
     ) -> None:
         """Atomically publish one record (tmp file + ``os.replace``)."""
         path = self._record_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        shard = os.path.dirname(path)
+        os.makedirs(shard, exist_ok=True)
         envelope = {
             "schema": engine_module.ENGINE_SCHEMA,
             "key": key,
             "cell": dict(cell_payload),
             "record": dict(record),
         }
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(envelope, handle, sort_keys=True)

@@ -42,6 +42,11 @@ class RuntimePolicy(abc.ABC):
     #: short identifier used in result tables
     name: str = "policy"
 
+    #: True when :meth:`execute` serves a kernel the same way whenever it
+    #: runs and whatever ran before (no fabric, no selection): the packed
+    #: simulator engine then folds whole iterations in closed form.
+    time_invariant: bool = False
+
     def __init__(self) -> None:
         self.library: Optional[ISELibrary] = None
         self.controller: Optional[ReconfigurationController] = None
@@ -81,13 +86,13 @@ class RuntimePolicy(abc.ABC):
     ) -> "ExecutionRun":
         """Steer up to ``max_executions`` back-to-back executions of
         ``kernel_name`` (the first at ``now``, each next one ``gap`` cycles
-        after the previous one finished) -- the event-driven simulator's
+        after the previous one finished) -- the packed simulator engine's
         batch hook.
 
         Policies steering through an :class:`ExecutionControlUnit` (an
         ``ecu`` attribute) inherit its horizon-aware fast-forwarding; any
         other policy falls back to one :meth:`execute` per call, which
-        makes the event engine behave exactly like the stepped loop.
+        makes the packed engine behave exactly like the stepped loop.
         """
         from repro.core.ecu import ExecutionRun
 

@@ -10,32 +10,31 @@ The simulator is deliberately policy-agnostic -- mRTS, the RISPP-like,
 Morpheus/4S-like, offline-optimal and online-optimal systems all run through
 the exact same loop, so the comparisons of Figs. 8-10 are apples-to-apples.
 
-Three interchangeable execution engines drive the kernel loop:
+Two interchangeable execution engines drive the kernel loop:
 
-* ``stepped`` -- the reference implementation: one
+* ``stepped`` -- the literal Fig. 7 reference: one
   :meth:`~repro.sim.policy.RuntimePolicy.execute` call per kernel
   execution.
-* ``event`` (default) -- event-driven fast-forwarding: between
-  availability events the ECU cascade's verdict is piecewise-constant, so
-  runs of identical executions are advanced with O(1) arithmetic through
-  :meth:`~repro.sim.policy.RuntimePolicy.execute_run` (see
-  docs/simulator.md for the equivalence argument).
-* ``packed`` -- the event loop over precompiled structure-of-arrays
-  buffers (:mod:`repro.core.packed`): run-length-encoded kernel
-  interleavings with prefix-sum arrays, the ECU regime cache-hit path
-  transcribed inline (LRU touches deferred), and steady-state iteration
-  suffixes folded in one pass of index arithmetic.  The selector switches
-  to its packed candidate arrays through the policy's ``enable_packed``
-  hook.
+* ``packed`` (default) -- the production engine.  Between availability
+  events the ECU cascade's verdict is piecewise-constant, so each group of
+  back-to-back executions of one kernel is advanced with O(1) arithmetic:
+  the ECU regime cache-hit path is transcribed inline over the compact
+  run-length arrays of :mod:`repro.core.packed` (LRU touches deferred),
+  misses go through :meth:`~repro.sim.policy.RuntimePolicy.execute_run`,
+  and an iteration suffix in which no decision can change any more -- or a
+  whole iteration of a time-invariant policy -- folds in O(kernels).  The
+  selector switches to its packed candidate arrays through the policy's
+  ``enable_packed`` hook.
 
-All engines produce byte-identical statistics and traces; pick one
-explicitly via ``Simulator(engine=...)`` or globally via the ``REPRO_SIM``
-environment variable (mirroring the ``REPRO_SELECTOR`` A/B pattern).
+Both engines produce byte-identical statistics and traces (see
+docs/simulator.md for the equivalence argument); pick one explicitly via
+``Simulator(engine=...)`` or globally via the ``REPRO_SIM`` environment
+variable (mirroring the ``REPRO_SELECTOR`` A/B pattern).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -58,12 +57,12 @@ from repro.sim.trace import (
 from repro.config_env import ENGINE_MODE_ENV
 
 #: Valid engine implementations.
-ENGINE_MODES = ("stepped", "event", "packed")
+ENGINE_MODES = ("stepped", "packed")
 
 
 def resolve_engine_mode(mode: Optional[str] = None) -> str:
     """The engine to use: the explicit ``mode`` if given, else
-    ``$REPRO_SIM``, else ``event``."""
+    ``$REPRO_SIM``, else ``packed``."""
     from repro.config_env import sim_engine_mode
 
     return sim_engine_mode(mode)
@@ -102,9 +101,9 @@ class Simulator:
         claiming/releasing fabric at run time (the paper's run-time
         variation (b)).  Events are applied at functional-block boundaries.
 
-        ``engine`` picks the execution engine (``"stepped"`` | ``"event"``
-        | ``"packed"``); ``None`` defers to ``$REPRO_SIM`` and finally to
-        ``event``.
+        ``engine`` picks the execution engine (``"stepped"`` |
+        ``"packed"``); ``None`` defers to ``$REPRO_SIM`` and finally to
+        ``packed``.
         """
         self.application = application
         self.library = library
@@ -149,11 +148,7 @@ class Simulator:
                 block.name: self.application.profiled_triggers(block.name)
                 for block in self.application.blocks
             }
-            run_kernels = (
-                self._run_kernels_event
-                if engine == "event"
-                else self._run_kernels_stepped
-            )
+            run_kernels = self._run_kernels_stepped
 
         t = 0
         for iteration in self.application.iterations:
@@ -254,71 +249,6 @@ class Simulator:
             last[kernel_name] = t
         return t
 
-    def _run_kernels_event(
-        self,
-        iteration,
-        t: int,
-        stats: SimulationStats,
-        trace: Optional[SimulationTrace],
-        first: Dict[str, int],
-        last: Dict[str, int],
-        counts: Dict[str, int],
-        latency_sums: Dict[str, int],
-    ) -> int:
-        """Event-driven fast-forwarding: maximal runs of back-to-back
-        executions of one kernel are advanced in O(1) per regime instead of
-        O(1) per execution.  The policy's :meth:`execute_run` bounds each
-        batch by the next availability event, so the resulting statistics
-        and (expanded) trace are byte-identical to the stepped loop."""
-        steps = interleave(iteration.kernels)
-        n_steps = len(steps)
-        index = 0
-        while index < n_steps:
-            kernel_name, gap = steps[index]
-            stop = index + 1
-            while stop < n_steps and steps[stop] == (kernel_name, gap):
-                stop += 1
-            remaining = stop - index
-            index = stop
-            while remaining > 0:
-                start = t + gap
-                run = self.policy.execute_run(kernel_name, start, remaining, gap)
-                decision = run.decision
-                count = run.count
-                period = gap + decision.latency
-                if run.cascade_called:
-                    stats.ecu_calls += 1
-                    stats.executions_fastforwarded += count - 1
-                else:
-                    stats.executions_fastforwarded += count
-                if run.event_crossed:
-                    stats.events_processed += 1
-                stats.gap_cycles += count * gap
-                first.setdefault(kernel_name, start)
-                counts[kernel_name] = counts.get(kernel_name, 0) + count
-                latency_sums[kernel_name] = (
-                    latency_sums.get(kernel_name, 0) + count * decision.latency
-                )
-                stats.record_execution_run(decision.mode, decision.latency, count)
-                if trace is not None:
-                    trace.record_execution_run(
-                        ExecutionRunRecord(
-                            time=start,
-                            block=iteration.block,
-                            kernel=kernel_name,
-                            mode=decision.mode,
-                            latency=decision.latency,
-                            level=decision.level,
-                            ise_name=decision.ise_name,
-                            count=count,
-                            period=period,
-                        )
-                    )
-                t = start + (count - 1) * period + decision.latency
-                last[kernel_name] = t
-                remaining -= count
-        return t
-
     def _run_kernels_packed(
         self,
         iteration,
@@ -330,9 +260,10 @@ class Simulator:
         counts: Dict[str, int],
         latency_sums: Dict[str, int],
     ) -> int:
-        """The event loop over precompiled structure-of-arrays buffers.
+        """The production loop over the compact run-length arrays.
 
-        Byte-identical to :meth:`_run_kernels_event` by construction (see
+        Each group of back-to-back executions of one kernel is one batch.
+        Byte-identical to :meth:`_run_kernels_stepped` (see
         docs/simulator.md for the full argument):
 
         * the regime cache-hit branch is a line-for-line transcription of
@@ -341,18 +272,24 @@ class Simulator:
           deferred -- ``touch`` keeps the maximum timestamp and
           ``last_used`` is only read at configuration points, all of which
           flush the deferred touches first;
-        * misses delegate to the very same ``policy.execute_run`` the event
-          engine calls (policies without an ECU regime cache therefore take
-          this path for every run, reproducing the event engine exactly);
+        * misses delegate to ``policy.execute_run``, which bounds the batch
+          by the next availability event (policies without an ECU regime
+          cache take this path for every group);
         * the bulk suffix fold only fires when tracing is off and every
           kernel still owed executions sits in a version-valid regime with
           an infinite horizon and has already executed this block -- i.e.
-          when every remaining run would be a full-count cache hit -- and
-          folds the per-run arithmetic with the precomputed prefix sums.
+          when every remaining group would be a full-count cache hit -- and
+          folds them with the per-kernel pair tables;
+        * a time-invariant policy folds the whole iteration when tracing is
+          off (:meth:`_fold_time_invariant`).
         """
         assert self._packed_iterations is not None
         packed = self._packed_iterations[id(iteration)]
         policy = self.policy
+        if trace is None and policy.time_invariant:
+            return self._fold_time_invariant(
+                packed, t, stats, first, last, counts, latency_sums
+            )
         ecu = getattr(policy, "ecu", None)
         regimes = getattr(ecu, "regimes", None)
         resources = ecu.controller.resources if regimes is not None else None
@@ -370,12 +307,14 @@ class Simulator:
         # kernel -> (impl names, run-end timestamp): deferred LRU touches.
         pending_touch: Dict[str, Tuple[Tuple[str, ...], int]] = {}
 
-        runs = packed.runs
-        n_runs = packed.n_runs
-        gap_suffix = packed.gap_suffix
-        cnt_prefix = packed.cnt_prefix
-        total_cnt = packed.total_cnt
-        last_run_of = packed.last_run_of
+        kernels = packed.kernels
+        n_kernels = len(kernels)
+        gaps = packed.gaps
+        totals = packed.totals
+        through_last = packed.through_last
+        run_kernel = packed.run_kernel
+        run_length = packed.run_length
+        n_runs = len(run_kernel)
         bulk_ok = trace is None and regimes is not None
         try_bulk = bulk_ok
 
@@ -384,10 +323,12 @@ class Simulator:
             if try_bulk:
                 try_bulk = False
                 version = resources.version
+                # (kernel id, name, executions owed, executions done, regime)
                 suffix = []
                 feasible = True
-                for k in packed.kernels:
-                    cnt = total_cnt[k] - cnt_prefix[k][j]
+                for kid, k in enumerate(kernels):
+                    done = counts.get(k, 0)
+                    cnt = totals[kid] - done
                     if cnt <= 0:
                         continue
                     regime = regimes.get(k)
@@ -399,33 +340,30 @@ class Simulator:
                     ):
                         feasible = False
                         break
-                    suffix.append((k, cnt, regime))
+                    suffix.append((kid, k, cnt, done, regime))
                 if feasible and suffix:
-                    # Every remaining run is a full-count cache hit: fold
-                    # them.  Each group of length L advances t by
-                    # L * (gap + latency), so the suffix advances t by the
-                    # remaining gap mass plus each kernel's remaining
-                    # executions times its regime latency.
-                    base_gap = gap_suffix[j]
-                    advance = base_gap
-                    for k, cnt, regime in suffix:
-                        advance += cnt * regime.decision.latency
-                    for k, cnt, regime in suffix:
+                    # Every remaining group is a full-count cache hit: fold
+                    # them.  Each execution of kernel k advances t by k's
+                    # period (gap + regime latency), so the suffix advances
+                    # t by the owed executions times their periods, and k's
+                    # last execution ends after the owed executions up to
+                    # and including k's last group.
+                    periods = {
+                        kid: gaps[kid] + regime.decision.latency
+                        for kid, _, _, _, regime in suffix
+                    }
+                    advance = 0
+                    for kid, k, cnt, done, regime in suffix:
                         decision = regime.decision
                         latency = decision.latency
-                        m = last_run_of[k]
-                        # Simulated time at the start of k's last group:
-                        # gaps and executions of every group in runs[j:m].
-                        t_m = t + (base_gap - gap_suffix[m])
-                        for k2, _, regime2 in suffix:
-                            t_m += (
-                                cnt_prefix[k2][m] - cnt_prefix[k2][j]
-                            ) * regime2.decision.latency
-                        _, gap_m, len_m = runs[m]
-                        end = t_m + len_m * (gap_m + latency)
+                        row = kid * n_kernels
+                        end = t
+                        for kid2, _, _, done2, _ in suffix:
+                            owed = through_last[row + kid2] - done2
+                            end += owed * periods[kid2]
                         last[k] = end
                         pending_touch[k] = (regime.touch_impls, end - latency)
-                        counts[k] = counts.get(k, 0) + cnt
+                        counts[k] = done + cnt
                         latency_sums[k] = latency_sums.get(k, 0) + cnt * latency
                         key = decision.mode.value
                         exec_by_mode[key] = exec_by_mode.get(key, 0) + cnt
@@ -433,11 +371,15 @@ class Simulator:
                             cycles_by_mode.get(key, 0) + cnt * latency
                         )
                         kernel_cycles += cnt * latency
+                        gap_cycles += cnt * gaps[kid]
                         fastforwarded += cnt
-                    gap_cycles += base_gap
+                        advance += cnt * periods[kid]
                     t += advance
                     break
-            kernel_name, gap, remaining = runs[j]
+            kid = run_kernel[j]
+            kernel_name = kernels[kid]
+            gap = gaps[kid]
+            remaining = run_length[j]
             j += 1
             while remaining > 0:
                 start = t + gap
@@ -503,8 +445,8 @@ class Simulator:
                     remaining -= count
                 else:
                     # Cache miss: flush deferred touches (the cascade may
-                    # configure and evict by last_used), then take the very
-                    # call the event engine makes.
+                    # configure and evict by last_used), then let the
+                    # policy bound the batch.
                     if pending_touch:
                         self._flush_touches(ecu, pending_touch)
                     run = policy.execute_run(kernel_name, start, remaining, gap)
@@ -566,6 +508,62 @@ class Simulator:
         for key, value in cycles_by_mode.items():
             by_mode[key] = by_mode.get(key, 0) + value
         return t
+
+    def _fold_time_invariant(
+        self,
+        packed: "PackedIteration",
+        t: int,
+        stats: SimulationStats,
+        first: Dict[str, int],
+        last: Dict[str, int],
+        counts: Dict[str, int],
+        latency_sums: Dict[str, int],
+    ) -> int:
+        """A whole iteration of a time-invariant policy in closed form.
+
+        Every execution of a kernel gets the same decision, so each
+        execution of kernel k advances t by its period (gap + latency):
+        k's first execution starts after the executions in the groups
+        before its first group, its last one ends after those up to and
+        including its last group, and the iteration ends after all of
+        them.  Kernels first appear in id order, so the periods of
+        everything before kernel k's first group are known when k's one
+        decision is taken.  The counters keep the per-group loop's
+        meaning: one decision per group, the rest fast-forwarded.
+        """
+        kernels = packed.kernels
+        n_kernels = len(kernels)
+        gaps = packed.gaps
+        totals = packed.totals
+        before_first = packed.before_first
+        through_last = packed.through_last
+        periods: List[int] = []
+        for kid, kernel_name in enumerate(kernels):
+            row = kid * n_kernels
+            start = t + gaps[kid]
+            for kid2 in range(kid):
+                start += before_first[row + kid2] * periods[kid2]
+            decision = self.policy.execute(kernel_name, start)
+            latency = decision.latency
+            count = totals[kid]
+            periods.append(gaps[kid] + latency)
+            first[kernel_name] = start
+            counts[kernel_name] = count
+            latency_sums[kernel_name] = count * latency
+            stats.gap_cycles += count * gaps[kid]
+            stats.record_execution_run(decision.mode, latency, count)
+        for kid, kernel_name in enumerate(kernels):
+            row = kid * n_kernels
+            last[kernel_name] = t + sum(
+                through_last[row + kid2] * periods[kid2]
+                for kid2 in range(n_kernels)
+            )
+        groups = len(packed.run_kernel)
+        stats.ecu_calls += groups
+        stats.executions_fastforwarded += sum(totals) - groups
+        return t + sum(
+            totals[kid] * periods[kid] for kid in range(n_kernels)
+        )
 
     @staticmethod
     def _flush_touches(ecu, pending_touch: Dict[str, Tuple[Tuple[str, ...], int]]) -> None:

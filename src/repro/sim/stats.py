@@ -149,7 +149,7 @@ class SimulationStats:
         """The execution-engine counters as a JSON-able dict.
 
         Like :meth:`selector_payload`, deliberately separate from
-        :meth:`to_payload`: the stepped and event-driven engines must
+        :meth:`to_payload`: the stepped and packed engines must
         produce byte-identical golden payloads while reporting how much
         cascade work each actually performed.
         """

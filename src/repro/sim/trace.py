@@ -30,7 +30,7 @@ class ExecutionRecord:
 
 @dataclass(frozen=True)
 class ExecutionRunRecord:
-    """A fast-forwarded batch of identical executions (event engine).
+    """A fast-forwarded batch of identical executions (packed engine).
 
     ``count`` executions of ``kernel``, the first starting at ``time``,
     each subsequent one ``period`` (= gap + latency) cycles later, all
@@ -95,7 +95,7 @@ class SimulationTrace:
     block_windows: Dict[str, List[tuple]] = field(default_factory=dict)
     #: per-selection selector counters (policies with a selection detail)
     selections: List[SelectionRecord] = field(default_factory=list)
-    #: run-length records of the event engine (empty under the stepped
+    #: run-length records of the packed engine (empty under the stepped
     #: engine); their expansions are already part of ``executions``
     runs: List[ExecutionRunRecord] = field(default_factory=list)
 

@@ -17,9 +17,10 @@ Two reference scenarios are committed (:data:`GOLDEN_SCENARIOS`):
   workload family so the lock does not overfit to H.264 (risc, monocg and
   selected executions all occur).
 
-Every scenario replays byte-identically under all three ``REPRO_SIM``
-engines (:func:`golden_payload` takes an ``engine`` argument, and the
-regression suite asserts all of them against the same snapshot).
+Every scenario replays byte-identically under both ``REPRO_SIM`` engines
+(:func:`golden_payload` takes an ``engine`` argument, and the regression
+suite asserts the stepped oracle and the packed engine against the same
+snapshot).
 
 Regenerate the snapshots after an *intentional* behaviour change with::
 

@@ -568,15 +568,28 @@ class TestInvariantCheckers:
     def test_missing_dual_impl_detected(self):
         from repro.analysis.lint import run_invariants
 
+        # The engine pair is stepped|packed: a tree that kept some other
+        # engine but lost the packed one breaks the contract.
         sources = {
             "sim/simulator.py": (
                 "class Simulator:\n"
                 "    def _run_kernels_stepped(self, iteration, t):\n"
                 "        pass\n"
+                "    def _run_kernels_event(self, iteration, t):\n"
+                "        pass\n"
             )
         }
-        rules = {f.rule for f in run_invariants(sources)}
-        assert "dual-impl-signature" in rules
+        findings = [
+            f for f in run_invariants(sources) if f.rule == "dual-impl-signature"
+        ]
+        assert [f.message for f in findings if "_run_kernels_packed()" in f.message]
+
+        sources["sim/simulator.py"] = sources["sim/simulator.py"].replace(
+            "_run_kernels_event", "_run_kernels_packed"
+        )
+        assert not any(
+            f.rule == "dual-impl-signature" for f in run_invariants(sources)
+        )
 
     def test_payload_key_leak_detected(self):
         from repro.analysis.lint import run_invariants

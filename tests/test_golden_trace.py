@@ -6,9 +6,10 @@ execution (time, mode, level, ISE) plus all aggregate statistics.  A
 selector, ECU, MPU or simulator refactor that shifts any of it -- even one
 cycle -- fails here instead of silently moving the paper figures.
 
-Every scenario is replayed under **all three** ``REPRO_SIM`` engines
-against the same snapshot, so the lock simultaneously pins behaviour over
-time and the engines' byte-identity contract.
+Every scenario is replayed under **both** ``REPRO_SIM`` engines (the
+stepped oracle and the packed engine) against the same snapshot, so the
+lock simultaneously pins behaviour over time and the engines'
+byte-identity contract.
 
 After an *intentional* behaviour change, regenerate with::
 

@@ -256,41 +256,40 @@ def _application(shapes, demand_cycles):
 def _assert_iteration_round_trip(iteration):
     packed = PackedIteration(iteration)
     steps = interleave(iteration.kernels)
+    kernels = packed.kernels
+    n = len(kernels)
+    runs = [
+        (kernels[kid], length)
+        for kid, length in zip(packed.run_kernel, packed.run_length)
+    ]
 
-    # RLE is lossless: expanding the runs reproduces the interleaving.
+    # Kernel ids number the kernels in order of first appearance, each
+    # with the one gap it has in the iteration.
+    assert list(kernels) == list(dict.fromkeys(k for k, _ in steps))
+    assert len(packed.gaps) == len(packed.totals) == n
+    # RLE is lossless: expanding the groups reproduces the interleaving.
     expanded = [
-        (kernel_name, gap)
-        for kernel_name, gap, length in packed.runs
+        (kernel_name, packed.gaps[kernels.index(kernel_name)])
+        for kernel_name, length in runs
         for _ in range(length)
     ]
     assert expanded == steps
-    # ... and maximal: adjacent runs never share (kernel, gap).
-    for (k1, g1, _), (k2, g2, _) in zip(packed.runs, packed.runs[1:]):
-        assert (k1, g1) != (k2, g2)
+    # ... and maximal: adjacent groups never share a kernel.
+    for (k1, _), (k2, _) in zip(runs, runs[1:]):
+        assert k1 != k2
 
-    assert packed.n_runs == len(packed.runs)
-    assert packed.kernels == list(dict.fromkeys(k for k, _ in steps))
-
-    # Prefix/suffix arrays agree with direct summation at every boundary.
-    for j in range(packed.n_runs + 1):
-        assert packed.gap_suffix[j] == sum(
-            length * gap for _, gap, length in packed.runs[j:]
-        )
-        for kernel_name in packed.kernels:
-            assert packed.cnt_prefix[kernel_name][j] == sum(
-                length
-                for name, _, length in packed.runs[:j]
-                if name == kernel_name
+    # The pair tables agree with direct summation over the groups.
+    for kid, kernel_name in enumerate(kernels):
+        assert packed.totals[kid] == sum(1 for name, _ in steps if name == kernel_name)
+        first = min(j for j, (name, _) in enumerate(runs) if name == kernel_name)
+        last = max(j for j, (name, _) in enumerate(runs) if name == kernel_name)
+        for kid2, other in enumerate(kernels):
+            assert packed.before_first[kid * n + kid2] == sum(
+                length for name, length in runs[:first] if name == other
             )
-    for kernel_name in packed.kernels:
-        assert packed.total_cnt[kernel_name] == sum(
-            1 for name, _ in steps if name == kernel_name
-        )
-        assert packed.last_run_of[kernel_name] == max(
-            j
-            for j, (name, _, _) in enumerate(packed.runs)
-            if name == kernel_name
-        )
+            assert packed.through_last[kid * n + kid2] == sum(
+                length for name, length in runs[: last + 1] if name == other
+            )
 
 
 class TestProgramRoundTrip:
