@@ -19,7 +19,8 @@
 # >= 1.3x job-throughput factors over plain JSON frames
 # (repro.bench.check_service_gate), or the columnar result store losing
 # byte-identity on the round-trip / missing its peak-memory ratio over
-# in-memory aggregation (repro.bench.check_store_gate).  Tier-1 runs
+# in-memory aggregation (repro.bench.check_store_gate).  The sweep
+# benchmark's own tests (bench/tests) run after tier-1.  Tier-1 runs
 # the default packed engine; the stepped oracle gate re-runs the engine
 # identity and golden suites with REPRO_SIM=stepped, so every run the
 # suites leave to the default also goes through the literal Fig. 7 loop.
@@ -54,6 +55,11 @@ echo "repro analyze: ${ANALYZE_ELAPSED}s (budget 30s)"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== sweep benchmark tests =="
+# bench/ sits outside pytest's testpaths: its --quick smoke of all four
+# workloads, the mutated-record check and the BENCHMARK.json name check.
+python -m pytest -q bench/tests
 
 echo "== stepped oracle gate =="
 REPRO_SIM=stepped python -m pytest -q \

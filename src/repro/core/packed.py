@@ -18,12 +18,14 @@ break the byte-identity contract of the golden payloads):
     that reuses one library across budgets packs once.
 
 :class:`PackedProgram`
-    One packing per :class:`~repro.sim.program.Application`: the profiled
-    trigger instructions per block and, per block iteration, the
-    run-length-encoded ``(kernel id, length)`` groups of the deterministic
-    interleaving in compact typed arrays, plus per-kernel pair tables that
-    let the packed engine collapse a whole iteration (or its suffix) into
-    O(kernels) arithmetic once no remaining decision can change.
+    One packing per :class:`~repro.sim.program.Application`: per block
+    iteration, the run-length-encoded ``(kernel id, length)`` groups of the
+    deterministic interleaving in compact typed arrays, plus per-kernel
+    pair tables that let the packed engine collapse a whole iteration (or
+    its suffix) into O(kernels) arithmetic once no remaining decision can
+    change; and the offline-profiled trigger instructions per block,
+    evaluated on those same pair tables -- the one profile of the
+    application that every engine and policy reads.
 
 **When packing is skipped.**  Packing covers only what is provably static:
 candidate structure (fixed at library build), and the interleaving/profiled
@@ -43,11 +45,15 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from typing import Dict, List, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice
+from operator import attrgetter, mul, ne, sub
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.fabric.datapath import FabricType
 from repro.ise.library import ISELibrary
-from repro.sim.program import Application, BlockIteration, interleave
+from repro.sim.program import Application, BlockIteration, FunctionalBlock
+from repro.sim.trigger import TriggerInstruction
 
 # --------------------------------------------------------------------------
 # library packing
@@ -275,10 +281,14 @@ class PackedIteration:
         through_last[i*n + i2]  executions of kernel i2 in the groups up to
                                 and including kernel i's last group
 
+    No per-execution steps are built: each kernel's positions are
+    concatenated in name order, so one stable sort on positions alone
+    breaks ties by name as :func:`~repro.sim.program.interleave` does.
+
     With every kernel's period (gap + latency) fixed, the start of kernel
     i's first execution and the end of its last one are linear in the two
-    O(kernels^2) pair tables -- what the whole-iteration and bulk suffix
-    folds of the packed engine evaluate instead of walking the groups.
+    O(kernels^2) pair tables (:meth:`timeline`) -- what the packed engine's
+    folds and the offline RISC-mode profile evaluate.
     """
 
     __slots__ = (
@@ -292,59 +302,115 @@ class PackedIteration:
     )
 
     def __init__(self, iteration: BlockIteration):
-        ids: Dict[str, int] = {}
-        gaps: List[int] = []
-        run_kernel: List[int] = []
-        run_length: List[int] = []
-        for kernel_name, gap in interleave(iteration.kernels):
-            kid = ids.get(kernel_name)
-            if kid is None:
-                kid = ids[kernel_name] = len(gaps)
-                gaps.append(gap)
-            if run_kernel and run_kernel[-1] == kid:
-                run_length[-1] += 1
-            else:
-                run_kernel.append(kid)
-                run_length.append(1)
-        n = len(gaps)
-        counts = [0] * n
-        before_first = [0] * (n * n)
-        through_last = [0] * (n * n)
-        seen = 0
-        for kid, length in zip(run_kernel, run_length):
-            if kid == seen:
-                before_first[kid * n:kid * n + n] = counts
-                seen += 1
-            counts[kid] += length
-            through_last[kid * n:kid * n + n] = counts
-        self.kernels: Tuple[str, ...] = tuple(ids)
-        self.gaps = _compact(gaps)
-        self.totals = _compact(counts)
-        self.run_kernel = _compact(run_kernel)
-        self.run_length = _compact(run_length)
+        by_name = sorted(
+            (kit for kit in iteration.kernels if kit.executions),
+            key=attrgetter("kernel"),
+        )
+        positions: List[List[float]] = []
+        keys: List[float] = []
+        owner: List[int] = []
+        for slot, kit in enumerate(by_name):
+            e = kit.executions
+            positions.append([(j + 0.5) / e for j in range(e)])  # as in interleave()
+            keys += positions[-1]
+            owner += [slot] * e
+        steps = list(map(owner.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
+        starts = [0] if steps else []
+        starts += compress(range(1, len(steps)), map(ne, steps, islice(steps, 1, None)))
+        run_slots = list(map(steps.__getitem__, starts))
+        order = list(dict.fromkeys(run_slots))  # slots by first appearance
+        before_first: List[int] = []
+        through_last: List[int] = []
+        for slot in order:
+            first, last = positions[slot][0], positions[slot][-1]
+            # Another kernel's execution at a tied position comes first iff
+            # its name (slot) is smaller; through_last counts slot's own.
+            before_first += [
+                (bisect_right if other < slot else bisect_left)(positions[other], first)
+                for other in order
+            ]
+            through_last += [
+                (bisect_right if other <= slot else bisect_left)(positions[other], last)
+                for other in order
+            ]
+        kid_of = {slot: kid for kid, slot in enumerate(order)}
+        self.kernels: Tuple[str, ...] = tuple(by_name[slot].kernel for slot in order)
+        self.gaps = _compact([by_name[slot].gap for slot in order])
+        self.totals = _compact([by_name[slot].executions for slot in order])
+        self.run_kernel = _compact(list(map(kid_of.__getitem__, run_slots)))
+        self.run_length = _compact(list(map(sub, starts[1:] + [len(steps)], starts)))
         self.before_first = _compact(before_first)
         self.through_last = _compact(through_last)
 
+    def timeline(self, period_of: Callable[[int, int], int]) -> Tuple[List[int], List[int], int]:
+        """``(first starts, last ends, length)`` as offsets from the
+        iteration's start when each execution of kernel ``kid`` takes a
+        fixed period (gap + latency).  ``period_of(kid, first start)`` is
+        called in id order, once the periods it depends on are known."""
+        n = len(self.kernels)
+        periods: List[int] = []
+        starts: List[int] = []
+        for kid in range(n):
+            # ``periods`` holds kid entries: map stops at the shorter one.
+            row = self.before_first[kid * n:kid * n + n]
+            starts.append(self.gaps[kid] + sum(map(mul, row, periods)))
+            periods.append(period_of(kid, starts[-1]))
+        ends = [
+            sum(map(mul, self.through_last[kid * n:kid * n + n], periods))
+            for kid in range(n)
+        ]
+        return starts, ends, sum(map(mul, self.totals, periods))
+
+
+def _risc_profile(
+    block: FunctionalBlock, iterations: Sequence[PackedIteration]
+) -> Tuple[TriggerInstruction, ...]:
+    """``block``'s offline profile: each kernel's executions, time to first
+    execution and time between executions in RISC mode (period = gap + RISC
+    latency), summed over the block's iterations in application order and
+    averaged (all zero without iterations)."""
+    latency = {k.name: k.risc_latency for k in block.kernels}
+    sums = {k.name: (0.0, 0.0, 0.0) for k in block.kernels}
+    for packed in iterations:
+        kernels = packed.kernels
+        starts, ends, _ = packed.timeline(
+            lambda kid, _start: packed.gaps[kid] + latency[kernels[kid]]
+        )
+        for name, e, start, end in zip(kernels, packed.totals, starts, ends):
+            tb = max(0.0, (end - start - e * latency[name]) / (e - 1)) if e > 1 else 0.0
+            e_sum, tf_sum, tb_sum = sums[name]
+            sums[name] = (e_sum + float(e), tf_sum + float(start), tb_sum + tb)
+    n = max(1, len(iterations))
+    return tuple(
+        TriggerInstruction(name, e / n, tf / n, tb / n) for name, (e, tf, tb) in sums.items()
+    )
+
 
 class PackedProgram:
-    """Per-application packing: profiled triggers plus packed iterations.
+    """Per-application packing: the offline profile plus packed iterations.
 
     ``iterations[i]`` packs ``application.iterations[i]``; the simulator
-    zips the two sequences.  Profiled triggers are a pure function of the
-    application (they model numbers burnt into the binary at compile time),
-    so caching them across runs cannot change any payload.
+    zips the two sequences.  ``profiled[block]`` holds the block's RISC-mode
+    trigger instructions, evaluated with :meth:`PackedIteration.timeline`.
+    They model numbers burnt into the binary at compile time -- a pure
+    function of the application -- so this one cached profile serves both
+    engines and every policy (through ``Application.profiled_triggers``).
     """
 
     __slots__ = ("profiled", "iterations")
 
     def __init__(self, application: Application):
-        self.profiled = {
-            block.name: application.profiled_triggers(block.name)
-            for block in application.blocks
-        }
         self.iterations: List[PackedIteration] = [
             PackedIteration(iteration) for iteration in application.iterations
         ]
+        self.profiled: Dict[str, Tuple[TriggerInstruction, ...]] = {
+            block.name: _risc_profile(block, [
+                packed
+                for iteration, packed in zip(application.iterations, self.iterations)
+                if iteration.block == block.name
+            ])
+            for block in application.blocks
+        }
 
 
 _PROGRAM_CACHE: "weakref.WeakKeyDictionary[Application, PackedProgram]" = (

@@ -158,65 +158,15 @@ class Application:
         Offline profiling runs the application in RISC mode and averages
         each kernel's executions, time to first execution and inter-execution
         time across the block's iterations -- these are the numbers the
-        programmer embeds into the binary (Section 4).
+        programmer embeds into the binary (Section 4).  They are a pure
+        function of the application, computed once in closed form by its
+        cached packing (:class:`repro.core.packed.PackedProgram`); every call
+        returns a fresh list of those shared, immutable instructions.
         """
-        block = self._blocks[block_name]
-        iterations = self.iterations_of(block_name)
-        if not iterations:
-            return [
-                TriggerInstruction(k.name, 0.0, 0.0, 0.0) for k in block.kernels
-            ]
-        sums: Dict[str, List[float]] = {
-            k.name: [0.0, 0.0, 0.0] for k in block.kernels
-        }
-        for iteration in iterations:
-            timings = self._risc_timings(block, iteration)
-            for kernel_name, (executions, tf, tb) in timings.items():
-                sums[kernel_name][0] += executions
-                sums[kernel_name][1] += tf
-                sums[kernel_name][2] += tb
-        n = len(iterations)
-        return [
-            TriggerInstruction(
-                kernel=k.name,
-                executions=sums[k.name][0] / n,
-                time_to_first=sums[k.name][1] / n,
-                time_between=sums[k.name][2] / n,
-            )
-            for k in block.kernels
-        ]
+        # Imported lazily: repro.core.packed imports this module.
+        from repro.core.packed import pack_program
 
-    def _risc_timings(
-        self, block: FunctionalBlock, iteration: BlockIteration
-    ) -> Dict[str, Tuple[float, float, float]]:
-        """(executions, tf, tb) of every kernel when the iteration runs in
-        RISC mode -- the measurement an offline profiler would record."""
-        latencies = {k.name: k.risc_latency for k in block.kernels}
-        t = 0
-        first: Dict[str, int] = {}
-        last: Dict[str, int] = {}
-        counts: Dict[str, int] = {}
-        for kernel_name, gap in interleave(iteration.kernels):
-            t += gap
-            first.setdefault(kernel_name, t)
-            counts[kernel_name] = counts.get(kernel_name, 0) + 1
-            t += latencies[kernel_name]
-            last[kernel_name] = t
-        timings: Dict[str, Tuple[float, float, float]] = {}
-        for kernel in block.kernels:
-            e = counts.get(kernel.name, 0)
-            if e == 0:
-                timings[kernel.name] = (0.0, 0.0, 0.0)
-                continue
-            tf = float(first[kernel.name])
-            if e > 1:
-                span = last[kernel.name] - first[kernel.name]
-                gaps_total = span - e * latencies[kernel.name]
-                tb = max(0.0, gaps_total / (e - 1))
-            else:
-                tb = 0.0
-            timings[kernel.name] = (float(e), tf, tb)
-        return timings
+        return list(pack_program(self).profiled[block_name])
 
 
 __all__ = [

@@ -117,22 +117,21 @@ class Simulator:
 
     def run(self) -> SimulationResult:
         """Execute the application start to finish; returns the result."""
+        # Imported lazily: repro.core.packed pulls in repro.sim.program,
+        # whose package __init__ imports this module.
+        from repro.core.packed import pack_program
+
         engine = resolve_engine_mode(self.engine)
+        # Profiled triggers are burnt into the binary at compile time: one
+        # cached profile per application, shared with the policy's prepare.
+        program = pack_program(self.application)
         controller = ReconfigurationController(self.budget)
         self.policy.attach(self.library, controller)
         self.policy.prepare(self.application)
 
         stats = SimulationStats()
         trace = SimulationTrace() if self.collect_trace else None
-        # Profiled triggers are computed once per block: they are burnt into
-        # the binary at compile time and never change.
         if engine == "packed":
-            # Imported lazily: repro.core.packed pulls in repro.sim.program,
-            # whose package __init__ imports this module.
-            from repro.core.packed import pack_program
-
-            program = pack_program(self.application)
-            profiled = program.profiled
             self._packed_iterations = {
                 id(iteration): packed_iteration
                 for iteration, packed_iteration in zip(
@@ -144,10 +143,6 @@ class Simulator:
             if enable_packed is not None:
                 enable_packed()
         else:
-            profiled = {
-                block.name: self.application.profiled_triggers(block.name)
-                for block in self.application.blocks
-            }
             run_kernels = self._run_kernels_stepped
 
         t = 0
@@ -156,7 +151,7 @@ class Simulator:
             if self.contention is not None:
                 self.contention.apply_due(controller, t)
             outcome = self.policy.on_block_entry(
-                iteration.block, profiled[iteration.block], t
+                iteration.block, program.profiled[iteration.block], t
             )
             t += outcome.charged_overhead_cycles
             stats.overhead_cycles_charged += outcome.charged_overhead_cycles
@@ -521,49 +516,38 @@ class Simulator:
     ) -> int:
         """A whole iteration of a time-invariant policy in closed form.
 
-        Every execution of a kernel gets the same decision, so each
-        execution of kernel k advances t by its period (gap + latency):
-        k's first execution starts after the executions in the groups
-        before its first group, its last one ends after those up to and
-        including its last group, and the iteration ends after all of
-        them.  Kernels first appear in id order, so the periods of
-        everything before kernel k's first group are known when k's one
-        decision is taken.  The counters keep the per-group loop's
-        meaning: one decision per group, the rest fast-forwarded.
+        Every execution of a kernel gets the same decision, so every
+        execution of kernel k takes one period (gap + latency) and
+        :meth:`~repro.core.packed.PackedIteration.timeline` -- the offline
+        profile's arithmetic -- folds the iteration, asking for k's period
+        (taking k's one decision) at k's first start.  The counters keep
+        the per-group loop's meaning: one decision per group, the rest
+        fast-forwarded.
         """
         kernels = packed.kernels
-        n_kernels = len(kernels)
         gaps = packed.gaps
         totals = packed.totals
-        before_first = packed.before_first
-        through_last = packed.through_last
-        periods: List[int] = []
-        for kid, kernel_name in enumerate(kernels):
-            row = kid * n_kernels
-            start = t + gaps[kid]
-            for kid2 in range(kid):
-                start += before_first[row + kid2] * periods[kid2]
-            decision = self.policy.execute(kernel_name, start)
+        execute = self.policy.execute
+
+        def period_of(kid: int, start: int) -> int:
+            kernel_name = kernels[kid]
+            decision = execute(kernel_name, t + start)
             latency = decision.latency
             count = totals[kid]
-            periods.append(gaps[kid] + latency)
-            first[kernel_name] = start
+            first[kernel_name] = t + start
             counts[kernel_name] = count
             latency_sums[kernel_name] = count * latency
             stats.gap_cycles += count * gaps[kid]
             stats.record_execution_run(decision.mode, latency, count)
-        for kid, kernel_name in enumerate(kernels):
-            row = kid * n_kernels
-            last[kernel_name] = t + sum(
-                through_last[row + kid2] * periods[kid2]
-                for kid2 in range(n_kernels)
-            )
+            return gaps[kid] + latency
+
+        _, ends, length = packed.timeline(period_of)
+        for kernel_name, end in zip(kernels, ends):
+            last[kernel_name] = t + end
         groups = len(packed.run_kernel)
         stats.ecu_calls += groups
         stats.executions_fastforwarded += sum(totals) - groups
-        return t + sum(
-            totals[kid] * periods[kid] for kid in range(n_kernels)
-        )
+        return t + length
 
     @staticmethod
     def _flush_touches(ecu, pending_touch: Dict[str, Tuple[Tuple[str, ...], int]]) -> None:

@@ -14,6 +14,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import packed as packed_module
 from repro.core.packed import (
     PackedIteration,
     pack_library,
@@ -23,6 +24,8 @@ from repro.core.profit import ise_profit, profit_value
 from repro.fabric.datapath import DataPathSpec
 from repro.fabric.resources import ResourceBudget
 from repro.ise.kernel import Kernel
+from repro.experiments import engine as engine_module
+from repro.experiments.engine import SweepCell, execute_cell
 from repro.ise.library import ISELibrary
 from repro.sim.program import (
     Application,
@@ -31,8 +34,14 @@ from repro.sim.program import (
     KernelIteration,
     interleave,
 )
-from repro.workloads.h264 import deblocking_library, h264_library
-from repro.workloads.jpeg import jpeg_library
+from repro.sim.trigger import TriggerInstruction
+from repro.workloads.h264 import (
+    deblocking_application,
+    deblocking_library,
+    h264_application,
+    h264_library,
+)
+from repro.workloads.jpeg import jpeg_application, jpeg_library
 
 
 # ----------------------------------------------------------- strategies
@@ -292,27 +301,229 @@ def _assert_iteration_round_trip(iteration):
             )
 
 
-class TestProgramRoundTrip:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        shapes=kernel_shapes,
-        demands=st.lists(iteration_params, min_size=1, max_size=3),
-    )
-    def test_random_iterations(self, shapes, demands):
-        application = _application(
-            shapes, [cycle[: len(shapes)] or cycle for cycle in demands]
+def _risc_timings(block, iteration):
+    """(executions, tf, tb) of every kernel of ``block`` when ``iteration``
+    runs in RISC mode: the literal walk over :func:`interleave`, one step
+    per execution -- the offline profiler the closed form must match."""
+    latencies = {k.name: k.risc_latency for k in block.kernels}
+    t = 0
+    first = {}
+    last = {}
+    counts = {}
+    for kernel_name, gap in interleave(iteration.kernels):
+        t += gap
+        first.setdefault(kernel_name, t)
+        counts[kernel_name] = counts.get(kernel_name, 0) + 1
+        t += latencies[kernel_name]
+        last[kernel_name] = t
+    timings = {}
+    for kernel in block.kernels:
+        e = counts.get(kernel.name, 0)
+        if e == 0:
+            timings[kernel.name] = (0.0, 0.0, 0.0)
+            continue
+        tf = float(first[kernel.name])
+        if e > 1:
+            span = last[kernel.name] - first[kernel.name]
+            gaps_total = span - e * latencies[kernel.name]
+            tb = max(0.0, gaps_total / (e - 1))
+        else:
+            tb = 0.0
+        timings[kernel.name] = (float(e), tf, tb)
+    return timings
+
+
+def _oracle_profile(application, block_name):
+    """Per-iteration RISC walks averaged over the block's iterations."""
+    block = application.block(block_name)
+    iterations = application.iterations_of(block_name)
+    if not iterations:
+        return [TriggerInstruction(k.name, 0.0, 0.0, 0.0) for k in block.kernels]
+    sums = {k.name: [0.0, 0.0, 0.0] for k in block.kernels}
+    for iteration in iterations:
+        for kernel_name, (e, tf, tb) in _risc_timings(block, iteration).items():
+            sums[kernel_name][0] += e
+            sums[kernel_name][1] += tf
+            sums[kernel_name][2] += tb
+    n = len(iterations)
+    return [
+        TriggerInstruction(
+            k.name, sums[k.name][0] / n, sums[k.name][1] / n, sums[k.name][2] / n
         )
+        for k in block.kernels
+    ]
+
+
+def _assert_profile_matches_oracle(application):
+    program = pack_program(application)
+    assert list(program.profiled) == [block.name for block in application.blocks]
+    for block in application.blocks:
+        expected = _oracle_profile(application, block.name)
+        # repr equality: every float must match bit for bit.
+        assert repr(list(program.profiled[block.name])) == repr(expected)
+        assert repr(application.profiled_triggers(block.name)) == repr(expected)
+
+
+#: Declared in this order, so declaration order, name order and numeric
+#: order ("k2" < "k10" numerically, "k10" < "k2" by name) all differ.
+_KERNEL_NAMES = ("k2", "k0", "k10", "k1", "k11")
+
+#: Few distinct execution counts: equal counts put executions of different
+#: kernels at exactly equal positions, and so do counts like 1 and 3
+#: (both have one at 0.5).  Zero keeps a listed kernel out of the walk.
+_EXECUTIONS = st.sampled_from((0, 1, 2, 3, 4, 6, 12, 40))
+
+
+@st.composite
+def programs(draw):
+    """Applications of one to three blocks over :data:`_KERNEL_NAMES`.
+
+    Blocks may have no iterations; an iteration lists any subset of its
+    block's kernels, in any order.
+    """
+    n_blocks = draw(st.integers(min_value=1, max_value=3))
+    cuts = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=1, max_value=len(_KERNEL_NAMES) - 1),
+                min_size=n_blocks - 1,
+                max_size=n_blocks - 1,
+                unique=True,
+            )
+        )
+    )
+    bounds = list(zip([0] + cuts, cuts + [len(_KERNEL_NAMES)]))
+    blocks = [
+        FunctionalBlock(
+            f"B{index}",
+            [
+                Kernel(
+                    name,
+                    base_cycles=draw(st.integers(min_value=0, max_value=300)),
+                    datapaths=[_spec(name, 0, draw(datapath_params))],
+                )
+                for name in _KERNEL_NAMES[lo:hi]
+            ],
+        )
+        for index, (lo, hi) in enumerate(bounds)
+    ]
+    iterations = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        block = draw(st.sampled_from(blocks))
+        names = draw(
+            st.lists(
+                st.sampled_from(block.kernel_names()),
+                min_size=1,
+                max_size=len(block.kernels),
+                unique=True,
+            )
+        )
+        iterations.append(
+            BlockIteration(
+                block.name,
+                [
+                    KernelIteration(
+                        name,
+                        draw(_EXECUTIONS),
+                        draw(st.integers(min_value=0, max_value=200)),
+                    )
+                    for name in names
+                ],
+            )
+        )
+    return Application("rand", blocks, iterations)
+
+
+class TestProgramRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(application=programs())
+    def test_random_iterations(self, application):
         program = pack_program(application)
         assert len(program.iterations) == len(application.iterations)
-        assert program.profiled == {
-            block.name: application.profiled_triggers(block.name)
-            for block in application.blocks
-        }
         for iteration in application.iterations:
             _assert_iteration_round_trip(iteration)
+        _assert_profile_matches_oracle(application)
+
+    def test_position_ties_break_by_name(self):
+        # Equal counts tie at every position; "k10" sorts before "k2".
+        iteration = BlockIteration(
+            "B",
+            [
+                KernelIteration("k2", 3, 5),
+                KernelIteration("k10", 3, 7),
+                KernelIteration("k1", 1, 9),
+            ],
+        )
+        _assert_iteration_round_trip(iteration)
+        packed = PackedIteration(iteration)
+        # Positions 1/6 (k10, k2), 1/2 (k1, k10, k2), 5/6 (k10, k2).
+        assert packed.kernels == ("k10", "k2", "k1")
+        assert list(packed.run_kernel) == [0, 1, 2, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "workload, seed",
+        [
+            ("h264", 7),
+            ("h264", 11),
+            ("h264", 3),
+            ("jpeg", 0),
+            ("jpeg", 5),
+            ("deblocking", 7),
+            ("deblocking", 2),
+        ],
+    )
+    def test_workload_profiles_match_oracle(self, workload, seed):
+        build = {
+            "h264": lambda: h264_application(frames=8, seed=seed),
+            "jpeg": lambda: jpeg_application(seed=seed),
+            "deblocking": lambda: deblocking_application(frames=8, seed=seed),
+        }[workload]
+        _assert_profile_matches_oracle(build())
 
     def test_packing_is_cached_per_application(self):
         application = _application(
             [[(8, 16, 16, 4, 200, 4)]], [[(4, 10)]]
         )
         assert pack_program(application) is pack_program(application)
+
+
+class TestOneProfilePerApplication:
+    def test_fig8_group_packs_once(self, monkeypatch):
+        """The five policies of a fig8 group share one application -- and
+        so one packing, whose profile every static policy's prepare reads."""
+        constructed = []
+
+        class CountingProgram(packed_module.PackedProgram):
+            def __init__(self, application):
+                constructed.append(application)
+                super().__init__(application)
+
+        monkeypatch.setattr(packed_module, "PackedProgram", CountingProgram)
+        engine_module.clear_build_memo()
+        for policy in ("risc", "rispp", "offline-optimal", "morpheus4s", "mrts"):
+            execute_cell(
+                SweepCell.make((2, 1), 7, policy, workload_params={"frames": 2})
+            )
+        assert len(constructed) == 1
+
+    def test_returned_profile_is_a_fresh_list(self):
+        application = h264_application(frames=2, seed=7)
+        block = application.blocks[0].name
+        before = application.profiled_triggers(block)
+        expected = repr(before)
+        before[0] = TriggerInstruction(before[0].kernel, 1e9, 1e9, 1e9)
+        before.append(before[0])
+        assert repr(application.profiled_triggers(block)) == expected
+
+    def test_mutation_cannot_reach_a_rerun_record(self):
+        engine_module.clear_build_memo()
+        cell = SweepCell.make(
+            (2, 1), 7, "offline-optimal", workload_params={"frames": 2}
+        )
+        record = execute_cell(cell)
+        application = engine_module._application_of(cell)
+        for block in application.blocks:
+            triggers = application.profiled_triggers(block.name)
+            triggers.reverse()
+            triggers[:] = [t.with_forecast(0.0, 0.0, 0.0) for t in triggers]
+        assert execute_cell(cell) == record
