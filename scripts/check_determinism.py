@@ -27,7 +27,8 @@ Seven checks, all byte-level:
    ``tests/golden/`` (H.264 deblocking and the JPEG encoder) must match a
    fresh simulation exactly -- under every ``REPRO_SIM`` engine (the
    stepped oracle and the packed engine), which pins the engines'
-   byte-identity contract at the gate level.
+   byte-identity contract at the gate level.  An untraced replay per
+   engine checks the stats alone, on the packed engine's folding path.
 
 Exit status is non-zero on any mismatch, so CI can gate on it::
 
@@ -308,7 +309,9 @@ def check_golden() -> Dict[str, object]:
 
     Every committed scenario is replayed under every ``REPRO_SIM`` engine
     against the same snapshot, so the gate fails both on a behaviour drift
-    and on an engine losing byte-identity."""
+    and on an engine losing byte-identity.  Each engine replays it twice:
+    traced against the whole snapshot, and untraced -- where the packed
+    engine folds -- against its ``spec`` and ``stats``."""
     details: List[str] = []
     failures: List[str] = []
     for scenario in sorted(GOLDEN_SCENARIOS):
@@ -317,15 +320,23 @@ def check_golden() -> Dict[str, object]:
             failures.append(f"golden snapshot missing at {path}")
             continue
         committed = load_golden(path)
+        untraced = {key: committed.get(key) for key in ("spec", "stats")}
         for engine in ENGINE_MODES:
-            problems = diff_golden(
-                committed, golden_payload(scenario, engine=engine)
-            )
-            if problems:
-                failures.append(f"{scenario} under engine={engine}:")
-                failures.extend(f"  {problem}" for problem in problems)
+            for expected, collect_trace in ((committed, True), (untraced, False)):
+                problems = diff_golden(
+                    expected,
+                    golden_payload(
+                        scenario, engine=engine, collect_trace=collect_trace
+                    ),
+                )
+                if problems:
+                    failures.append(
+                        f"{scenario} under engine={engine}, "
+                        f"{'traced' if collect_trace else 'untraced'}:"
+                    )
+                    failures.extend(f"  {problem}" for problem in problems)
         details.append(
-            f"{path.name} x {len(ENGINE_MODES)} engines"
+            f"{path.name} x {len(ENGINE_MODES)} engines, traced and untraced"
         )
     if failures:
         return _check("golden-trace", False, failures)

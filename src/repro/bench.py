@@ -71,7 +71,7 @@ SIM_REDUCTION_THRESHOLD = 5.0
 
 #: Minimum per-cell wall-clock speedup of the packed engine over the
 #: stepped reference on the full fig8 grid (the sim suite's second perf
-#: gate; measured ~15x on the reference machine).
+#: gate; the committed BENCH_sim.json measures 39x).
 PACKED_SPEEDUP_THRESHOLD = 10.0
 
 #: Quick-run relaxation of the packed gate: tiny frame counts leave the

@@ -20,10 +20,11 @@ break the byte-identity contract of the golden payloads):
 :class:`PackedProgram`
     One packing per :class:`~repro.sim.program.Application`: per block
     iteration, the run-length-encoded ``(kernel id, length)`` groups of the
-    deterministic interleaving in compact typed arrays, plus per-kernel
-    pair tables that let the packed engine collapse a whole iteration (or
-    its suffix) into O(kernels) arithmetic once no remaining decision can
-    change; and the offline-profiled trigger instructions per block,
+    deterministic interleaving in compact typed arrays, with exact integer
+    positions and per-kernel pair tables that let the packed engine
+    collapse a whole iteration, or any stretch of groups in which no
+    decision can change, into closed-form arithmetic; and the
+    offline-profiled trigger instructions per block,
     evaluated on those same pair tables -- the one profile of the
     application that every engine and policy reads.
 
@@ -43,11 +44,11 @@ the hypothesis identity suites and the golden traces (see
 
 from __future__ import annotations
 
+import math
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right
 from itertools import compress, islice
-from operator import attrgetter, mul, ne, sub
+from operator import attrgetter, floordiv, mul, ne, sub
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.fabric.datapath import FabricType
@@ -274,29 +275,45 @@ class PackedIteration:
         kernels[i]              kernel name of id i
         gaps[i]                 its gap cycles before each execution
         totals[i]               its executions in the iteration
+        units[i], slots[i]      its exact integer positions (see below)
         run_kernel[j]           kernel id of group j
         run_length[j]           executions in group j
+        run_index[j]            kernel-local index of group j's first
+                                execution
         before_first[i*n + i2]  executions of kernel i2 in the groups
                                 before kernel i's first group
         through_last[i*n + i2]  executions of kernel i2 in the groups up to
                                 and including kernel i's last group
 
-    No per-execution steps are built: each kernel's positions are
-    concatenated in name order, so one stable sort on positions alone
-    breaks ties by name as :func:`~repro.sim.program.interleave` does.
+    **Exact integer positions.**  :func:`~repro.sim.program.interleave`
+    places the j-th of a kernel's ``e`` executions at ``(j + 0.5) / e``.
+    Scaled by ``2L`` (``L`` the lcm of the iteration's counts) that is the
+    integer ``(2j + 1) * (L / e)``; with the kernel's name slot (its rank
+    in name order) in the low digits, the execution's *key* is
+    ``(2j + 1) * units[i] + slots[i]`` with ``units[i] = (L / e) * n_slots``.
+    One plain integer sort of the keys is the interleaving: equal positions
+    order by name slot, which is ``interleave()``'s tie-break, and distinct
+    positions differ by at least ``1 / (2 * e1 * e2)`` -- far more than an
+    ulp -- so ``interleave()``'s float order is the same order.  How many
+    of a kernel's executions precede a key is a closed form
+    (:meth:`count_before`); no per-execution steps are kept.
 
     With every kernel's period (gap + latency) fixed, the start of kernel
     i's first execution and the end of its last one are linear in the two
-    O(kernels^2) pair tables (:meth:`timeline`) -- what the packed engine's
-    folds and the offline RISC-mode profile evaluate.
+    O(kernels^2) pair tables (:meth:`timeline`) -- what the whole-iteration
+    fold and the offline RISC-mode profile evaluate -- and any stretch of
+    whole groups folds in closed form (:meth:`fold`).
     """
 
     __slots__ = (
         "kernels",
         "gaps",
         "totals",
+        "units",
+        "slots",
         "run_kernel",
         "run_length",
+        "run_index",
         "before_first",
         "through_last",
     )
@@ -306,41 +323,119 @@ class PackedIteration:
             (kit for kit in iteration.kernels if kit.executions),
             key=attrgetter("kernel"),
         )
-        positions: List[List[float]] = []
-        keys: List[float] = []
-        owner: List[int] = []
-        for slot, kit in enumerate(by_name):
-            e = kit.executions
-            positions.append([(j + 0.5) / e for j in range(e)])  # as in interleave()
-            keys += positions[-1]
-            owner += [slot] * e
-        steps = list(map(owner.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
+        n_slots = len(by_name)
+        lcm = math.lcm(*(kit.executions for kit in by_name))
+        units = [lcm // kit.executions * n_slots for kit in by_name]
+        keys: List[int] = []
+        for slot, (kit, unit) in enumerate(zip(by_name, units)):
+            keys += range(unit + slot, 2 * kit.executions * unit, 2 * unit)
+        keys.sort()
+        steps = list(map(n_slots.__rmod__, keys))
         starts = [0] if steps else []
         starts += compress(range(1, len(steps)), map(ne, steps, islice(steps, 1, None)))
         run_slots = list(map(steps.__getitem__, starts))
         order = list(dict.fromkeys(run_slots))  # slots by first appearance
-        before_first: List[int] = []
-        through_last: List[int] = []
-        for slot in order:
-            first, last = positions[slot][0], positions[slot][-1]
-            # Another kernel's execution at a tied position comes first iff
-            # its name (slot) is smaller; through_last counts slot's own.
-            before_first += [
-                (bisect_right if other < slot else bisect_left)(positions[other], first)
-                for other in order
-            ]
-            through_last += [
-                (bisect_right if other <= slot else bisect_left)(positions[other], last)
-                for other in order
-            ]
         kid_of = {slot: kid for kid, slot in enumerate(order)}
         self.kernels: Tuple[str, ...] = tuple(by_name[slot].kernel for slot in order)
         self.gaps = _compact([by_name[slot].gap for slot in order])
         self.totals = _compact([by_name[slot].executions for slot in order])
+        self.units: Tuple[int, ...] = tuple(units[slot] for slot in order)
+        self.slots = _compact(order)
         self.run_kernel = _compact(list(map(kid_of.__getitem__, run_slots)))
         self.run_length = _compact(list(map(sub, starts[1:] + [len(steps)], starts)))
+        # (2j + 1) * unit + slot floor-divided by 2 * unit is j: slot < unit.
+        self.run_index = _compact(list(map(
+            floordiv,
+            map(keys.__getitem__, starts),
+            map([2 * unit for unit in units].__getitem__, run_slots),
+        )))
+        kids = range(len(order))
+        before_first: List[int] = []
+        through_last: List[int] = []
+        for kid in kids:
+            first = self.key(kid, 0)
+            last = self.key(kid, self.totals[kid] - 1)
+            before_first += [self.count_before(other, first) for other in kids]
+            through_last += [self.count_before(other, last + 1) for other in kids]
         self.before_first = _compact(before_first)
         self.through_last = _compact(through_last)
+
+    def key(self, kid: int, index: int) -> int:
+        """The exact integer position of kernel ``kid``'s ``index``-th
+        execution (class docstring)."""
+        return (2 * index + 1) * self.units[kid] + self.slots[kid]
+
+    def count_before(self, kid: int, key: int) -> int:
+        """Executions of kernel ``kid`` whose key is below ``key``, for any
+        ``0 <= key <= 2 * L * n_slots``: the largest ``c`` with
+        ``(2c - 1) * unit + slot < key``, in exact integers."""
+        return ((key - self.slots[kid] - 1) // self.units[kid] + 1) >> 1
+
+    def fold(
+        self,
+        j: int,
+        done: Sequence[int],
+        periods: Sequence[int],
+        limit: float,
+    ) -> Tuple[int, int, List[int], List[int]]:
+        """Fold whole groups from group ``j`` in closed form.
+
+        ``done[i]`` executions of kernel i precede group ``j``, which begins
+        at offset 0, and every execution of kernel i takes ``periods[i]``
+        cycles (gap + latency).  The stretch ends before the first group
+        whose last execution starts at or after offset ``limit`` (binary
+        search: start offsets only grow along the groups); an infinite
+        ``limit`` folds to the end of the iteration.
+
+        Returns ``(stop, advance, counts, ends)``: groups ``j .. stop - 1``
+        hold ``counts[i]`` executions of kernel i and take ``advance``
+        cycles, and kernel i's last execution among them ends at offset
+        ``ends[i]`` (0 where ``counts[i]`` is 0).
+        """
+        units = self.units
+        slots = self.slots
+        gaps = self.gaps
+        run_kernel = self.run_kernel
+        owed = [kid for kid, total in enumerate(self.totals) if done[kid] < total]
+
+        def offset(key: int) -> int:
+            # Cycles the stretch spends on executions keyed below ``key``
+            # (count_before inlined: this is the binary search's probe).
+            return sum(
+                ((((key - slots[kid] - 1) // units[kid] + 1) >> 1) - done[kid])
+                * periods[kid]
+                for kid in owed
+            )
+
+        run_index = self.run_index
+        stop = len(run_kernel)
+        if limit != float("inf"):
+            run_length = self.run_length
+            lo = j
+            while lo < stop:
+                mid = (lo + stop) >> 1
+                kid = run_kernel[mid]
+                last = self.key(kid, run_index[mid] + run_length[mid] - 1)
+                if offset(last) + gaps[kid] < limit:
+                    lo = mid + 1
+                else:
+                    stop = mid
+        n = len(self.kernels)
+        counts = [0] * n
+        ends = [0] * n
+        if stop == j:
+            return j, 0, counts, ends
+        if stop == len(run_kernel):
+            for kid in owed:
+                counts[kid] = self.totals[kid] - done[kid]
+        else:
+            end_key = self.key(run_kernel[stop], run_index[stop])
+            for kid in owed:
+                counts[kid] = self.count_before(kid, end_key) - done[kid]
+        for kid in owed:
+            if counts[kid]:
+                ends[kid] = offset(self.key(kid, done[kid] + counts[kid] - 1) + 1)
+        return stop, sum(map(mul, counts, periods)), counts, ends
 
     def timeline(self, period_of: Callable[[int, int], int]) -> Tuple[List[int], List[int], int]:
         """``(first starts, last ends, length)`` as offsets from the

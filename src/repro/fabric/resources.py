@@ -16,6 +16,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.fabric.datapath import DataPathImpl, FabricType
 from repro.util.validation import ValidationError, check_non_negative
 
+_CG = FabricType.CG
+
 
 @dataclass(frozen=True)
 class ResourceBudget:
@@ -132,6 +134,12 @@ class ResourceState:
         #: cancellable copy being evicted, so its pending port transfer is
         #: aborted and the queue reflows (None = no port to notify).
         self.canceller = None
+        #: running area totals of every copy (``_used``) and of the pinned
+        #: ones (``_pinned``), indexed by ``fabric is CG`` (FG 0, CG 1) --
+        #: enum members hash in Python, a bool indexes in C.  Every
+        #: mutation below keeps them, so occupancy queries never re-sum.
+        self._used = [0, 0]
+        self._pinned = [0, 0]
 
     # ------------------------------------------------------------ queries
     def copies(self, impl_name: str) -> List[ConfiguredCopy]:
@@ -144,18 +152,15 @@ class ResourceState:
 
     def used_area(self, fabric: FabricType) -> int:
         """Area units of ``fabric`` occupied (ready or in-flight)."""
-        return sum(c.area for c in self.iter_copies() if c.fabric is fabric)
+        return self._used[fabric is _CG]
 
     def free_area(self, fabric: FabricType) -> int:
         """Unoccupied area units of ``fabric``."""
-        return self.budget.total(fabric) - self.used_area(fabric)
+        return self.budget.total(fabric) - self._used[fabric is _CG]
 
     def unpinned_area(self, fabric: FabricType) -> int:
         """Area that is free or occupied by evictable (unpinned) copies."""
-        evictable = sum(
-            c.area for c in self.iter_copies() if c.fabric is fabric and c.pinned_by is None
-        )
-        return self.free_area(fabric) + evictable
+        return self.budget.total(fabric) - self._pinned[fabric is _CG]
 
     def allocatable_area(self, fabric: FabricType, now: int) -> int:
         """Area a new selection can claim at ``now``: free area plus the
@@ -217,6 +222,10 @@ class ResourceState:
         bisect.insort_right(
             self._copies.setdefault(impl.name, []), copy, key=lambda c: c.ready_at
         )
+        cg = impl.fabric is _CG
+        self._used[cg] += impl.area
+        if pinned_by is not None:
+            self._pinned[cg] += impl.area
         self.version += 1
         return copy
 
@@ -240,6 +249,7 @@ class ResourceState:
                 pinned += 1
             elif copy.pinned_by is None:
                 copy.pinned_by = owner
+                self._pinned[copy.fabric is _CG] += copy.area
                 pinned += 1
                 changed = True
         if changed:
@@ -252,6 +262,7 @@ class ResourceState:
         for copy in self.iter_copies():
             if copy.pinned_by == owner:
                 copy.pinned_by = None
+                self._pinned[copy.fabric is _CG] -= copy.area
                 changed = True
         if changed:
             self.version += 1
@@ -306,12 +317,18 @@ class ResourceState:
         copies.remove(victim)
         if not copies:
             self._copies.pop(victim.impl.name, None)
+        cg = victim.fabric is _CG
+        self._used[cg] -= victim.area
+        if victim.pinned_by is not None:
+            self._pinned[cg] -= victim.area
         self.version += 1
 
     def clear(self) -> None:
         """Drop every configuration (simulation reset)."""
         self._copies.clear()
         self.eviction_log.clear()
+        self._used = [0, 0]
+        self._pinned = [0, 0]
         self.version += 1
 
     # --------------------------------------------------------- reporting

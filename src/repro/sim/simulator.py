@@ -21,8 +21,8 @@ Two interchangeable execution engines drive the kernel loop:
   the ECU regime cache-hit path is transcribed inline over the compact
   run-length arrays of :mod:`repro.core.packed` (LRU touches deferred),
   misses go through :meth:`~repro.sim.policy.RuntimePolicy.execute_run`,
-  and an iteration suffix in which no decision can change any more -- or a
-  whole iteration of a time-invariant policy -- folds in O(kernels).  The
+  and a stretch of cache hits up to the next availability event -- or a
+  whole iteration of a time-invariant policy -- folds in closed form.  The
   selector switches to its packed candidate arrays through the policy's
   ``enable_packed`` hook.
 
@@ -270,11 +270,13 @@ class Simulator:
         * misses delegate to ``policy.execute_run``, which bounds the batch
           by the next availability event (policies without an ECU regime
           cache take this path for every group);
-        * the bulk suffix fold only fires when tracing is off and every
-          kernel still owed executions sits in a version-valid regime with
-          an infinite horizon and has already executed this block -- i.e.
-          when every remaining group would be a full-count cache hit -- and
-          folds them with the per-kernel pair tables;
+        * the stretch fold only fires when tracing is off and every
+          kernel still owed executions sits in a version-valid regime and
+          has already executed this block; it then folds every whole group
+          ahead of the first one reaching the earliest regime horizon --
+          groups the loop would serve as full-count cache hits -- with
+          :meth:`~repro.core.packed.PackedIteration.fold` (an infinite
+          horizon folds the rest of the iteration);
         * a time-invariant policy folds the whole iteration when tracing is
           off (:meth:`_fold_time_invariant`).
         """
@@ -303,74 +305,66 @@ class Simulator:
         pending_touch: Dict[str, Tuple[Tuple[str, ...], int]] = {}
 
         kernels = packed.kernels
-        n_kernels = len(kernels)
         gaps = packed.gaps
         totals = packed.totals
-        through_last = packed.through_last
         run_kernel = packed.run_kernel
         run_length = packed.run_length
         n_runs = len(run_kernel)
-        bulk_ok = trace is None and regimes is not None
-        try_bulk = bulk_ok
+        fold_ok = trace is None and regimes is not None
+        try_fold = fold_ok
 
         j = 0
         while j < n_runs:
-            if try_bulk:
-                try_bulk = False
+            if try_fold:
+                try_fold = False
                 version = resources.version
-                # (kernel id, name, executions owed, executions done, regime)
-                suffix = []
-                feasible = True
+                horizon = inf
+                done = [counts.get(k, 0) for k in kernels]
+                periods = [0] * len(kernels)
+                owed = []  # (kernel id, name, regime)
                 for kid, k in enumerate(kernels):
-                    done = counts.get(k, 0)
-                    cnt = totals[kid] - done
-                    if cnt <= 0:
+                    if done[kid] >= totals[kid]:
                         continue
                     regime = regimes.get(k)
-                    if (
-                        regime is None
-                        or regime.version != version
-                        or regime.horizon != inf
-                        or k not in first
-                    ):
-                        feasible = False
+                    if regime is None or regime.version != version or k not in first:
+                        owed = None
                         break
-                    suffix.append((kid, k, cnt, done, regime))
-                if feasible and suffix:
-                    # Every remaining group is a full-count cache hit: fold
-                    # them.  Each execution of kernel k advances t by k's
-                    # period (gap + regime latency), so the suffix advances
-                    # t by the owed executions times their periods, and k's
-                    # last execution ends after the owed executions up to
-                    # and including k's last group.
-                    periods = {
-                        kid: gaps[kid] + regime.decision.latency
-                        for kid, _, _, _, regime in suffix
-                    }
-                    advance = 0
-                    for kid, k, cnt, done, regime in suffix:
-                        decision = regime.decision
-                        latency = decision.latency
-                        row = kid * n_kernels
-                        end = t
-                        for kid2, _, _, done2, _ in suffix:
-                            owed = through_last[row + kid2] - done2
-                            end += owed * periods[kid2]
-                        last[k] = end
-                        pending_touch[k] = (regime.touch_impls, end - latency)
-                        counts[k] = done + cnt
-                        latency_sums[k] = latency_sums.get(k, 0) + cnt * latency
-                        key = decision.mode.value
-                        exec_by_mode[key] = exec_by_mode.get(key, 0) + cnt
-                        cycles_by_mode[key] = (
-                            cycles_by_mode.get(key, 0) + cnt * latency
-                        )
-                        kernel_cycles += cnt * latency
-                        gap_cycles += cnt * gaps[kid]
-                        fastforwarded += cnt
-                        advance += cnt * periods[kid]
-                    t += advance
-                    break
+                    owed.append((kid, k, regime))
+                    periods[kid] = gaps[kid] + regime.decision.latency
+                    if regime.horizon < horizon:
+                        horizon = regime.horizon
+                if owed:
+                    # Every owed kernel sits in a valid regime, so every
+                    # execution starting before the earliest horizon is a
+                    # cache hit: fold the whole groups ahead of the first
+                    # group that reaches it (Fig. 7 is piecewise-constant
+                    # between availability events).
+                    stop, advance, folded, ends = packed.fold(
+                        j, done, periods, horizon - t
+                    )
+                    if stop > j:
+                        for kid, k, regime in owed:
+                            cnt = folded[kid]
+                            if not cnt:
+                                continue
+                            decision = regime.decision
+                            latency = decision.latency
+                            end = t + ends[kid]
+                            last[k] = end
+                            pending_touch[k] = (regime.touch_impls, end - latency)
+                            counts[k] = done[kid] + cnt
+                            latency_sums[k] = latency_sums.get(k, 0) + cnt * latency
+                            key = decision.mode.value
+                            exec_by_mode[key] = exec_by_mode.get(key, 0) + cnt
+                            cycles_by_mode[key] = (
+                                cycles_by_mode.get(key, 0) + cnt * latency
+                            )
+                            kernel_cycles += cnt * latency
+                            gap_cycles += cnt * gaps[kid]
+                            fastforwarded += cnt
+                        t += advance
+                        j = stop
+                        continue
             kid = run_kernel[j]
             kernel_name = kernels[kid]
             gap = gaps[kid]
@@ -408,9 +402,9 @@ class Simulator:
                     if kernel_name not in first:
                         first[kernel_name] = start
                         # A kernel's first execution this block may complete
-                        # the bulk fold's preconditions: retry at the next
-                        # group boundary.
-                        try_bulk = bulk_ok
+                        # the stretch fold's preconditions: retry at the
+                        # next group boundary.
+                        try_fold = fold_ok
                     counts[kernel_name] = counts.get(kernel_name, 0) + count
                     latency_sums[kernel_name] = (
                         latency_sums.get(kernel_name, 0) + count * latency
@@ -486,9 +480,9 @@ class Simulator:
                     t = start + (count - 1) * period + latency
                     last[kernel_name] = t
                     remaining -= count
-                    # The miss may have rebuilt a regime: the bulk fold's
-                    # preconditions may now hold.
-                    try_bulk = bulk_ok
+                    # The miss may have rebuilt a regime: the stretch
+                    # fold's preconditions may now hold.
+                    try_fold = fold_ok
         if pending_touch:
             self._flush_touches(ecu, pending_touch)
         stats.ecu_calls += ecu_calls

@@ -117,24 +117,30 @@ def _build_scenario(
 
 
 def golden_payload(
-    scenario: str = "deblocking", engine: Optional[str] = None
+    scenario: str = "deblocking",
+    engine: Optional[str] = None,
+    collect_trace: bool = True,
 ) -> Dict[str, object]:
     """Simulate ``scenario`` and return its canonical payload.
 
     ``engine`` picks the simulator engine (``None`` = honour
     ``$REPRO_SIM``); the payload is engine-independent by the byte-identity
-    contract, which the regression suite asserts explicitly.
+    contract, which the regression suite asserts explicitly.  Without
+    ``collect_trace`` the payload has no ``trace`` and the run takes the
+    packed engine's untraced folds.
     """
     application, library, budget = _build_scenario(scenario)
     result = Simulator(
         application, library, budget, MRTS(),
-        collect_trace=True, engine=engine,
+        collect_trace=collect_trace, engine=engine,
     ).run()
-    return {
+    payload = {
         "spec": dict(GOLDEN_SCENARIOS[scenario]),
         "stats": result.stats.to_payload(),
-        "trace": result.trace.to_payload(),
     }
+    if collect_trace:
+        payload["trace"] = result.trace.to_payload()
+    return payload
 
 
 def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:

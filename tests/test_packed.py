@@ -527,3 +527,159 @@ class TestOneProfilePerApplication:
             triggers.reverse()
             triggers[:] = [t.with_forecast(0.0, 0.0, 0.0) for t in triggers]
         assert execute_cell(cell) == record
+
+
+# --------------------------------------------- exact integer positions
+
+
+#: Primes above 1100: any four of them have an lcm above 2**40.
+_LARGE_PRIMES = (1103, 1201, 1301, 1409, 1511, 1601, 1709, 1801, 1901, 2003)
+
+#: Names whose sort order differs from any declaration order drawn below.
+_POSITION_NAMES = ("k2", "k10", "a", "k1", "b0", "Z")
+
+
+@st.composite
+def position_iterations(draw):
+    """One iteration from one of four families: exact ties (``e1 = m *
+    e2`` and equal counts), coprime large counts (lcm above 2**40),
+    zero-count kernels, and free counts -- always in a drawn declaration
+    order, so name order and declaration order differ."""
+    family = draw(st.sampled_from(("ties", "coprime", "zeros", "free")))
+    n = draw(st.integers(min_value=2, max_value=4 if family == "coprime" else 5))
+    names = draw(st.permutations(_POSITION_NAMES))[:n]
+    if family == "ties":
+        base = draw(st.integers(min_value=1, max_value=12))
+        counts = [base * draw(st.sampled_from((1, 1, 2, 3, 4))) for _ in names]
+    elif family == "coprime":
+        counts = draw(st.permutations(_LARGE_PRIMES))[:n]
+        if n == 4:
+            assert math.lcm(*counts) > 2**40
+    else:
+        low = 0 if family == "zeros" else 1
+        counts = [draw(st.integers(min_value=low, max_value=30)) for _ in names]
+    return BlockIteration(
+        "B",
+        [
+            KernelIteration(name, e, draw(st.integers(min_value=0, max_value=9)))
+            for name, e in zip(names, counts)
+        ],
+    )
+
+
+class TestIntegerPositions:
+    @settings(max_examples=60, deadline=None)
+    @given(iteration=position_iterations(), data=st.data())
+    def test_positions_match_interleave(self, iteration, data):
+        packed = PackedIteration(iteration)
+        steps = [name for name, _ in interleave(iteration.kernels)]
+        kernels = packed.kernels
+        # The run-length expansion is interleave()'s order, and each group
+        # knows the kernel-local index of its first execution.
+        expanded = []
+        for kid, length, index in zip(
+            packed.run_kernel, packed.run_length, packed.run_index
+        ):
+            assert index == expanded.count(kernels[kid])
+            expanded += [kernels[kid]] * length
+        # Report the first divergence, not a diff of two long sequences.
+        assert len(expanded) == len(steps)
+        assert next(
+            (i for i, pair in enumerate(zip(expanded, steps)) if pair[0] != pair[1]),
+            None,
+        ) is None
+        # Keys sort like interleave()'s (float position, name) pairs.
+        floats = {
+            kid: [(j + 0.5) / packed.totals[kid] for j in range(packed.totals[kid])]
+            for kid in range(len(kernels))
+        }
+        queries = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(steps) - 1), max_size=12)
+            if steps else st.just([])
+        )
+        for step in queries:
+            kid = kernels.index(steps[step])
+            index = steps[:step].count(steps[step])
+            key = packed.key(kid, index)
+            here = (floats[kid][index], kernels[kid])
+            for other in range(len(kernels)):
+                below = sum(
+                    1 for position in floats[other] if (position, kernels[other]) < here
+                )
+                assert packed.count_before(other, key) == below
+                through = below + (other == kid)
+                assert packed.count_before(other, key + 1) == through
+
+    def test_count_before_spans_the_iteration(self):
+        iteration = BlockIteration(
+            "B", [KernelIteration(f"k{p}", p, 1) for p in _LARGE_PRIMES[:4]]
+        )
+        packed = PackedIteration(iteration)
+        for kid, total in enumerate(packed.totals):
+            assert packed.count_before(kid, 0) == 0
+            last = packed.key(kid, total - 1)
+            assert packed.count_before(kid, last) == total - 1
+            assert packed.count_before(kid, last + 1) == total
+
+
+# ---------------------------------------------------------- stretch fold
+
+
+def _walk_fold(packed, j, periods, limit):
+    """The literal walk :meth:`PackedIteration.fold` shortcuts: expand
+    the groups from ``j`` one execution at a time and stop before the
+    first group with an execution starting at or after ``limit``."""
+    n = len(packed.kernels)
+    counts = [0] * n
+    ends = [0] * n
+    t = 0
+    for g in range(j, len(packed.run_kernel)):
+        kid = packed.run_kernel[g]
+        starts = []
+        for _ in range(packed.run_length[g]):
+            starts.append(t + packed.gaps[kid])
+            t = starts[-1] + periods[kid] - packed.gaps[kid]
+        if max(starts) >= limit:
+            return g, sum(c * p for c, p in zip(counts, periods)), counts, ends
+        counts[kid] += len(starts)
+        ends[kid] = t
+    return len(packed.run_kernel), t, counts, ends
+
+
+class TestStretchFold:
+    @settings(max_examples=150, deadline=None)
+    @given(application=programs(), data=st.data())
+    def test_fold_matches_the_walk(self, application, data):
+        for iteration in application.iterations:
+            packed = PackedIteration(iteration)
+            n_runs = len(packed.run_kernel)
+            j = data.draw(st.integers(min_value=0, max_value=n_runs))
+            done = [0] * len(packed.kernels)
+            for kid, length in zip(packed.run_kernel[:j], packed.run_length[:j]):
+                done[kid] += length
+            periods = [
+                gap + data.draw(st.integers(min_value=1, max_value=40))
+                for gap in packed.gaps
+            ]
+            # Aim the limit at execution starts: equality is the edge.
+            _, span, _, _ = _walk_fold(packed, j, periods, float("inf"))
+            limit = data.draw(
+                st.just(float("inf"))
+                | st.integers(min_value=-1, max_value=span + 1).map(float)
+            )
+            assert packed.fold(j, done, periods, limit) == _walk_fold(
+                packed, j, periods, limit
+            )
+
+    def test_start_on_the_limit_is_not_folded(self):
+        # k0 and k1 alternate with period 10 (gap 0): executions start at
+        # 0, 10, 20, ...; a limit equal to a start cuts before its group.
+        iteration = BlockIteration(
+            "B", [KernelIteration("k0", 3, 0), KernelIteration("k1", 3, 0)]
+        )
+        packed = PackedIteration(iteration)
+        assert list(packed.run_length) == [1] * 6
+        periods = [10, 10]
+        assert packed.fold(0, [0, 0], periods, 30.0)[0] == 3
+        assert packed.fold(0, [0, 0], periods, 31.0)[0] == 4
+        assert packed.fold(2, [1, 1], periods, 10.0) == (3, 10, [1, 0], [10, 0])

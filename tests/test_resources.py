@@ -1,9 +1,11 @@
 """Resource budgets, occupancy accounting, pinning and LRU eviction."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.fabric.cost_model import DEFAULT_COST_MODEL
-from repro.fabric.datapath import FabricType
+from repro.fabric.datapath import DataPathSpec, FabricType
 from repro.fabric.resources import ResourceBudget, ResourceState
 from repro.util.validation import ValidationError
 
@@ -144,3 +146,99 @@ class TestAllocatable:
     def test_allocatable_equals_total_when_empty(self, state):
         assert state.allocatable_area(FabricType.FG, now=0) == 3
         assert state.allocatable_area(FabricType.CG, now=0) == 8
+
+
+# ------------------------------------------------ running occupancy totals
+
+
+#: FG and CG implementations of one to three area units each.
+_IMPLS = [
+    DEFAULT_COST_MODEL.implement(
+        DataPathSpec(name=f"d{cost}", word_ops=4, prc_cost=cost, cg_cost=cost),
+        fabric,
+    )
+    for cost in (1, 2, 3)
+    for fabric in FabricType
+]
+
+_OWNERS = st.sampled_from(("a", "b", "c"))
+
+
+class RunningTotalsMachine(RuleBasedStateMachine):
+    """Every mutation keeps the O(1) occupancy totals equal to sums over
+    :meth:`ResourceState.iter_copies` -- kept here only as the oracle."""
+
+    def __init__(self):
+        super().__init__()
+        self.state = ResourceState(ResourceBudget(n_prcs=4, n_cg_fabrics=2))
+        self.cancelled = []
+        self.state.canceller = lambda copy, now: self.cancelled.append(copy)
+
+    @rule(
+        impl=st.sampled_from(_IMPLS),
+        ready_at=st.integers(min_value=0, max_value=100),
+        owner=st.none() | _OWNERS,
+        transfer_start=st.none() | st.integers(min_value=0, max_value=100),
+    )
+    def add_copy(self, impl, ready_at, owner, transfer_start):
+        if impl.area > self.state.free_area(impl.fabric):
+            with pytest.raises(ValidationError):
+                self.state.add_copy(impl, ready_at, pinned_by=owner)
+            return
+        copy = self.state.add_copy(impl, ready_at, pinned_by=owner)
+        copy.transfer_start = transfer_start
+
+    @rule(impl=st.sampled_from(_IMPLS))
+    def add_pending_copy(self, impl):
+        """An unpinned copy whose port transfer starts after every ``now``
+        drawn here: cancellable, so eviction goes through the canceller."""
+        if impl.area <= self.state.free_area(impl.fabric):
+            self.state.add_copy(impl, ready_at=1000).transfer_start = 500
+
+    @rule(impl=st.sampled_from(_IMPLS), quantity=st.integers(0, 3), owner=_OWNERS)
+    def pin(self, impl, quantity, owner):
+        self.state.pin(impl.name, quantity, owner)
+
+    @rule(owner=_OWNERS)
+    def unpin_owner(self, owner):
+        self.state.unpin_owner(owner)
+
+    @rule(owner=_OWNERS, now=st.integers(min_value=0, max_value=100))
+    def remove_owner(self, owner, now):
+        self.state.remove_owner(owner, now)
+
+    @rule(
+        fabric=st.sampled_from(FabricType),
+        area=st.integers(min_value=0, max_value=8),
+        now=st.integers(min_value=0, max_value=100),
+    )
+    def evict(self, fabric, area, now):
+        cancelled = len(self.cancelled)
+        cancellable = sum(
+            1 for c in self.state.iter_copies()
+            if c.fabric is fabric and c.pinned_by is None and c.is_cancellable(now)
+        )
+        self.state.evict(fabric, area, now)
+        assert len(self.cancelled) - cancelled <= cancellable
+
+    @rule()
+    def clear(self):
+        self.state.clear()
+
+    @invariant()
+    def totals_match_the_copies(self):
+        state = self.state
+        for fabric in FabricType:
+            copies = [c for c in state.iter_copies() if c.fabric is fabric]
+            used = sum(c.area for c in copies)
+            unpinned = sum(c.area for c in copies if c.pinned_by is None)
+            total = state.budget.total(fabric)
+            assert state.used_area(fabric) == used
+            assert state.free_area(fabric) == total - used
+            assert state.unpinned_area(fabric) == total - used + unpinned
+
+
+RunningTotalsMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestRunningTotals = RunningTotalsMachine.TestCase

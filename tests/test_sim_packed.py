@@ -5,16 +5,17 @@ to the stepped reference loop (the literal Fig. 7 cascade, one ECU call
 per execution) -- on the golden workloads, across every policy on
 fig8/9/10-style budget grids, under run-time fabric contention, and on
 randomized libraries/applications -- with and without trace collection:
-the bulk suffix fold and the whole-iteration fold of time-invariant
+the stretch fold and the whole-iteration fold of time-invariant
 policies only run with tracing off, so both configurations are exercised.
 ``tests/test_sim_event.py`` pins the traced per-run event loop itself.
 """
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import (
     Morpheus4SPolicy,
@@ -26,7 +27,7 @@ from repro.baselines.static import StaticSelectionPolicy
 from repro.config_env import SELECTOR_MODE_ENV
 from repro.core.config import MRTSConfig
 from repro.core.mrts import MRTS
-from repro.core.packed import pack_program
+from repro.core.packed import PackedIteration, pack_program
 from repro.fabric.datapath import DataPathSpec
 from repro.fabric.resources import ResourceBudget
 from repro.ise.kernel import Kernel
@@ -115,7 +116,7 @@ class TestGoldenWorkloads:
 
     @pytest.mark.parametrize("scenario", [_deblocking_scenario, _jpeg_scenario])
     def test_untraced_byte_identical(self, scenario):
-        """Without a trace the packed engine takes its bulk suffix fold --
+        """Without a trace the packed engine takes its stretch fold --
         a different code path that must land on the same statistics."""
         application, budget, make_library = scenario()
         _identical(application, budget, make_library, MRTS, collect_trace=False)
@@ -158,8 +159,38 @@ class TestGoldenWorkloads:
                 stats.events_processed,
             ) == (40, 10005, 12)
 
+    @pytest.mark.parametrize(
+        "policy_name, budget, counters",
+        [
+            ("mrts", (0, 3), (154, 40519, 66)),
+            ("mrts", (2, 2), (142, 40531, 36)),
+            ("mrts", (4, 1), (166, 40507, 52)),
+            ("rispp", (0, 3), (136, 40537, 48)),
+            ("rispp", (2, 2), (112, 40561, 24)),
+            ("rispp", (4, 1), (105, 40568, 17)),
+        ],
+    )
+    def test_fig8_counters_pinned(self, policy_name, budget, counters):
+        """The engine counters of fig8 cells (h264 frames=8 seed 7), traced
+        and untraced: the stretch fold serves only cache hits, so it moves
+        no decision, fast-forward or event count."""
+        cg, prc = budget
+        budget = ResourceBudget(n_prcs=prc, n_cg_fabrics=cg)
+        application = h264_application(frames=8, seed=7)
+        for collect_trace in (True, False):
+            stats = _run(
+                application, budget, lambda: h264_library(budget),
+                POLICY_FACTORIES[policy_name], "packed",
+                collect_trace=collect_trace,
+            ).stats
+            assert (
+                stats.ecu_calls,
+                stats.executions_fastforwarded,
+                stats.events_processed,
+            ) == counters
+
     def test_untraced_fold_accounts_for_every_execution(self):
-        """With the bulk fold active, every execution is still either a
+        """With the stretch fold active, every execution is still either a
         cascade call or a fast-forward -- nothing is double counted."""
         application, budget, make_library = _deblocking_scenario()
         stats = _run(
@@ -249,7 +280,7 @@ class TestPolicyGrid:
 
     @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
     def test_engines_identical_untraced(self, policy_name):
-        """The bulk-fold path across every policy family: non-ECU policies
+        """The stretch-fold path across every policy family: non-ECU policies
         must fall back to per-run execution and still agree."""
         application = h264_application(frames=1, seed=11)
         budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
@@ -342,7 +373,7 @@ class TestContention:
     @pytest.mark.parametrize("collect_trace", [True, False])
     def test_full_contention_identical(self, collect_trace):
         """Everything claimed at t=0, released mid-run: the packed engine
-        must drop out of regime hits (and the bulk fold) when
+        must drop out of regime hits (and the stretch fold) when
         block-boundary contention events mutate the fabric."""
         application = h264_application(frames=2, seed=3)
         budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
@@ -365,8 +396,10 @@ class TestContention:
 
 
 def _spec(kernel_name, index, params):
-    word_ops, bit_ops, mem_bytes, fg_depth, sw_cycles, invocations = params
-    return DataPathSpec(
+    """A data path from drawn ``params``, optionally ending with its
+    bitstream size in KB."""
+    word_ops, bit_ops, mem_bytes, fg_depth, sw_cycles, invocations, *kb = params
+    spec = DataPathSpec(
         name=f"{kernel_name}.dp{index}",
         word_ops=word_ops,
         bit_ops=bit_ops,
@@ -375,6 +408,7 @@ def _spec(kernel_name, index, params):
         sw_cycles=sw_cycles,
         invocations=invocations,
     )
+    return replace(spec, bitstream_kb=kb[0]) if kb else spec
 
 
 datapath_params = st.tuples(
@@ -402,9 +436,9 @@ iteration_params = st.lists(
 )
 
 
-def _random_application(shapes, demands):
-    """One block of random kernels, iterated over three rotations of the
-    drawn (executions, gap) demands."""
+def _random_application(shapes, demands, rotations=3):
+    """One block of random kernels, iterated over ``rotations`` rotations
+    of the drawn (executions, gap) demands."""
     kernels = [
         Kernel(
             f"k{k_index}",
@@ -425,7 +459,7 @@ def _random_application(shapes, demands):
                 for k, (executions, gap) in zip(kernels, demand_cycle)
             ],
         )
-        for demand_cycle in [demands[i:] + demands[:i] for i in range(3)]
+        for demand_cycle in [demands[i:] + demands[:i] for i in range(rotations)]
     ]
     return Application("rand", [block], iterations), kernels
 
@@ -452,6 +486,155 @@ class TestRandomized:
             make_policy,
             collect_trace=collect_trace,
         )
+
+
+# ------------------------------------------- finite-horizon stretch folds
+
+
+#: Data paths whose partial bitstreams mostly stream for 60k-470k cycles:
+#: about as long as an iteration or several, so FG reconfigurations land
+#: inside iterations and most regimes carry a finite horizon.  Short ones
+#: (3k-18k cycles) land early in a block, after which a kernel's next
+#: regime may configure a monoCG-Extension: a fabric mutation mid-block.
+long_bitstream_params = st.tuples(
+    st.integers(min_value=1, max_value=48),    # word_ops
+    st.integers(min_value=0, max_value=64),    # bit_ops
+    st.integers(min_value=4, max_value=64),    # mem_bytes
+    st.integers(min_value=2, max_value=16),    # fg_depth
+    st.integers(min_value=60, max_value=600),  # sw_cycles
+    st.integers(min_value=1, max_value=12),    # invocations
+    st.floats(min_value=0.5, max_value=3.0)
+    | st.floats(min_value=10.0, max_value=79.2),  # bitstream_kb
+)
+
+finite_horizon_cases = st.fixed_dictionaries({
+    "shapes": st.lists(
+        st.lists(long_bitstream_params, min_size=1, max_size=3),
+        min_size=2,
+        max_size=4,
+    ),
+    "demands": st.lists(
+        st.tuples(
+            st.integers(min_value=5, max_value=80),   # executions
+            st.integers(min_value=0, max_value=200),  # gap
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+    "prc": st.integers(min_value=1, max_value=2),
+    "cg": st.integers(min_value=0, max_value=1),
+    # A background task holds one PRC (and CG slots) from the start and
+    # releases it at the first block boundary after ``release_at``.
+    "claim_cg_slots": st.integers(min_value=0, max_value=2),
+    "release_at": st.integers(min_value=1, max_value=2_000_000),
+})
+
+
+class _FoldSpy:
+    """Wraps :meth:`PackedIteration.fold`: checks that every kernel the
+    fold serves sits in a regime of the current fabric version (a
+    mid-block monoCG configuration invalidates every other regime), and
+    records each call's ``(finite limit, groups folded)``.
+
+    ``track`` wraps a policy factory so the spy sees the ECU of the
+    policy built last -- the packed run's, since ``_identical`` runs the
+    stepped oracle first."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self.policy = None
+        fold = PackedIteration.fold
+
+        def spy(packed, j, done, periods, limit):
+            ecu = self.policy.ecu
+            version = ecu.controller.resources.version
+            for kid, name in enumerate(packed.kernels):
+                if done[kid] < packed.totals[kid]:
+                    assert ecu.regimes[name].version == version
+            result = fold(packed, j, done, periods, limit)
+            self.calls.append((limit != float("inf"), result[0] - j))
+            return result
+
+        monkeypatch.setattr(PackedIteration, "fold", spy)
+
+    def track(self, make_policy):
+        def make():
+            self.policy = make_policy()
+            return self.policy
+
+        return make
+
+    def finite_stretches(self):
+        return sum(1 for finite, groups in self.calls if finite and groups > 0)
+
+
+def _finite_horizon_identical(case, make_policy, contention):
+    """Stepped vs packed stats, traced and untraced, on one drawn case;
+    the traced and untraced packed runs report the same engine counters
+    (the fold keeps the per-group meaning)."""
+    shapes = case["shapes"]
+    application, kernels = _random_application(
+        shapes, case["demands"][: len(shapes)], rotations=2 * len(shapes)
+    )
+    budget = ResourceBudget(n_prcs=case["prc"], n_cg_fabrics=case["cg"])
+    contention_factory = None
+    if contention:
+        contention_factory = lambda: ContentionSchedule([
+            ContentionEvent(
+                time=0, task="bg", n_prcs=1, n_cg_slots=case["claim_cg_slots"]
+            ),
+            ContentionEvent(time=case["release_at"], task="bg"),
+        ])
+    _, traced = _identical(
+        application, budget, lambda: ISELibrary(kernels, budget), make_policy,
+        contention_factory,
+    )
+    _, untraced = _identical(
+        application, budget, lambda: ISELibrary(kernels, budget), make_policy,
+        contention_factory, collect_trace=False,
+    )
+    assert untraced.stats.engine_payload() == traced.stats.engine_payload()
+
+
+#: Under mRTS this case configures monoCG-Extensions mid-block (k2 in the
+#: first block, k0 in the fourth), which leaves the other kernels' regimes
+#: stale while they still owe executions: the fold must wait until each
+#: of them misses again.
+MONOCG_MID_BLOCK_CASE = {
+    "shapes": [
+        [(33, 61, 40, 4, 532, 5, 1.97)],
+        [(8, 2, 20, 8, 86, 7, 39.57), (12, 7, 63, 6, 267, 12, 42.5)],
+        [(9, 29, 5, 5, 337, 5, 2.27), (33, 21, 62, 11, 500, 2, 0.71)],
+    ],
+    "demands": [(21, 142), (23, 112), (64, 196), (1, 0)],
+    "prc": 2,
+    "cg": 1,
+    "claim_cg_slots": 0,
+    "release_at": 1,
+}
+
+
+class TestFiniteHorizonFolds:
+    """FG reconfigurations landing mid-iteration: every regime the stretch
+    fold reads has a finite horizon until the last level is configured,
+    so the fold must stop exactly before the group that reaches it."""
+
+    @pytest.mark.parametrize(
+        "make_policy, contention",
+        [(MRTS, False), (RisppLikePolicy, False), (MRTS, True)],
+        ids=["mrts", "rispp", "mrts-contention"],
+    )
+    def test_engines_identical(self, make_policy, contention, monkeypatch):
+        spy = _FoldSpy(monkeypatch)
+
+        @settings(max_examples=20, deadline=None, derandomize=True)
+        @given(case=finite_horizon_cases)
+        @example(case=MONOCG_MID_BLOCK_CASE)
+        def check(case):
+            _finite_horizon_identical(case, spy.track(make_policy), contention)
+
+        check()
+        assert spy.finite_stretches() > 0
 
 
 # ------------------------------------------------- engine resolution
