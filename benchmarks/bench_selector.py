@@ -1,10 +1,11 @@
-"""The selector hot path: incremental caching vs. the naive Fig. 6 rescan.
+"""The selector hot path: the packed, cached selector vs. the naive Fig. 6
+rescan.
 
 Two entry points share :mod:`repro.bench`:
 
 * under pytest-benchmark (``pytest benchmarks/bench_selector.py``) the
   quick A/B run executes once under timing and asserts the regression
-  gate -- identical results, and the incremental selector never computes
+  gate -- identical results, and the packed selector never computes
   more profits than the naive one;
 * as a standalone script (``python benchmarks/bench_selector.py [--quick]
   [--out BENCH_selector.json]``) it writes the perf-trajectory JSON, the
@@ -21,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench import check_gate, render, run_selector_bench  # noqa: E402
 
 
-def test_selector_incremental_vs_naive(benchmark):
+def test_selector_packed_vs_naive(benchmark):
     from conftest import run_once
 
     payload = run_once(benchmark, lambda: run_selector_bench(quick=True))

@@ -7,7 +7,7 @@
 # The bench steps write the quick variants of BENCH_selector.json,
 # BENCH_sim.json, BENCH_engine.json, BENCH_service.json and
 # BENCH_store.json and fail on any A/B regression: differing results,
-# the incremental selector recomputing more profits than the naive one
+# the packed selector recomputing more profits than the naive one
 # (repro.bench.check_gate), the packed engine reducing ECU cascade calls
 # by less than the 5x threshold or missing its per-cell wall-clock
 # speedup threshold over the stepped oracle (repro.bench.check_sim_gate),

@@ -4,8 +4,8 @@ Unlike the single-file determinism rules, these cross-check *pairs* of
 declarations that must stay in lockstep for the repo's A/B identities to
 hold:
 
-* ``dual-impl-signature`` -- the naive, incremental and packed selector
-  cores, and the stepped and packed simulator engines, must keep
+* ``dual-impl-signature`` -- the naive and packed selector cores, and
+  the stepped and packed simulator engines, must keep
   identical call signatures (one drifting silently breaks
   ``REPRO_SELECTOR`` / ``REPRO_SIM`` interchangeability), and the
   dual-entry methods (``RuntimePolicy.execute`` / ``execute_run``) must
@@ -49,10 +49,8 @@ from repro.analysis.lint.core import INVARIANT_RULE_NAMES, FileContext, Finding
 #: and must keep A's arguments as a prefix (so every call site of A can be
 #: routed through B).
 DUAL_IMPLEMENTATIONS: Tuple[Tuple[str, Optional[str], str, str, str], ...] = (
-    ("core/selector.py", "ISESelector", "_select_naive", "_select_incremental",
+    ("core/selector.py", "ISESelector", "_select_naive", "_select_packed",
      "exact"),
-    ("core/selector.py", "ISESelector", "_select_incremental",
-     "_select_packed", "exact"),
     ("sim/simulator.py", "Simulator", "_run_kernels_stepped",
      "_run_kernels_packed", "exact"),
     ("sim/policy.py", "RuntimePolicy", "execute", "execute_run", "extends"),

@@ -1,7 +1,7 @@
 """The determinism rules.
 
 Each rule protects one of the repo's byte-identity invariants (serial ==
-parallel sweeps, stepped == packed engines, naive == incremental selector,
+parallel sweeps, stepped == packed engines, naive == packed selector,
 golden traces); ``docs/analysis.md`` documents them one by one with the
 failure mode they prevent.
 """

@@ -18,7 +18,7 @@
 """
 
 from repro.baselines.riscmode import RiscModePolicy
-from repro.baselines.rispp import RisppLikePolicy, QuantizedProfitSelector
+from repro.baselines.rispp import RisppLikePolicy, quantized_profit
 from repro.baselines.morpheus4s import Morpheus4SPolicy
 from repro.baselines.offline_optimal import OfflineOptimalPolicy
 from repro.baselines.online_optimal import OnlineOptimalPolicy
@@ -27,7 +27,7 @@ from repro.baselines.tasklevel import TaskLevelPolicy
 __all__ = [
     "RiscModePolicy",
     "RisppLikePolicy",
-    "QuantizedProfitSelector",
+    "quantized_profit",
     "Morpheus4SPolicy",
     "OfflineOptimalPolicy",
     "OnlineOptimalPolicy",

@@ -14,71 +14,49 @@ We model that mis-tuning faithfully: the RISPP-like profit function
 *quantises every reconfiguration time up to whole FG reconfiguration slots*
 (its internal arithmetic is built around the FG bitstream port), so the
 microsecond availability of CG data paths is invisible to its selection.
-The ECU cascade is the same as mRTS's minus the monoCG-Extension, which is
-an mRTS contribution.
+The greedy loop is mRTS's, only the profit function differs.  The ECU
+cascade is the same as mRTS's minus the monoCG-Extension, which is an mRTS
+contribution.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.config import MRTSConfig
 from repro.core.mrts import MRTS
-from repro.core.selector import ISESelector, predict_recT
-from repro.core.profit import ise_profit
-from repro.ise.ise import ISE
-from repro.ise.library import ISELibrary
-from repro.sim.trigger import TriggerInstruction
+from repro.core.profit import profit_value
+from repro.core.selector import ISESelector
 from repro.util.units import kb_to_reconfig_cycles
-from repro.util.validation import check_positive
 
 #: One FG reconfiguration slot: the port time of a standard data path.
 FG_RECONFIG_SLOT_CYCLES = kb_to_reconfig_cycles(79.2)
 
 
-class QuantizedProfitSelector(ISESelector):
-    """The Fig. 6 greedy loop with an FG-granular cost function."""
+def quantized_profit(
+    latencies: Sequence[int],
+    schedule: Sequence[float],
+    e: float,
+    tf: float,
+    tb: float,
+) -> float:
+    """RISPP's FG-granular cost function (a selector ``profit`` function).
 
-    def __init__(self, library: ISELibrary, slot_cycles: int = FG_RECONFIG_SLOT_CYCLES):
-        super().__init__(library)
-        check_positive("slot_cycles", slot_cycles)
-        self.slot_cycles = slot_cycles
-
-    def _profit_of(
-        self,
-        ise: ISE,
-        trig: TriggerInstruction,
-        coverage: Mapping[str, int],
-        existing_ready: Mapping[str, float],
-        now: int,
-        fg_port_free_at: float,
-    ) -> Tuple[float, List[float], float]:
-        schedule, port_after = predict_recT(
-            ise, coverage, existing_ready, now, fg_port_free_at
-        )
-        # The mis-tuned arithmetic: every completion time is rounded up to
-        # whole FG slots, hiding the microsecond CG reconfigurations.
-        quantized: List[float] = []
-        for t in schedule:
-            slots = math.ceil(t / self.slot_cycles) if t > 0 else 0
-            quantized.append(max(float(t), slots * float(self.slot_cycles)))
-        for i in range(1, len(quantized)):
-            quantized[i] = max(quantized[i], quantized[i - 1])
-        # RISPP's benefit curves ignore the inter-execution gap (tb = 0):
-        # against millisecond reconfigurations that term is negligible, but
-        # for multi-grained ISEs it distorts how many executions land on
-        # each intermediate ISE.
-        breakdown = ise_profit(
-            ise,
-            e=trig.executions,
-            tf=trig.time_to_first,
-            tb=0.0,
-            rec_schedule=quantized,
-        )
-        # The *committed* schedule is the real one; only the decision uses
-        # the quantized view.
-        return breakdown.profit, schedule, port_after
+    Every completion time is rounded up to whole FG slots, hiding the
+    microsecond CG reconfigurations, and RISPP's benefit curves ignore the
+    inter-execution gap (``tb = 0``): against millisecond reconfigurations
+    that term is negligible, but for multi-grained ISEs it distorts how
+    many executions land on each intermediate ISE.  Only the decision uses
+    this view; the selector commits the real schedule.
+    """
+    quantized: List[float] = []
+    for t in schedule:
+        slots = math.ceil(t / FG_RECONFIG_SLOT_CYCLES) if t > 0 else 0
+        level = max(float(t), slots * float(FG_RECONFIG_SLOT_CYCLES))
+        quantized.append(max(level, quantized[-1]) if quantized else level)
+    return profit_value(latencies, quantized, e, tf, 0.0)
 
 
 class RisppLikePolicy(MRTS):
@@ -87,24 +65,17 @@ class RisppLikePolicy(MRTS):
     name = "rispp"
 
     def __init__(self, config: Optional[MRTSConfig] = None):
-        base = config or MRTSConfig()
         # RISPP has no monoCG-Extension; everything else (MPU-style forecast
         # updates, intermediate ISEs, FB-level selection) it pioneered.
         super().__init__(
-            MRTSConfig(
-                mpu_alpha=base.mpu_alpha,
-                mpu_window=base.mpu_window,
-                enable_intermediate=base.enable_intermediate,
-                enable_monocg=False,
-                monocg_breakeven_cycles=base.monocg_breakeven_cycles,
-                hide_selection_overhead=base.hide_selection_overhead,
-                overhead=base.overhead,
-            )
+            dataclasses.replace(config or MRTSConfig(), enable_monocg=False)
         )
 
     def attach(self, library, controller) -> None:
         super().attach(library, controller)
-        self.selector = QuantizedProfitSelector(library)
+        self.selector = ISESelector(
+            library, mode=self.config.selector_mode, profit=quantized_profit
+        )
 
 
-__all__ = ["RisppLikePolicy", "QuantizedProfitSelector", "FG_RECONFIG_SLOT_CYCLES"]
+__all__ = ["RisppLikePolicy", "quantized_profit", "FG_RECONFIG_SLOT_CYCLES"]

@@ -4,10 +4,10 @@ Five suites -- four over the Fig. 8 reference workload (the H.264
 encoder on the (CG fabrics x PRCs) budget grid), one over a synthetic
 sweep -- all doubling as regression gates:
 
-* ``selector`` -- naive vs. incremental vs. packed ISE selector:
-  per-budget stats payloads must be byte-identical across all three and
-  the incremental implementation must never compute more profits than the
-  naive one (``BENCH_selector.json``).
+* ``selector`` -- naive vs. packed ISE selector: per-budget stats
+  payloads must be byte-identical across both and the packed
+  implementation must never compute more profits than the naive one
+  (``BENCH_selector.json``).
 * ``sim`` -- the stepped oracle vs. the packed production engine:
   per-budget stats payloads must be byte-identical, the packed engine
   must evaluate the ECU cascade at least :data:`SIM_REDUCTION_THRESHOLD`
@@ -191,12 +191,12 @@ def run_selector_bench(
         )
 
     naive = modes["naive"]
-    incremental = modes["incremental"]
+    packed = modes["packed"]
     identical = all(
         payloads[mode] == payloads[SELECTOR_MODES[0]]
         for mode in SELECTOR_MODES
     )
-    recomputed = incremental["evaluations_recomputed"]
+    recomputed = packed["evaluations_recomputed"]
     reduction = (
         naive["evaluations_recomputed"] / recomputed
         if recomputed
@@ -687,18 +687,18 @@ def check_gate(payload: Dict[str, object]) -> List[str]:
     """The regression conditions the verify smoke job enforces.
 
     Returns a list of failure messages (empty = pass): the two selector
-    implementations must produce byte-identical stats, and the incremental
+    implementations must produce byte-identical stats, and the packed
     one must not compute more profits than the naive one.
     """
     failures = []
     if not payload["identical_results"]:
-        failures.append("naive and incremental selector stats differ")
+        failures.append("naive and packed selector stats differ")
     naive = payload["modes"]["naive"]["evaluations_recomputed"]
-    incremental = payload["modes"]["incremental"]["evaluations_recomputed"]
-    if incremental > naive:
+    packed = payload["modes"]["packed"]["evaluations_recomputed"]
+    if packed > naive:
         failures.append(
-            f"incremental selector recomputed more profits than naive "
-            f"({incremental} > {naive})"
+            f"packed selector recomputed more profits than naive "
+            f"({packed} > {naive})"
         )
     return failures
 

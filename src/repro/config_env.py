@@ -10,8 +10,9 @@ an ad-hoc ``os.environ.get`` in a hot path can never silently make two
 Variables
 ---------
 ``REPRO_SELECTOR``
-    Selector implementation (``naive`` | ``incremental`` | ``packed``);
-    see :func:`repro.core.selector.resolve_selector_mode`.
+    Selector implementation (``naive`` | ``packed``; default ``packed``,
+    ``naive`` is the literal Fig. 6 reference rescan); see
+    :func:`repro.core.selector.resolve_selector_mode`.
 ``REPRO_SIM``
     Simulator execution engine (``stepped`` | ``packed``; default
     ``packed``, ``stepped`` is the literal Fig. 7 reference loop); see
@@ -87,11 +88,11 @@ def env_choice(
 
 def selector_mode(explicit: Optional[str] = None) -> str:
     """The ISE-selector implementation to use
-    (``naive`` | ``incremental`` | ``packed``)."""
+    (``naive`` | ``packed``)."""
     from repro.core.selector import SELECTOR_MODES
 
     return env_choice(
-        SELECTOR_MODE_ENV, SELECTOR_MODES, "incremental",
+        SELECTOR_MODE_ENV, SELECTOR_MODES, "packed",
         explicit=explicit, what="selector mode",
     )
 

@@ -78,10 +78,10 @@ class MRTSConfig:
     #: overlap selection with reconfiguration (Section 5.4).
     hide_selection_overhead: bool = True
     overhead: OverheadModel = field(default_factory=OverheadModel)
-    #: selector implementation: ``"naive"`` | ``"incremental"`` |
-    #: ``"packed"`` | ``None`` (= honour ``$REPRO_SELECTOR``, default
-    #: incremental).  All three produce byte-identical selections and
-    #: charged overhead; see docs/selector.md.
+    #: selector implementation: ``"naive"`` | ``"packed"`` | ``None``
+    #: (= honour ``$REPRO_SELECTOR``, default packed).  Both produce
+    #: byte-identical selections and charged overhead; see
+    #: docs/selector.md.
     selector_mode: "str | None" = None
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.config_env import SELECTOR_MODE_ENV, env_str
 from repro.core.config import MRTSConfig
 from repro.core.ecu import ExecutionControlUnit, ExecutionDecision
 from repro.core.mpu import MonitoringPredictionUnit
@@ -66,23 +65,6 @@ class MRTS(RuntimePolicy):
             enable_intermediate=self.config.enable_intermediate,
             monocg_breakeven_cycles=self.config.monocg_breakeven_cycles,
         )
-
-    def enable_packed(self) -> None:
-        """Switch the selector to its packed-array implementation (the
-        packed simulator engine calls this after :meth:`attach`).
-
-        Only a default choice is upgraded: a selector mode given in the
-        config or through ``$REPRO_SELECTOR`` stays as chosen, and
-        subclasses installing a selector of their own (the online-optimal
-        baseline's ``OptimalSelector``, the RISPP baseline's
-        ``QuantizedProfitSelector`` with its overridden profit arithmetic)
-        are left alone -- a replacement would drop their overrides."""
-        if (
-            type(self.selector) is ISESelector
-            and not self.config.selector_mode
-            and env_str(SELECTOR_MODE_ENV) is None
-        ):
-            self.selector = ISESelector(self.library, mode="packed")
 
     # ------------------------------------------------------------- events
     def on_block_entry(

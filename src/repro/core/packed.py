@@ -12,10 +12,11 @@ break the byte-identity contract of the golden payloads):
     qualified implementation name interned to a dense integer id, every
     candidate ISE flattened into ``(row_impl, row_qty, row_fg, row_reconfig,
     row_area)`` slices of shared arrays, plus the latency staircases, FG
-    requirements, footprints, profit bounds and the scan order / inverted
-    index the incremental selector derives per call today.  Packings are
-    cached per library in a :class:`weakref.WeakKeyDictionary`, so a sweep
-    that reuses one library across budgets packs once.
+    requirements, footprints and profit bounds, the per-kernel scan order
+    and the inverted footprint index that drives the packed selector's
+    cache invalidation.  Packings are cached per library in a
+    :class:`weakref.WeakKeyDictionary`, so a sweep that reuses one library
+    across budgets packs once.
 
 :class:`PackedProgram`
     One packing per :class:`~repro.sim.program.Application`: per block
@@ -36,8 +37,8 @@ the packed selector / the ECU's regime cache.
 
 The consumers are :meth:`repro.core.selector.ISESelector._select_packed`
 and :meth:`repro.sim.simulator.Simulator._run_kernels_packed`; both are
-locked to their reference twins (the naive/incremental selectors, the
-stepped simulator loop) by the ``dual-impl-signature`` lint invariant,
+locked to their reference twins (the naive selector, the stepped
+simulator loop) by the ``dual-impl-signature`` lint invariant,
 the hypothesis identity suites and the golden traces (see
 ``docs/simulator.md`` for the equivalence argument).
 """
@@ -174,17 +175,17 @@ class PackedLibrary:
                 )
                 self.foot_start.append(len(self.foot_impl))
             self.kernel_cids[kernel_name] = tuple(cids)
-            # The incremental selector sorts each kernel's candidates by
-            # (-profit bound, candidate index) once per select() call; the
-            # ordering is static, so bake it in here.
+            # The packed selector scans each kernel's candidates by
+            # (-profit bound, candidate index); the ordering is static, so
+            # bake it in here.
             self.scan_cids[kernel_name] = tuple(
                 sorted(cids, key=lambda c: (-self.cand_bound[c], self.cand_local[c]))
             )
 
         self.n_impls = len(self.impl_names)
         self.n_candidates = len(self.cand_kernel)
-        # Inverted index (the packed twin of ISELibrary.ises_sharing):
-        # impl id -> every cid whose footprint contains it.
+        # Inverted index: impl id -> every cid whose footprint contains it
+        # (the candidates a commit touching that data path can perturb).
         users: List[List[int]] = [[] for _ in range(self.n_impls)]
         for cid in range(self.n_candidates):
             for position in range(self.foot_start[cid], self.foot_start[cid + 1]):

@@ -20,7 +20,7 @@ evaluations drop severalfold).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ise.ise import ISE
 from repro.ise.pareto import pareto_front
@@ -42,7 +42,6 @@ class PrunedLibraryView:
     def __init__(self, library):
         self._library = library
         self._pruned: Dict[str, List[ISE]] = {}
-        self._index: "Dict[str, Tuple[Tuple[str, int], ...]] | None" = None
 
     @property
     def kernels(self):
@@ -60,33 +59,6 @@ class PrunedLibraryView:
     def candidate_tuple(self, kernel_name: str) -> Tuple[ISE, ...]:
         """Pruned candidates as an immutable tuple (selector hot path)."""
         return tuple(self.candidates(kernel_name))
-
-    # ----------------------------------------------------- footprint index
-    def _ensure_index(self) -> Dict[str, Tuple[Tuple[str, int], ...]]:
-        """Inverted ``datapath -> (kernel, index)`` index over the *pruned*
-        candidate lists (positions match :meth:`candidate_tuple`)."""
-        if self._index is None:
-            index: Dict[str, List[Tuple[str, int]]] = {}
-            for kernel_name in self._library.kernel_names():
-                for position, ise in enumerate(self.candidates(kernel_name)):
-                    for impl_name in ise.footprint:
-                        index.setdefault(impl_name, []).append(
-                            (kernel_name, position)
-                        )
-            self._index = {name: tuple(users) for name, users in index.items()}
-        return self._index
-
-    def ises_using(self, impl_name: str) -> Tuple[Tuple[str, int], ...]:
-        """Pruned candidates whose footprint contains ``impl_name``."""
-        return self._ensure_index().get(impl_name, ())
-
-    def ises_sharing(self, footprint: Iterable[str]) -> Set[Tuple[str, int]]:
-        """Pruned candidates sharing at least one data path with ``footprint``."""
-        index = self._ensure_index()
-        sharing: Set[Tuple[str, int]] = set()
-        for impl_name in footprint:
-            sharing.update(index.get(impl_name, ()))
-        return sharing
 
     def monocg(self, kernel_name: str):
         """Delegate to the underlying library."""

@@ -14,30 +14,31 @@ forecasted by the trigger instructions:
 Complexity O(N*M) profit evaluations per round (N kernels, M ISEs each)
 instead of the O(M^N) of the optimal algorithm.
 
-Three implementations produce byte-identical results (``docs/selector.md``):
+Two implementations produce byte-identical results (``docs/selector.md``):
 
 * the **naive** selector recomputes every candidate's profit each round --
-  a direct transcription of Fig. 6;
-* the **incremental** selector (the default) keeps each candidate's last
-  ``(charge, schedule, profit)`` across rounds and, after committing a
-  winner, invalidates only the candidates the commit can actually perturb:
-  those whose data-path footprint intersects the winner's (via the
-  library's precompiled inverted index) and -- when the commit moved the
-  FG bitstream port -- those with uncovered FG instances;
-* the **packed** selector runs the incremental algorithm over the
+  a direct transcription of Fig. 6, kept as the reference oracle;
+* the **packed** selector (the default) runs the same rounds over the
   structure-of-arrays packing of :mod:`repro.core.packed`: implementation
   names interned to dense ids, candidate rows / latency staircases / FG
-  requirements flattened into parallel arrays at library-build time, and
-  the per-call working state (coverage, ready times, reservations, cache
-  validity) held in flat arrays indexed by those ids.  Same rounds, same
-  logical counters, same tie-breaks -- only the data layout differs.
+  requirements flattened into parallel arrays at library-build time.  It
+  keeps each candidate's last ``(charge, schedule, profit)`` across rounds
+  and, after committing a winner, invalidates only the candidates the
+  commit can actually perturb: those whose data-path footprint intersects
+  the winner's (via the packing's inverted index) and -- when the commit
+  moved the FG bitstream port -- those with uncovered FG instances.
 
 Pick the implementation with the ``REPRO_SELECTOR`` environment variable
-(``naive`` | ``incremental`` | ``packed``) or the ``mode`` constructor
-argument.  All report the same ``profit_evaluations`` (the *logical* Fig. 6
-count, which also feeds the overhead model); the incremental and packed
-ones additionally split it into ``evaluations_recomputed`` and
-``evaluations_skipped``.
+(``naive`` | ``packed``) or the ``mode`` constructor argument.  Both report
+the same ``profit_evaluations`` (the *logical* Fig. 6 count, which also
+feeds the overhead model); the packed one additionally splits it into
+``evaluations_recomputed``, ``evaluations_skipped`` and
+``evaluations_pruned``.
+
+Only the profit function varies between run-time systems: it is a
+constructor argument (default :func:`~repro.core.profit.profit_value`,
+Eqs. 2-4), which RISPP replaces with its FG-quantised cost function
+(:func:`repro.baselines.rispp.quantized_profit`).
 
 Ties between equal-profit candidates resolve deterministically by
 ``(profit, kernel name, candidate index)``: the lexicographically smallest
@@ -47,10 +48,10 @@ kernel wins, then the earliest candidate in the library's candidate order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.packed import PackedLibrary, pack_library
-from repro.core.profit import ise_profit, profit_value
+from repro.core.profit import profit_value
 from repro.fabric.datapath import FabricType
 from repro.fabric.reconfig import ReconfigurationController
 from repro.ise.ise import ISE
@@ -59,23 +60,30 @@ from repro.sim.trigger import TriggerInstruction
 from repro.util.validation import ReproError
 
 #: Environment variable selecting the implementation (``naive`` |
-#: ``incremental``); the constructor argument takes precedence.  Re-exported
+#: ``packed``); the constructor argument takes precedence.  Re-exported
 #: from the central registry in :mod:`repro.config_env`.
 from repro.config_env import SELECTOR_MODE_ENV
 
-#: Valid selector implementations; ``incremental`` is the default.
-SELECTOR_MODES = ("naive", "incremental", "packed")
+#: Valid selector implementations; ``packed`` is the default.
+SELECTOR_MODES = ("naive", "packed")
+
+#: A candidate's profit from its latency staircase, predicted
+#: reconfiguration schedule and trigger: ``(latencies, schedule, e, tf, tb)``.
+ProfitFunction = Callable[
+    [Sequence[int], Sequence[float], float, float, float], float
+]
 
 #: Relative slack applied to the static profit upper bound before pruning.
 #: ``e * profit_bound_per_execution`` dominates the profit in real
-#: arithmetic, but ``ise_profit`` sums a handful of non-negative float
-#: terms, so its computed value can exceed the bound by a few ulps of
+#: arithmetic for any schedule and any ``tb >= 0`` (RISPP's quantised
+#: profit included), but ``profit_value`` sums a handful of non-negative
+#: float terms, so its computed value can exceed the bound by a few ulps of
 #: accumulated rounding.  Pruning therefore requires the bound to lose to
 #: the running argmax by more than this relative margin -- orders of
 #: magnitude above the worst-case summation error, vanishingly small
 #: against any real profit gap -- so a candidate is only pruned when its
 #: *computed* profit provably cannot win the round, keeping the
-#: incremental selector byte-identical to the naive one.
+#: packed selector byte-identical to the naive one.
 BOUND_PRUNE_SLACK = 1e-9
 
 
@@ -174,7 +182,7 @@ def apply_reservation(ise: ISE, reserved: Dict[str, int]) -> None:
 
 def resolve_selector_mode(mode: Optional[str] = None) -> str:
     """The selector implementation to use: the explicit ``mode`` if given,
-    else ``$REPRO_SELECTOR``, else ``incremental``."""
+    else ``$REPRO_SELECTOR``, else ``packed``."""
     from repro.config_env import selector_mode
 
     return selector_mode(mode)
@@ -188,7 +196,7 @@ class SelectionResult:
     candidate per greedy round -- and is identical for both selector
     implementations (the overhead model charges it, so the modelled
     hardware cost does not depend on how the reproduction computes it).
-    The incremental selector splits it into ``evaluations_recomputed``
+    The packed selector splits it into ``evaluations_recomputed``
     (profits actually recomputed), ``evaluations_skipped`` (served from
     the round-to-round cache) and ``evaluations_pruned`` (discarded by the
     static profit upper bound without computing Eqs. 2-4); the naive
@@ -229,53 +237,27 @@ class SelectionResult:
         return list(self.selected)
 
 
-class _CandidateEntry:
-    """Round-to-round cached state of one candidate ISE.
-
-    ``charge`` stays valid until a committed winner's footprint intersects
-    this candidate's; ``profit``/``schedule``/``port_after`` stay valid
-    until that happens *or* the effective FG bitstream port moves while the
-    candidate still has uncovered FG instances (``fg_sensitive``).
-    """
-
-    __slots__ = (
-        "ise",
-        "index",
-        "bound_coeff",
-        "charge",
-        "charge_valid",
-        "profit",
-        "schedule",
-        "port_after",
-        "fg_sensitive",
-        "profit_valid",
-    )
-
-    def __init__(self, ise: ISE, index: int):
-        self.ise = ise
-        self.index = index
-        self.bound_coeff = ise.profit_bound_per_execution
-        self.charge: Dict[FabricType, int] = {}
-        self.charge_valid = False
-        self.profit = 0.0
-        self.schedule: List[float] = []
-        self.port_after = 0.0
-        self.fg_sensitive = False
-        self.profit_valid = False
-
-
 class ISESelector:
     """The heuristic multi-grained ISE selector (Section 4.1).
 
-    ``mode`` picks the implementation (``naive`` | ``incremental`` |
-    ``packed``); when omitted it falls back to ``$REPRO_SELECTOR`` and
-    finally to ``incremental``.  All produce byte-identical
-    :class:`SelectionResult` decisions and logical counters.
+    ``mode`` picks the implementation (``naive`` | ``packed``); when
+    omitted it falls back to ``$REPRO_SELECTOR`` and finally to
+    ``packed``.  Both produce byte-identical :class:`SelectionResult`
+    decisions and logical counters.  ``profit`` scores a candidate from
+    its latency staircase and predicted reconfiguration schedule (see
+    :data:`ProfitFunction`).  It must not modify the schedule it is given:
+    the selector commits that schedule for the winner.
     """
 
-    def __init__(self, library: ISELibrary, mode: Optional[str] = None):
+    def __init__(
+        self,
+        library: ISELibrary,
+        mode: Optional[str] = None,
+        profit: ProfitFunction = profit_value,
+    ):
         self.library = library
         self.mode = resolve_selector_mode(mode)
+        self.profit = profit
         #: structure-of-arrays view of the library (cached per library in
         #: :mod:`repro.core.packed`); only materialised for the packed mode.
         self._packed: Optional[PackedLibrary] = (
@@ -301,8 +283,6 @@ class ISESelector:
             if trig.kernel not in self.library.kernels:
                 raise ReproError(f"trigger for unknown kernel {trig.kernel!r}")
             triggers_by_kernel[trig.kernel] = trig
-        if self.mode == "incremental":
-            return self._select_incremental(triggers_by_kernel, controller, now)
         if self.mode == "packed":
             return self._select_packed(triggers_by_kernel, controller, now)
         return self._select_naive(triggers_by_kernel, controller, now)
@@ -344,24 +324,15 @@ class ISESelector:
         coverage: Dict[str, int],
         existing_ready: Dict[str, float],
         now: int,
-    ) -> Set[str]:
-        """Fold a committed winner into the working coverage state.
-
-        Returns the data-path names whose coverage or ready time actually
-        *changed* -- the exact set of inputs a cached profit can depend on
-        (a covered winner that raises nothing perturbs no profit cache).
-        """
-        changed: Set[str] = set()
+    ) -> None:
+        """Fold a committed winner into the working coverage state."""
         for level_index, instance in enumerate(ise.instances):
             name = instance.impl.name
             if instance.quantity > coverage.get(name, 0):
                 coverage[name] = instance.quantity
-                changed.add(name)
             ready_abs = now + schedule[level_index]
             if ready_abs > existing_ready.get(name, 0.0):
                 existing_ready[name] = ready_abs
-                changed.add(name)
-        return changed
 
     # ------------------------------------------------------------ naive
     def _select_naive(
@@ -410,8 +381,15 @@ class ISESelector:
                         continue
                     result.profit_evaluations += 1
                     result.evaluations_recomputed += 1
-                    profit, schedule, port_after = self._profit_of(
-                        ise, trig, coverage, existing_ready, now, fg_port_free_at
+                    schedule, port_after = predict_recT(
+                        ise, coverage, existing_ready, now, fg_port_free_at
+                    )
+                    profit = self.profit(
+                        ise.latencies,
+                        schedule,
+                        trig.executions,
+                        trig.time_to_first,
+                        trig.time_between,
                     )
                     if best is None or _beats(
                         profit, kernel, index, best[0], best[1], best[2]
@@ -442,184 +420,6 @@ class ISESelector:
 
         return result
 
-    # ------------------------------------------------------ incremental
-    def _select_incremental(
-        self,
-        triggers_by_kernel: Dict[str, TriggerInstruction],
-        controller: ReconfigurationController,
-        now: int,
-    ) -> SelectionResult:
-        result = SelectionResult(mode="incremental")
-
-        entries: Dict[str, List[_CandidateEntry]] = {
-            kernel: [
-                _CandidateEntry(ise, index)
-                for index, ise in enumerate(self.library.candidate_tuple(kernel))
-            ]
-            for kernel in triggers_by_kernel
-        }
-        result.candidates_considered = sum(len(e) for e in entries.values())
-        # Scan each kernel's candidates in descending profit-upper-bound
-        # order: once the running argmax exceeds a candidate's bound, it --
-        # and everything after it -- can be pruned without evaluation.  The
-        # argmax (with the explicit tie-break) is order-independent, so this
-        # cannot change the selection.
-        scan_order: Dict[str, List[_CandidateEntry]] = {
-            kernel: sorted(
-                kernel_entries, key=lambda e: (-e.bound_coeff, e.index)
-            )
-            for kernel, kernel_entries in entries.items()
-        }
-
-        (
-            free,
-            exempt,
-            snapshot,
-            coverage,
-            existing_ready,
-            fg_port_free_at,
-        ) = self._setup(triggers_by_kernel, controller, now)
-        reserved: Dict[str, int] = {}
-
-        pending = set(triggers_by_kernel)
-        while pending:
-            result.rounds += 1
-            best: Optional[Tuple[float, str, int, _CandidateEntry]] = None
-            for kernel in sorted(pending):
-                trig = triggers_by_kernel[kernel]
-                executions = trig.executions
-                for entry in scan_order[kernel]:
-                    if not entry.charge_valid:
-                        entry.charge = reservation_charge(entry.ise, reserved, exempt)
-                        entry.charge_valid = True
-                    charge = entry.charge
-                    if (
-                        charge[FabricType.FG] > free[FabricType.FG]
-                        or charge[FabricType.CG] > free[FabricType.CG]
-                    ):
-                        continue
-                    result.profit_evaluations += 1
-                    if entry.profit_valid:
-                        result.evaluations_skipped += 1
-                    else:
-                        # Profit upper bound (see ISE.profit_bound_per_execution):
-                        # prune when even the bound -- widened by
-                        # BOUND_PRUNE_SLACK to absorb the float summation
-                        # error of ise_profit -- cannot beat the running
-                        # argmax.  A non-positive bound cannot produce a
-                        # committable (> 0) winner either: with all savings
-                        # or executions zero every profit term is an exact
-                        # float zero.
-                        bound = executions * entry.bound_coeff
-                        if best is None:
-                            if bound <= 0.0:
-                                result.evaluations_pruned += 1
-                                continue
-                        elif bound + bound * BOUND_PRUNE_SLACK < best[0]:
-                            result.evaluations_pruned += 1
-                            continue
-                        profit, schedule, port_after = self._profit_of(
-                            entry.ise,
-                            trig,
-                            coverage,
-                            existing_ready,
-                            now,
-                            fg_port_free_at,
-                        )
-                        entry.profit = profit
-                        entry.schedule = schedule
-                        entry.port_after = port_after
-                        entry.fg_sensitive = any(
-                            coverage.get(name, 0) < quantity
-                            for name, quantity in entry.ise.fg_requirements
-                        )
-                        entry.profit_valid = True
-                        result.evaluations_recomputed += 1
-                    if best is None or _beats(
-                        entry.profit, kernel, entry.index, best[0], best[1], best[2]
-                    ):
-                        best = (entry.profit, kernel, entry.index, entry)
-
-            if best is None or best[0] <= 0:
-                for kernel in sorted(pending):
-                    result.selected[kernel] = None
-                    result.profits[kernel] = 0.0
-                break
-
-            profit, kernel, _, winner = best
-            ise = winner.ise
-            result.selected[kernel] = ise
-            result.profits[kernel] = profit
-            if ise.covered_by(snapshot):
-                result.covered_free.append(kernel)
-            charge = reservation_charge(ise, reserved, exempt)
-            for fabric in FabricType:
-                free[fabric] -= charge[fabric]
-            raised_reservations = {
-                name
-                for name, quantity, _, _ in ise.instance_rows
-                if quantity > reserved.get(name, 0)
-            }
-            apply_reservation(ise, reserved)
-            changed_coverage = self._commit_coverage(
-                ise, winner.schedule, coverage, existing_ready, now
-            )
-
-            # The naive selector assigns the winner's freshly computed
-            # ``port_after``.  The cached value is only that fresh value for
-            # FG-sensitive winners (which the port-move rule below keeps
-            # valid); a winner without uncovered FG instances never advanced
-            # the port, so its commit clamps the backlog to ``now`` exactly
-            # as ``predict_recT`` would have.
-            effective_before = max(float(now), fg_port_free_at)
-            if winner.fg_sensitive:
-                fg_port_free_at = winner.port_after
-            else:
-                fg_port_free_at = effective_before
-            # Ordering comparison instead of float !=: a valid FG-sensitive
-            # entry was computed against the current backlog (port moves
-            # invalidate it), and predict_recT only pushes the port forward
-            # from max(now, backlog), so fg_port_free_at >= effective_before
-            # always -- "moved" is exactly "strictly later".
-            port_moved = fg_port_free_at > effective_before
-
-            pending.discard(kernel)
-            del entries[kernel]
-            del scan_order[kernel]
-
-            # Invalidate exactly what the commit perturbed, via the
-            # library's precompiled inverted index:
-            # (a) charges of candidates touching a data path whose
-            #     *reservation* rose (shared paths are charged once);
-            # (b) profits of candidates touching a data path whose coverage
-            #     or predicted ready time actually *changed*;
-            # (c) if the FG bitstream port moved, profits of candidates
-            #     whose schedule queues behind it (uncovered FG instances).
-            for other_kernel, index in self.library.ises_sharing(
-                raised_reservations
-            ):
-                kernel_entries = entries.get(other_kernel)
-                if kernel_entries is not None:
-                    entry = kernel_entries[index]
-                    if entry.charge_valid:
-                        entry.charge_valid = False
-                        result.invalidations += 1
-            for other_kernel, index in self.library.ises_sharing(changed_coverage):
-                kernel_entries = entries.get(other_kernel)
-                if kernel_entries is not None:
-                    entry = kernel_entries[index]
-                    if entry.profit_valid:
-                        entry.profit_valid = False
-                        result.invalidations += 1
-            if port_moved:
-                for kernel_entries in entries.values():
-                    for entry in kernel_entries:
-                        if entry.profit_valid and entry.fg_sensitive:
-                            entry.profit_valid = False
-                            result.invalidations += 1
-
-        return result
-
     # ----------------------------------------------------------- packed
     def _select_packed(
         self,
@@ -627,29 +427,36 @@ class ISESelector:
         controller: ReconfigurationController,
         now: int,
     ) -> SelectionResult:
-        """The incremental algorithm over the structure-of-arrays packing.
+        """The Fig. 6 rounds with round-to-round caching, over the
+        structure-of-arrays packing.
 
-        Round structure, caching, invalidation and tie-breaks are a line-
-        for-line transcription of :meth:`_select_incremental`; the only
-        difference is the data layout.  Implementation names are interned
-        ids, candidates are global ``cid`` indices into the library's
-        packed arrays, and the working state lives in flat arrays:
+        Implementation names are interned ids, candidates are global
+        ``cid`` indices into the library's packed arrays, and the working
+        state lives in flat arrays:
 
         * ``coverage`` / ``ready_has``+``ready_val`` / ``reserved`` /
           ``exempt`` -- per implementation id (``ready_has`` models dict
           *presence*: ``predict_recT`` defaults a missing ready time to
           ``float(now)``, the commit defaults it to ``0.0``);
-        * charge / profit / schedule / validity caches -- per ``cid``
-          (:class:`_CandidateEntry` exploded into parallel arrays).
+        * charge / profit / schedule / validity caches -- per ``cid``.
+
+        A cached charge stays valid until a committed winner raises the
+        reservation of a data path the candidate uses; a cached profit
+        until a winner changes the coverage or ready time of such a data
+        path, or moves the FG bitstream port while the candidate still has
+        uncovered FG instances (``fg_sensitive``).  Each kernel's
+        candidates are scanned in descending profit-bound order, so an
+        uncached candidate whose bound cannot beat the running argmax is
+        pruned unevaluated; the explicit tie-break makes the argmax
+        independent of that order.
 
         Names configured on the fabric but absent from every candidate row
         (e.g. monoCG context loads) are not interned; dropping them is
         safe because coverage, reservations and exemptions are only ever
-        read for candidate instance rows.  Per-impl invalidation loops may
-        visit a candidate once per shared data path where the object model
-        visits each member of the ``ises_sharing`` set once, but the
-        validity flag is cleared on the first visit, so ``invalidations``
-        counts identically.
+        read for candidate instance rows.  An invalidation loop may visit
+        a candidate once per shared data path, but the validity flag is
+        cleared on the first visit, so ``invalidations`` counts each
+        invalidated cache entry once.
         """
         result = SelectionResult(mode="packed")
         packed = self._packed
@@ -673,6 +480,7 @@ class ISESelector:
         fgr_start = packed.fgr_start
         fgr_impl = packed.fgr_impl
         fgr_qty = packed.fgr_qty
+        profit_of = self.profit
 
         result.candidates_considered = sum(
             len(kernel_cids[kernel]) for kernel in triggers_by_kernel
@@ -791,7 +599,7 @@ class ISESelector:
                                     ready = max(ready, now + row_reconfig[r])
                             completed = max(completed, ready - now)
                             schedule.append(completed)
-                        profit_arr[cid] = profit_value(
+                        profit_arr[cid] = profit_of(
                             cand_latencies[cid],
                             schedule,
                             executions,
@@ -907,27 +715,6 @@ class ISESelector:
 
         return result
 
-    @staticmethod
-    def _profit_of(
-        ise: ISE,
-        trig: TriggerInstruction,
-        coverage: Mapping[str, int],
-        existing_ready: Mapping[str, float],
-        now: int,
-        fg_port_free_at: float,
-    ) -> Tuple[float, List[float], float]:
-        schedule, port_after = predict_recT(
-            ise, coverage, existing_ready, now, fg_port_free_at
-        )
-        breakdown = ise_profit(
-            ise,
-            e=trig.executions,
-            tf=trig.time_to_first,
-            tb=trig.time_between,
-            rec_schedule=schedule,
-        )
-        return breakdown.profit, schedule, port_after
-
 
 def _beats(
     profit: float,
@@ -940,7 +727,7 @@ def _beats(
     """The deterministic argmax order: higher profit wins; equal profits
     resolve by ``(kernel name, candidate index)`` ascending.  This makes the
     historical ``sorted(pending)``-iteration tie-break explicit, so the
-    incremental argmax cannot silently reorder ties.
+    packed selector's bound-ordered scan cannot silently reorder ties.
 
     Only ordering comparisons: ties are the fall-through case, so the
     tie-break needs no float ``==`` -- both selector implementations compute
@@ -956,6 +743,7 @@ def _beats(
 
 __all__ = [
     "ISESelector",
+    "ProfitFunction",
     "SELECTOR_MODES",
     "SELECTOR_MODE_ENV",
     "SelectionResult",

@@ -17,7 +17,7 @@ This module turns that shape into infrastructure:
   bit-identical to a serial run.
 * **Construction memoisation.**  Applications are memoised per
   ``(workload, seed, workload_params)`` and compiled ISE libraries (with
-  their precompiled ``instance_rows``/``footprint_index`` structures) per
+  their precompiled ``instance_rows`` and packed selector arrays) per
   ``(workload, budget, workload_params, budget_params)``, so a fig8-style
   grid performs one application build per seed and one library compile per
   budget instead of one of each per cell.  The memoised objects are
@@ -788,8 +788,8 @@ def _application_of(cell: SweepCell):
 
 def _library_of(cell: SweepCell, budget: ResourceBudget):
     """The cell's compiled ISE library, memoised per (workload, budget,
-    params) -- reuse keeps the precompiled ``instance_rows`` /
-    ``footprint_index`` structures warm across cells."""
+    params) -- reuse keeps the precompiled ``instance_rows`` and the
+    cached selector packing warm across cells."""
     family = WORKLOADS[cell.workload]
     return _memo_get(
         _LIB_MEMO,

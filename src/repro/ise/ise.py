@@ -59,7 +59,7 @@ class ISE:
         (Eqs. 2-4) distribute at most ``e`` executions over the levels,
         ``e * profit_bound_per_execution`` upper-bounds the profit for any
         schedule in real arithmetic (the *computed* float profit can exceed
-        it by a few ulps of summation rounding), which lets the incremental
+        it by a few ulps of summation rounding), which lets the packed
         selector prune candidates that cannot beat the current argmax
         without evaluating them (with a relative slack covering the
         rounding -- see ``selector.BOUND_PRUNE_SLACK``).

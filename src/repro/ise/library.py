@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.fabric.cost_model import DEFAULT_COST_MODEL, TechnologyCostModel
 from repro.fabric.resources import ResourceBudget
@@ -58,18 +58,6 @@ class ISELibrary:
                 ISEBuilder.filter_fitting(candidates, budget)
             )
             self._monocg[kernel.name] = build_monocg(kernel, cost_model)
-        # Inverted index, precompiled at library-build time: qualified data
-        # path name -> every (kernel, candidate index) whose footprint
-        # contains it.  The incremental selector uses it to invalidate only
-        # the candidates a committed winner can actually perturb.
-        index: Dict[str, List[Tuple[str, int]]] = {}
-        for kernel_name, ises in self._candidates.items():
-            for position, ise in enumerate(ises):
-                for impl_name in ise.footprint:
-                    index.setdefault(impl_name, []).append((kernel_name, position))
-        self._datapath_index: Dict[str, Tuple[Tuple[str, int], ...]] = {
-            impl_name: tuple(users) for impl_name, users in index.items()
-        }
 
     # ------------------------------------------------------------- access
     def candidates(self, kernel_name: str) -> List[ISE]:
@@ -82,29 +70,11 @@ class ISELibrary:
     def candidate_tuple(self, kernel_name: str) -> Tuple[ISE, ...]:
         """The internal (immutable) candidate tuple -- the hot-path variant
         of :meth:`candidates` that does not copy.  Positions in this tuple
-        are the candidate indices of :meth:`ises_using`."""
+        are the candidate indices the selector's tie-break uses."""
         try:
             return self._candidates[kernel_name]
         except KeyError:
             raise KeyError(f"unknown kernel {kernel_name!r}") from None
-
-    # ----------------------------------------------------- footprint index
-    def ises_using(self, impl_name: str) -> Tuple[Tuple[str, int], ...]:
-        """Candidates whose footprint contains data path ``impl_name``,
-        as ``(kernel_name, candidate_index)`` pairs (may be empty)."""
-        return self._datapath_index.get(impl_name, ())
-
-    def ises_sharing(self, footprint: Iterable[str]) -> Set[Tuple[str, int]]:
-        """Union of :meth:`ises_using` over a whole footprint: every
-        candidate that shares at least one data path with it."""
-        sharing: Set[Tuple[str, int]] = set()
-        for impl_name in footprint:
-            sharing.update(self._datapath_index.get(impl_name, ()))
-        return sharing
-
-    def footprint_index(self) -> Dict[str, Tuple[Tuple[str, int], ...]]:
-        """A copy of the full ``datapath -> candidates`` inverted index."""
-        return dict(self._datapath_index)
 
     def monocg(self, kernel_name: str) -> MonoCGExtension:
         """The monoCG-Extension of ``kernel_name``."""

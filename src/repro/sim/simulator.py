@@ -22,9 +22,7 @@ Two interchangeable execution engines drive the kernel loop:
   run-length arrays of :mod:`repro.core.packed` (LRU touches deferred),
   misses go through :meth:`~repro.sim.policy.RuntimePolicy.execute_run`,
   and a stretch of cache hits up to the next availability event -- or a
-  whole iteration of a time-invariant policy -- folds in closed form.  The
-  selector switches to its packed candidate arrays through the policy's
-  ``enable_packed`` hook.
+  whole iteration of a time-invariant policy -- folds in closed form.
 
 Both engines produce byte-identical statistics and traces (see
 docs/simulator.md for the equivalence argument); pick one explicitly via
@@ -139,9 +137,6 @@ class Simulator:
                 )
             }
             run_kernels = self._run_kernels_packed
-            enable_packed = getattr(self.policy, "enable_packed", None)
-            if enable_packed is not None:
-                enable_packed()
         else:
             run_kernels = self._run_kernels_stepped
 

@@ -37,7 +37,7 @@ class SimulationStats:
     # what the modelled hardware did.
     profit_evaluations: int = 0         #: logical Fig. 6 evaluations
     evaluations_recomputed: int = 0     #: Eq. 2-4 computations actually run
-    evaluations_skipped: int = 0        #: served from the incremental cache
+    evaluations_skipped: int = 0        #: served from the round-to-round cache
     evaluations_pruned: int = 0         #: discarded by the profit upper bound
     selector_invalidations: int = 0     #: cache entries dirtied by commits
     selector_rounds: int = 0            #: greedy rounds across all selections

@@ -77,7 +77,7 @@ class SelectionRecord:
 
     time: int            #: cycle of the block entry
     block: str
-    mode: str            #: selector implementation ("naive" | "incremental")
+    mode: str            #: selector implementation ("naive" | "packed")
     rounds: int
     profit_evaluations: int
     evaluations_recomputed: int

@@ -558,7 +558,7 @@ class TestInvariantCheckers:
                 "class ISESelector:\n"
                 "    def _select_naive(self, triggers, controller, now):\n"
                 "        pass\n"
-                "    def _select_incremental(self, triggers, controller):\n"
+                "    def _select_packed(self, triggers, controller):\n"
                 "        pass\n"
             )
         }

@@ -143,9 +143,8 @@ def _assert_library_round_trip(library):
             cid += 1
     assert packed.n_candidates == cid
 
-    # The inverted index is ISELibrary.ises_sharing, candidate-id shaped:
-    # every interned implementation maps to exactly the candidates whose
-    # footprint contains it.
+    # The inverted index: every interned implementation maps to exactly
+    # the candidates whose footprint contains it.
     for impl_id, impl_name in enumerate(packed.impl_names):
         expected = tuple(
             c

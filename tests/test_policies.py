@@ -9,9 +9,11 @@ from repro.baselines import (
     RiscModePolicy,
     RisppLikePolicy,
 )
-from repro.baselines.rispp import FG_RECONFIG_SLOT_CYCLES, QuantizedProfitSelector
+from repro.baselines.rispp import FG_RECONFIG_SLOT_CYCLES, quantized_profit
 from repro.core.mrts import MRTS
 from repro.core.config import MRTSConfig
+from repro.core.profit import profit_value
+from repro.core.selector import ISESelector
 from repro.fabric.datapath import FabricType
 from repro.fabric.reconfig import ReconfigurationController
 from repro.fabric.resources import ResourceBudget
@@ -64,10 +66,23 @@ class TestPolicyOrdering:
 
 class TestRisppLike:
     def test_quantized_selector_rounds_up_to_fg_slots(self, library, controller):
-        selector = QuantizedProfitSelector(library)
+        selector = ISESelector(library, profit=quantized_profit)
         trig = TriggerInstruction("k", 500.0, 100.0, 50.0)
         result = selector.select([trig], controller, now=0)
         assert result.selected["k"] is not None
+        # The cost function sees every completion time rounded up to whole
+        # FG slots, kept non-decreasing, and no inter-execution gap.
+        slot = float(FG_RECONFIG_SLOT_CYCLES)
+        latencies = (400, 300, 200, 100)
+        schedule = [0.0, slot + 1.0, 5.0]
+        assert quantized_profit(
+            latencies, schedule, 50.0, 1_000.0, 700.0
+        ) == profit_value(latencies, [0.0, 2 * slot, 2 * slot], 50.0, 1_000.0, 0.0)
+        # The selector commits the schedule it passed in, so it must stay
+        # the real one.  (Committing quantised ready times would not change
+        # RISPP's own later scores -- rounding up to slots is monotone and
+        # idempotent -- so this is where such a slip shows.)
+        assert schedule == [0.0, slot + 1.0, 5.0]
 
     def test_parity_with_mrts_when_no_cg(self, small_app):
         """Paper: 'RISPP and our approach perform similar when no CG-EDPEs

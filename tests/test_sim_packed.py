@@ -24,7 +24,6 @@ from repro.baselines import (
     TaskLevelPolicy,
 )
 from repro.baselines.static import StaticSelectionPolicy
-from repro.config_env import SELECTOR_MODE_ENV
 from repro.core.config import MRTSConfig
 from repro.core.mrts import MRTS
 from repro.core.packed import PackedIteration, pack_program
@@ -217,35 +216,14 @@ class TestSelectorHandoff:
         assert policy.selector.mode == "packed"
 
     def test_explicit_selector_mode_is_honoured(self):
-        """``enable_packed`` only upgrades the default selector: a user
-        pinning the naive selector keeps it under the packed engine."""
+        """The engine never swaps the selector: a user pinning the naive
+        selector keeps it under the packed engine."""
         application, budget, make_library = _deblocking_scenario()
         policy = MRTS(MRTSConfig(selector_mode="naive"))
         Simulator(
             application, make_library(), budget, policy, engine="packed"
         ).run()
         assert policy.selector.mode == "naive"
-
-    def test_explicit_incremental_survives_run(self):
-        application, budget, make_library = _deblocking_scenario()
-        policy = MRTS(MRTSConfig(selector_mode="incremental"))
-        Simulator(application, make_library(), budget, policy).run()
-        assert policy.selector.mode == "incremental"
-
-    def test_env_incremental_survives_run(self, monkeypatch):
-        monkeypatch.setenv(SELECTOR_MODE_ENV, "incremental")
-        application, budget, make_library = _deblocking_scenario()
-        policy = MRTS()
-        Simulator(application, make_library(), budget, policy).run()
-        assert policy.selector.mode == "incremental"
-
-    def test_stepped_engine_keeps_incremental_selector(self):
-        application, budget, make_library = _deblocking_scenario()
-        policy = MRTS()
-        Simulator(
-            application, make_library(), budget, policy, engine="stepped"
-        ).run()
-        assert policy.selector.mode == "incremental"
 
 
 # ----------------------------------------------- policy x budget grid
