@@ -4,7 +4,7 @@ Three entry points share :mod:`repro.bench`'s ``engine`` suite:
 
 * under pytest-benchmark (``pytest benchmarks/bench_engine.py``) the
   quick backend A/B run executes once under timing and asserts the
-  regression gate -- serial/pool/distributed byte-identical, and the
+  regression gate -- serial/pool/service byte-identical, and the
   per-worker construction memos cutting application builds + library
   compiles by at least the threshold factor;
 * the cache-hit test demonstrates the content-addressed cache on a

@@ -6,7 +6,8 @@ Two entry points share :mod:`repro.bench`'s ``service`` suite:
   quick A/B run executes once under timing and asserts the regression
   gate -- four concurrent submissions through one daemon byte-identical
   to serial and at least the threshold factor faster in aggregate than
-  the same four sweeps through sequential one-shot distributed fleets;
+  the same four sweeps through sequential one-shot self-hosted
+  ``--backend service`` fleets;
 * as a standalone script (``python benchmarks/bench_service.py [--quick]
   [--out BENCH_service.json]``) it writes the perf-trajectory JSON, the
   same artifact as ``repro bench --suite service``.  The verify script

@@ -1,16 +1,18 @@
 #!/usr/bin/env python
 """Determinism and regression gate for the sweep engine.
 
-Seven checks, all byte-level:
+Six checks, all byte-level:
 
 1. **Serial == parallel**: a reference 36-cell sweep executed in-process
    and through a ``--jobs``-wide process pool must serialise identically.
 2. **Fresh == cached**: re-running the same sweep against the cache it
    just populated must serialise identically.
 3. **Backends agree**: the same sweep routed through every registered
-   executor backend (serial, pool, a distributed coordinator with
-   ``--workers`` local socket workers, and a self-hosted sweep-service
-   daemon) must serialise identically.
+   executor backend (serial, pool, and a self-hosted sweep-service
+   daemon with ``--workers`` local socket workers) must serialise
+   identically, and the service leg's transport counters must show it
+   compressed and coalesced at least one result block -- proof the
+   binary wire's block path ran.
 4. **Service golden cells**: the committed golden scenarios, expressed as
    sweep cells and routed through ``--backend service``, must serialise
    identically to the serial backend.
@@ -18,12 +20,7 @@ Seven checks, all byte-level:
    streamed through a columnar ``ResultWriter`` and read back from the
    committed shards must serialise identically to the in-memory serial
    records -- the ``--store`` path must never alter a byte.
-6. **Wire modes**: the reference sweep through the ``distributed`` and
-   ``service`` backends under both ``$REPRO_WIRE`` encodings (plain JSON
-   frames and the binary columnar wire) must serialise identically to
-   serial, with the transport counters proving each leg exercised its
-   own path.
-7. **Golden traces**: every committed reference snapshot under
+6. **Golden traces**: every committed reference snapshot under
    ``tests/golden/`` (H.264 deblocking and the JPEG encoder) must match a
    fresh simulation exactly -- under every ``REPRO_SIM`` engine (the
    stepped oracle and the packed engine), which pins the engines'
@@ -130,12 +127,13 @@ def check_backends(jobs: int, workers: int) -> Dict[str, object]:
     cells = reference_cells()
     serialised: Dict[str, str] = {}
     stats: Dict[str, str] = {}
+    failures: List[str] = []
     for name in backend_names():
         engine = SweepEngine(
             jobs=jobs if name == "pool" else 1,
             use_cache=False,
             backend=name,
-            workers=workers if name in ("distributed", "service") else None,
+            workers=workers if name == "service" else None,
         )
         serialised[name] = json.dumps(engine.run(cells))
         stats[name] = (
@@ -143,16 +141,27 @@ def check_backends(jobs: int, workers: int) -> Dict[str, object]:
             f"{engine.stats.frames_sent} frames, "
             f"{engine.stats.worker_restarts} restarts"
         )
+        if name == "service":
+            counters = engine.stats
+            stats[name] += (
+                f", {counters.bytes_sent}B out, "
+                f"{counters.bytes_received}B in, "
+                f"{counters.frames_coalesced} coalesced, "
+                f"{counters.blocks_compressed} compressed"
+            )
+            if not (counters.blocks_compressed and counters.frames_coalesced):
+                failures.append(
+                    "service: no compressed or coalesced result blocks -- "
+                    "binary wire block path not exercised"
+                )
     reference = serialised["serial"]
-    differing = sorted(
-        name for name, blob in serialised.items() if blob != reference
+    failures.extend(
+        f"backend {name!r} records differ from serial"
+        for name in sorted(serialised)
+        if serialised[name] != reference
     )
-    if differing:
-        return _check(
-            "backends-agree", False,
-            [f"backend {name!r} records differ from serial"
-             for name in differing],
-        )
+    if failures:
+        return _check("backends-agree", False, failures)
     return _check(
         "backends-agree", True,
         [f"{len(cells)} cells through {sorted(serialised)}"]
@@ -241,69 +250,6 @@ def check_store_roundtrip() -> Dict[str, object]:
     return _check("store-roundtrip", True, details)
 
 
-def check_wire_modes(workers: int) -> Dict[str, object]:
-    """Both wire encodings, through both socket backends, must stay
-    byte-identical to serial.
-
-    ``$REPRO_WIRE`` is forced to each mode in turn (and restored after),
-    and the transport counters prove each leg actually exercised its
-    path: the binary legs must have compressed at least one envelope --
-    with the service leg also coalescing result blocks -- while the JSON
-    legs must show no binary activity at all.
-    """
-    import os
-
-    cells = reference_cells()
-    serial = json.dumps(SweepEngine(use_cache=False).run(cells))
-    details: List[str] = []
-    failures: List[str] = []
-    saved = os.environ.get("REPRO_WIRE")
-    try:
-        for mode in ("json", "binary"):
-            os.environ["REPRO_WIRE"] = mode
-            for backend in ("distributed", "service"):
-                engine = SweepEngine(
-                    use_cache=False, backend=backend, workers=workers
-                )
-                blob = json.dumps(engine.run(cells))
-                leg = f"{backend}/{mode}"
-                stats = engine.stats
-                if blob != serial:
-                    failures.append(f"{leg}: records differ from serial")
-                    continue
-                if mode == "binary":
-                    if stats.blocks_compressed == 0:
-                        failures.append(
-                            f"{leg}: no compressed envelopes -- binary "
-                            f"wire not exercised"
-                        )
-                    if backend == "service" and stats.frames_coalesced == 0:
-                        failures.append(
-                            f"{leg}: no coalesced result frames -- block "
-                            f"path not exercised"
-                        )
-                else:
-                    if stats.blocks_compressed or stats.frames_coalesced:
-                        failures.append(
-                            f"{leg}: binary counters nonzero on the JSON "
-                            f"wire"
-                        )
-                details.append(
-                    f"{leg}: {stats.bytes_sent}B out, "
-                    f"{stats.bytes_received}B in, "
-                    f"{stats.frames_coalesced} coalesced, "
-                    f"{stats.blocks_compressed} compressed"
-                )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_WIRE", None)
-        else:
-            os.environ["REPRO_WIRE"] = saved
-    if failures:
-        return _check("wire-modes", False, failures)
-    return _check("wire-modes", True, details)
-
-
 def check_golden() -> Dict[str, object]:
     """The golden-trace check, as a summary record.
 
@@ -365,8 +311,8 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=4,
                         help="pool width for the parallel leg (default 4)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="socket workers for the distributed leg "
-                             "(default 2)")
+                        help="socket workers of the self-hosted service "
+                             "legs (default 2)")
     parser.add_argument("--skip-engine", action="store_true",
                         help="only check the golden trace")
     parser.add_argument("--update-golden", action="store_true",
@@ -388,7 +334,6 @@ def main(argv=None) -> int:
         checks.append(check_backends(args.jobs, args.workers))
         checks.append(check_service_golden(args.workers))
         checks.append(check_store_roundtrip())
-        checks.append(check_wire_modes(args.workers))
     checks.append(check_golden())
     ok = all(check["ok"] for check in checks)
 

@@ -13,8 +13,8 @@ that shared core:
   propagated through assignments, calls and returns, and reported when
   it reaches a determinism sink -- ``payload()``/``to_payload()``
   methods, cache-key fingerprint functions, golden-trace writers,
-  ``repro.results`` shard columns, and the ``encode_frame`` /
-  ``write_frame`` wire boundaries -- with the full source-to-sink call
+  ``repro.results`` shard columns, and the ``encode_binary_frame`` /
+  ``send_frame`` / ``write_frame`` wire boundaries -- with the full source-to-sink call
   path in every finding.
 * :mod:`repro.analysis.deep.conformance` -- the frame-protocol
   conformance checker.  It extracts, per endpoint, the frame types

@@ -29,7 +29,8 @@ Findings fire when taint reaches a determinism sink:
   ``golden_payload`` methods, cache-key functions (``cell_key``,
   ``_stable_hash``, anything ending in ``fingerprint``);
 * **sink calls** -- callees whose arguments must be deterministic:
-  the wire boundary (``encode_frame``/``send_frame``/``write_frame``),
+  the wire boundary (``encode_binary_frame``/``send_frame``/
+  ``write_frame``),
   the golden-trace writer (``write_golden``) and the columnar shard
   writer (``ResultWriter.append``).
 
@@ -78,7 +79,7 @@ SINK_RETURN_NAMES = frozenset(
 
 #: Callee qualnames whose *arguments* are a determinism sink.
 SINK_CALL_QUALNAMES = frozenset(
-    {"encode_frame", "send_frame", "write_frame", "write_golden"}
+    {"encode_binary_frame", "send_frame", "write_frame", "write_golden"}
 )
 
 #: Method sinks, matched by ``fid`` suffix (class-qualified).

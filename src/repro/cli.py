@@ -13,7 +13,7 @@ Commands
 ``export``       run one experiment and write its data as CSV/JSON
 ``bench``        A/B-benchmark a hot path, write BENCH_<suite>.json
 ``cache``        inspect or clear the on-disk sweep cell cache
-``worker``       join a distributed sweep coordinator as a worker process
+``worker``       join a ``repro serve`` daemon as a socket worker process
 ``serve``        run the always-on async sweep service daemon
 ``lint``         static determinism & invariant linter (CI gate, fast tier)
 ``analyze``      whole-program taint + protocol conformance (CI gate, deep tier)
@@ -21,7 +21,7 @@ Commands
 The sweep-shaped commands accept ``--jobs`` (process fan-out),
 ``--no-cache`` and ``--cache-dir`` (the content-addressed cell cache under
 ``.repro_cache/``), plus the executor knobs ``--backend``
-(serial/pool/distributed/service), ``--workers`` and ``--coordinator``;
+(serial/pool/service), ``--workers`` and ``--coordinator``;
 ``sweep``
 additionally takes ``--cache-max-bytes`` (LRU eviction budget).  See
 ``docs/sweeps.md``.
@@ -171,11 +171,11 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="executor backend (default: pool when "
                              "--jobs > 1, else serial)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes spawned by the distributed "
-                             "backend (default: max(2, --jobs))")
+                        help="local workers of the daemon --backend service "
+                             "self-hosts (default: 2)")
     parser.add_argument("--coordinator", default=None,
-                        help="HOST:PORT the distributed coordinator binds "
-                             "(default: 127.0.0.1, ephemeral port)")
+                        help="HOST:PORT of a running repro serve daemon for "
+                             "--backend service (default: self-host one)")
 
 
 def cmd_experiments(args) -> int:
@@ -632,10 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.set_defaults(fn=cmd_cache)
 
     p_worker = sub.add_parser(
-        "worker", help="join a distributed sweep coordinator as a worker"
+        "worker", help="join a repro serve daemon as a socket worker"
     )
     p_worker.add_argument("--coordinator", required=True,
-                          help="HOST:PORT of the coordinator to join")
+                          help="HOST:PORT of the daemon to join")
     p_worker.add_argument("--reconnect", action="store_true",
                           help="redial a lost coordinator on a capped "
                           "exponential backoff schedule")

@@ -21,12 +21,6 @@ Variables
     Default location of the content-addressed sweep cell cache
     (``.repro_cache`` when unset); explicit ``cache_dir`` arguments and the
     ``--cache-dir`` CLI flag always win.
-``REPRO_WIRE``
-    Socket transport encoding (``json`` | ``binary``); see
-    :func:`wire_mode`.  ``binary`` (the default) advertises the ``v2``
-    columnar wire capability in the handshake; a connection only speaks
-    binary when both peers advertised it, so mixed settings fall back to
-    JSON rather than failing.
 
 All accessors share the same precedence: an explicit argument beats the
 environment, which beats the documented default.  Invalid values raise
@@ -53,12 +47,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Fallback cache location when neither an argument nor the environment
 #: names one.
 DEFAULT_CACHE_DIR = ".repro_cache"
-
-#: Environment variable selecting the socket transport encoding.
-WIRE_MODE_ENV = "REPRO_WIRE"
-
-#: Valid transport encodings for :func:`wire_mode`.
-WIRE_MODES = ("json", "binary")
 
 
 def env_str(name: str, default: Optional[str] = None) -> Optional[str]:
@@ -108,15 +96,6 @@ def sim_engine_mode(explicit: Optional[str] = None) -> str:
     )
 
 
-def wire_mode(explicit: Optional[str] = None) -> str:
-    """The socket transport encoding to advertise
-    (``json`` | ``binary``)."""
-    return env_choice(
-        WIRE_MODE_ENV, WIRE_MODES, "binary",
-        explicit=explicit, what="wire mode",
-    )
-
-
 def cache_dir(explicit: Optional[str] = None) -> str:
     """The sweep cell cache directory: explicit argument, then
     ``$REPRO_CACHE_DIR``, then ``.repro_cache``."""
@@ -130,12 +109,9 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ENGINE_MODE_ENV",
     "SELECTOR_MODE_ENV",
-    "WIRE_MODES",
-    "WIRE_MODE_ENV",
     "cache_dir",
     "env_choice",
     "env_str",
     "selector_mode",
     "sim_engine_mode",
-    "wire_mode",
 ]

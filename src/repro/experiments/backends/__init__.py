@@ -1,17 +1,15 @@
 """Registered executor backends for :class:`~repro.experiments.engine
 .SweepEngine`.
 
-Four ship with the repo -- all byte-identical by construction (every one
-funnels cells through ``execute_cell``):
+Three ship with the repo -- all byte-identical by construction (every
+one funnels cells through ``execute_cell``):
 
 * ``serial`` -- the calling process, in input order (the reference).
 * ``pool`` -- batches over a local ``ProcessPoolExecutor``.
-* ``distributed`` -- a TCP coordinator + socket worker processes that can
-  span hosts (length-prefixed JSON frames, fingerprint handshake,
-  retry-on-worker-death).
 * ``service`` -- the sweep becomes one job on the always-on ``repro
-  serve`` daemon (shared fleet, fair scheduling, network-served record
-  store); without ``--coordinator`` it self-hosts an ephemeral daemon.
+  serve`` daemon (shared fleet of socket workers that can span hosts,
+  fair scheduling, network-served record store); without
+  ``--coordinator`` it self-hosts an ephemeral daemon.
 
 ``docs/sweeps.md`` has the selection matrix.  Register additional
 backends with :func:`register_backend`; their ``run(cells)`` signature
@@ -23,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.experiments.backends.base import ExecutorBackend, plan_batches
-from repro.experiments.backends.distributed import DistributedBackend
 from repro.experiments.backends.pool import PoolBackend
 from repro.experiments.backends.serial import SerialBackend
 from repro.experiments.backends.service import ServiceBackend
@@ -74,13 +71,11 @@ def resolve_backend(
 
 register_backend("serial", SerialBackend)
 register_backend("pool", PoolBackend)
-register_backend("distributed", DistributedBackend)
 register_backend("service", ServiceBackend)
 
 
 __all__ = [
     "BACKENDS",
-    "DistributedBackend",
     "ExecutorBackend",
     "PoolBackend",
     "SerialBackend",

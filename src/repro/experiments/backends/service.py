@@ -11,7 +11,13 @@ Two modes, selected by ``--coordinator``:
   the job runs against it, and the daemon is drained and the store
   removed afterwards.  This keeps ``--backend service`` usable in tests
   and determinism gates without external processes -- and without ever
-  touching the repo's own ``.repro_cache``.
+  touching the repo's own ``.repro_cache``.  It needs at least one
+  local worker: nobody else knows its ephemeral address.
+
+Multi-host sweeps run a long-lived daemon instead (``repro serve --host
+0.0.0.0 --workers 0``), with ``repro worker --coordinator H:P
+--reconnect`` on each host and ``--backend service --coordinator H:P``
+on the submitting side.
 
 Either way the records come back keyed by input index and pass through
 the same ``execute_cell`` path as every other backend, so a service
@@ -25,12 +31,22 @@ import shutil
 import tempfile
 
 from repro.experiments.backends.base import ExecutorBackend, merge_counters
+from repro.util.validation import ReproError
 
 
 class ServiceBackend(ExecutorBackend):
     """Submit the sweep as one job to a (possibly ephemeral) daemon."""
 
     name = "service"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.workers == 0 and not self.coordinator:
+            raise ReproError(
+                "service backend needs >= 1 local worker (got 0) unless "
+                "--coordinator names a running daemon for external "
+                "workers to join"
+            )
 
     def run(self, cells, on_record=None):
         payloads = [cell.payload() for cell in cells]
@@ -39,10 +55,9 @@ class ServiceBackend(ExecutorBackend):
         return self._run_self_hosted(payloads, on_record)
 
     def _run_connected(self, coordinator, payloads, on_record=None):
-        # Imported here, not at module top: repro.service pulls in this
-        # package's __init__ through the shared frame codec, so a
-        # top-level import would be circular when repro.service loads
-        # first.
+        # Imported here, not at module top: the daemon imports this
+        # package's batch planner, so a top-level import would be
+        # circular when repro.service loads first.
         from repro.service.client import ServiceClient
 
         client = ServiceClient(coordinator)

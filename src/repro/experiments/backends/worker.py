@@ -1,19 +1,19 @@
 """The socket worker loop (and its ``python -m`` entry point).
 
-A worker dials the coordinator, handshakes (its :data:`ENGINE_SCHEMA` and
-protocol version must match, or it is rejected), then serves batch frames
-until told to shut down.  Every batch's library fingerprint is recomputed
-locally and compared against the coordinator's -- a worker whose checkout
-builds a structurally different ISE library answers with an error frame
-instead of returning records minted from divergent code.
+A worker dials the ``repro serve`` daemon, handshakes (its
+:data:`ENGINE_SCHEMA` and protocol version must match, or it is
+rejected), then serves batch frames until told to shut down.  Every
+batch's library fingerprint is recomputed locally and compared against
+the daemon's -- a worker whose checkout builds a structurally different
+ISE library answers with an error frame instead of returning records
+minted from divergent code.
 
-Run a remote worker against a coordinator listening on a routable
-address with::
+Run a remote worker against a daemon listening on a routable address
+(``repro serve --host 0.0.0.0``) with::
 
-    python -m repro.experiments.backends.worker --coordinator HOST:PORT
+    python -m repro worker --coordinator HOST:PORT --reconnect
 
-Against the long-lived ``repro serve`` daemon, add ``--reconnect`` and
-the worker survives coordinator restarts: lost connections are redialed
+With ``--reconnect`` the worker survives daemon restarts: lost connections are redialed
 on a capped exponential backoff schedule (:func:`reconnect_delays`) that
 is deliberately jitter-free -- the fleet is small and a deterministic
 schedule is unit-testable, which this repo values over thundering-herd
@@ -33,15 +33,7 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
-from repro.config_env import wire_mode
 from repro.experiments import engine as engine_module
-from repro.experiments.backends.distributed import (
-    PROTOCOL_VERSION,
-    encode_frame,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
 from repro.service import wire
 from repro.service.frames import (
     BATCH,
@@ -52,6 +44,12 @@ from repro.service.frames import (
     RESULT,
     SHUTDOWN,
     WELCOME,
+)
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    parse_address,
+    recv_frame,
+    send_frame,
 )
 from repro.util.validation import ReproError
 
@@ -80,7 +78,6 @@ def reconnect_delays(
 def worker_loop(
     address: Tuple[str, int],
     fail_after: Optional[int] = None,
-    wire_encoding: Optional[str] = None,
 ) -> int:
     """Serve batches from the coordinator at ``address`` until shutdown.
 
@@ -89,9 +86,8 @@ def worker_loop(
     crashed host so the coordinator's requeue/restart path can be
     exercised deterministically.
 
-    ``wire_encoding`` overrides ``$REPRO_WIRE``; under the negotiated
-    binary wire, result records travel as one columnar block per batch
-    and outbound frames coalesce Nagle-style: they queue in a
+    Result records travel as one columnar block per batch, and outbound
+    frames coalesce Nagle-style: they queue in a
     :class:`repro.service.wire.FrameSender` and flush only when the
     inbound socket goes idle (nothing further to batch with), when the
     buffer crosses its size threshold, or -- unconditionally -- before
@@ -104,7 +100,6 @@ def worker_loop(
     ``--reconnect`` retries immediately, since the coordinator clearly
     existed a moment ago).
     """
-    local_binary = wire_mode(wire_encoding) == "binary"
     welcomed = False
     try:
         sock = socket.create_connection(tuple(address), timeout=CONNECT_TIMEOUT)
@@ -123,7 +118,6 @@ def worker_loop(
                 "type": HELLO,
                 "schema": engine_module.ENGINE_SCHEMA,
                 "protocol": PROTOCOL_VERSION,
-                "wire": wire.wire_capabilities(local_binary),
             },
         )
         welcome = recv_frame(sock)
@@ -139,7 +133,6 @@ def worker_loop(
             )
             return 2
         welcomed = True
-        binary = wire.negotiate_wire(local_binary, welcome.get("wire"))
         # Every outbound frame rides the coalescing sender so queue order
         # is send order; control frames flush explicitly.
         sender = wire.FrameSender(sock)
@@ -156,7 +149,7 @@ def worker_loop(
             if ftype == SHUTDOWN:
                 # Drain: queued tail results must leave before the clean
                 # goodbye, or an orderly shutdown would drop them.
-                sender.queue(encode_frame({"type": GOODBYE}))
+                sender.queue(wire.encode_binary_frame({"type": GOODBYE}))
                 try:
                     sender.flush()
                 except OSError:
@@ -164,7 +157,7 @@ def worker_loop(
                 return 0
             if ftype != BATCH:
                 sender.queue(
-                    encode_frame(
+                    wire.encode_binary_frame(
                         {
                             "type": ERROR,
                             "batch": frame.get("batch"),
@@ -189,7 +182,7 @@ def worker_loop(
             expected = frame.get("fingerprint")
             if expected is not None and expected != fingerprint:
                 sender.queue(
-                    encode_frame(
+                    wire.encode_binary_frame(
                         {
                             "type": ERROR,
                             "batch": frame["batch"],
@@ -206,19 +199,18 @@ def worker_loop(
                 continue
             records, built = engine_module.execute_batch(cells)
             served += 1
-            result = {
-                "type": RESULT,
-                "batch": frame["batch"],
-                "built": built,
-            }
-            if binary:
-                result["block"] = wire.encode_record_block(
-                    list(enumerate(records))
+            sender.queue(
+                wire.encode_binary_frame(
+                    {
+                        "type": RESULT,
+                        "batch": frame["batch"],
+                        "built": built,
+                        "block": wire.encode_record_block(
+                            list(enumerate(records))
+                        ),
+                    }
                 )
-                sender.queue(wire.encode_binary_frame(result))
-            else:
-                result["records"] = records
-                sender.queue(encode_frame(result))
+            )
     except (ConnectionError, OSError):
         return 3 if welcomed else 1
     finally:
@@ -274,13 +266,13 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="repro sweep worker: dial a distributed-backend "
-        "coordinator (or the repro serve daemon) and serve cell batches"
+        description="repro sweep worker: dial a repro serve daemon and "
+        "serve cell batches"
     )
     parser.add_argument(
         "--coordinator",
         required=True,
-        help="coordinator address as host:port",
+        help="daemon address as host:port",
     )
     parser.add_argument(
         "--reconnect",

@@ -12,8 +12,8 @@ This module turns that shape into infrastructure:
 * **Pluggable fan-out.**  :class:`SweepEngine` dispatches cells through a
   registered executor backend (:mod:`repro.experiments.backends`):
   ``serial`` runs in-process, ``pool`` fans out over a local process pool,
-  ``distributed`` drives socket workers that can span hosts.  Every
-  backend funnels into :func:`execute_cell`, so all of them are
+  ``service`` submits a job to the ``repro serve`` daemon, whose socket
+  workers can span hosts.  Every backend funnels into :func:`execute_cell`, so all of them are
   bit-identical to a serial run.
 * **Construction memoisation.**  Applications are memoised per
   ``(workload, seed, workload_params)`` and compiled ISE libraries (with
@@ -884,7 +884,7 @@ class EngineStats:
     libraries_built: int = 0     #: ISE libraries compiled across workers
     builds_saved: int = 0        #: constructions avoided by the memos
     frames_sent: int = 0         #: IPC frames dispatched (0 for serial)
-    worker_restarts: int = 0     #: dead distributed workers replaced
+    worker_restarts: int = 0     #: dead socket workers replaced
     remote_cache_hits: int = 0   #: cells served by the service's shared store/fleet
     jobs_completed: int = 0      #: service jobs finished on our behalf
     bytes_sent: int = 0          #: transport bytes written to sockets
@@ -946,9 +946,10 @@ class SweepEngine:
         Executor backend name (see :mod:`repro.experiments.backends`).
         ``None`` selects ``"pool"`` when ``jobs > 1``, else ``"serial"``.
     workers / coordinator:
-        Distributed-backend knobs: how many local socket workers to spawn
-        and the ``host:port`` to bind the coordinator on (``None`` binds an
-        ephemeral loopback port).  Ignored by the other backends.
+        Service-backend knobs: how many local socket workers a self-hosted
+        daemon spawns, and the ``host:port`` of a running ``repro serve``
+        daemon to submit to instead (``None`` self-hosts).  Ignored by
+        the other backends.
     """
 
     def __init__(
@@ -970,7 +971,7 @@ class SweepEngine:
             )
         if workers is not None and workers < 0:
             # 0 is coordinator-only mode (external workers join); the
-            # distributed backend validates it against the address.
+            # service backend validates it against the address.
             raise ReproError(f"workers must be >= 0, got {workers}")
         if backend is not None:
             from repro.experiments.backends import BACKENDS

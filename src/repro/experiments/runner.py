@@ -104,11 +104,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes spawned by the distributed backend",
+        help="local workers of the daemon --backend service self-hosts",
     )
     parser.add_argument(
         "--coordinator", default=None,
-        help="HOST:PORT the distributed coordinator binds (default loopback)",
+        help="HOST:PORT of a running repro serve daemon for --backend service",
     )
     args = parser.parse_args(argv)
     run_all(

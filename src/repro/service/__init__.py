@@ -1,21 +1,20 @@
 """The always-on sweep service: an asyncio daemon serving many clients.
 
-The distributed backend's coordinator (:mod:`repro.experiments.backends
-.distributed`) is one-shot -- born and dying with a single sweep.  This
-package promotes it to a long-lived daemon (``repro serve``) that accepts
-many concurrent sweep jobs from many clients over the *same*
-length-prefixed JSON frame protocol, so the existing synchronous socket
-workers join the fleet unchanged:
+This package is the repo's one socket coordinator: a long-lived daemon
+(``repro serve``) that accepts many concurrent sweep jobs from many
+clients over the same length-prefixed frame protocol its synchronous
+socket workers speak.  ``--backend service`` without ``--coordinator``
+self-hosts one for a single sweep.  Its modules:
 
 * :mod:`repro.service.frames` -- the frame-type registry: every wire
   frame type named once, plus the per-channel protocol table the
   conformance checker (``repro analyze``) verifies the endpoints
   against;
-* :mod:`repro.service.protocol` -- the frame codec on
-  ``asyncio.StreamReader/Writer`` (one wire format, two transports);
-* :mod:`repro.service.wire` -- the negotiated binary columnar encoding
-  (envelope + adaptive zlib + record blocks) and the coalescing frame
-  sender both transports share;
+* :mod:`repro.service.protocol` -- the frame codec on blocking sockets
+  and on ``asyncio.StreamReader/Writer`` (one wire format, two
+  transports), plus the protocol version and address parsing;
+* :mod:`repro.service.wire` -- the binary columnar encoding (envelope +
+  adaptive zlib + record blocks) and the coalescing frame sender;
 * :mod:`repro.service.scheduler` -- deficit-round-robin fair scheduling
   of cell batches across submitters (pure data structure, no sockets);
 * :mod:`repro.service.store` -- the network-served content-addressed

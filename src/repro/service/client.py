@@ -1,12 +1,13 @@
 """Synchronous client for the always-on sweep service.
 
-:class:`ServiceClient` speaks the same length-prefixed JSON frames as the
-socket workers, over a plain blocking socket (the asyncio transport lives
-only in the daemon).  It identifies itself with ``"role": "client"`` in
-the ``hello`` frame, submits jobs, and consumes the streamed
-``cell_result`` frames -- reassembling records by input index, so the
-daemon's completion order (which varies with worker timing) never leaks
-into the result: a service sweep is byte-identical to a serial one.
+:class:`ServiceClient` speaks the same length-prefixed frames as the
+socket workers (:mod:`repro.service.protocol`), over a plain blocking
+socket (the asyncio transport lives only in the daemon).  It identifies
+itself with ``"role": "client"`` in the ``hello`` frame, submits jobs,
+and consumes the streamed ``cell_result_block`` frames -- reassembling
+records by input index, so the daemon's completion order (which varies
+with worker timing) never leaks into the result: a service sweep is
+byte-identical to a serial one.
 
 One client drives one job at a time (:meth:`run_job` blocks until
 ``job_done``/``job_failed``); concurrency comes from opening more
@@ -19,14 +20,7 @@ from __future__ import annotations
 import socket
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.config_env import wire_mode
 from repro.experiments import engine as engine_module
-from repro.experiments.backends.distributed import (
-    PROTOCOL_VERSION,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
 from repro.service import wire
 from repro.service.frames import (
     CACHE_GET,
@@ -34,7 +28,6 @@ from repro.service.frames import (
     CACHE_MISS,
     CACHE_OK,
     CACHE_PUT,
-    CELL_RESULT,
     CELL_RESULT_BLOCK,
     ERROR,
     GOODBYE,
@@ -47,6 +40,12 @@ from repro.service.frames import (
     WELCOME,
     WIRE_ACK,
 )
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    parse_address,
+    recv_frame,
+    send_frame,
+)
 from repro.util.validation import ReproError
 
 CONNECT_TIMEOUT = 30.0
@@ -58,9 +57,6 @@ class ServiceClient:
     Usable as a context manager; :meth:`close` sends ``goodbye`` so the
     daemon retires the connection cleanly.
 
-    ``wire_encoding`` overrides ``$REPRO_WIRE`` (``json`` | ``binary``);
-    the connection speaks binary only when the daemon's welcome also
-    advertised it, so any client/daemon version mix interoperates.
     Transport byte counters accumulate in :attr:`wire_stats` and each
     :meth:`run_job` folds its delta into the returned counters.
     """
@@ -69,14 +65,12 @@ class ServiceClient:
         self,
         coordinator: Union[str, Tuple[str, int]],
         submitter: Optional[str] = None,
-        wire_encoding: Optional[str] = None,
     ):
         if isinstance(coordinator, str):
             address = parse_address(coordinator)
         else:
             address = (coordinator[0], int(coordinator[1]))
         self.submitter = submitter
-        local_binary = wire_mode(wire_encoding) == "binary"
         self.wire_stats = wire.WireStats()
         try:
             self._conn = socket.create_connection(
@@ -96,7 +90,6 @@ class ServiceClient:
                 "role": "client",
                 "schema": engine_module.ENGINE_SCHEMA,
                 "protocol": PROTOCOL_VERSION,
-                "wire": wire.wire_capabilities(local_binary),
             },
             stats=self.wire_stats,
         )
@@ -112,9 +105,6 @@ class ServiceClient:
                 f"expected welcome frame, got {welcome.get('type')!r}"
             )
         self.fingerprints = list(welcome.get("fingerprints", []))
-        self.wire_binary = wire.negotiate_wire(
-            local_binary, welcome.get("wire")
-        )
 
     # --------------------------------------------------------------- jobs
     def run_job(
@@ -148,12 +138,7 @@ class ServiceClient:
         if chunk is not None:
             job_frame["chunk"] = int(chunk)
         wire_before = self.wire_stats.snapshot()
-        # Under the negotiated binary wire the job frame itself rides the
-        # adaptive envelope: a big cell list deflates well.
-        send_frame(
-            self._conn, job_frame,
-            stats=self.wire_stats, binary=self.wire_binary,
-        )
+        send_frame(self._conn, job_frame, stats=self.wire_stats)
         records: Optional[List[Optional[Dict[str, object]]]] = None
         if on_record is None:
             records = [None] * len(payloads)
@@ -188,8 +173,6 @@ class ServiceClient:
                 )
             if ftype == JOB_ACCEPTED:
                 job_id = frame.get("job")
-            elif ftype == CELL_RESULT:
-                accept(int(frame.get("index", -1)), frame.get("record"))
             elif ftype == CELL_RESULT_BLOCK:
                 rows = wire.decode_record_block(frame.get("block") or {})
                 self.wire_stats.add(

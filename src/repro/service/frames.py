@@ -1,14 +1,12 @@
 """The frame-type registry: one source of truth for the wire vocabulary.
 
-Every length-prefixed JSON frame this repo puts on a socket carries a
-``"type"`` field.  Those type strings used to be scattered as literals
-across the four protocol endpoints (the distributed coordinator, the
-socket worker, the service daemon and the service client); this module
-names each one exactly once and declares, per directed channel, which
+Every length-prefixed frame this repo puts on a socket carries a
+``"type"`` field.  This module names each type string exactly once and
+declares, per directed channel between the three protocol endpoints
+(the socket worker, the service daemon and the service client), which
 endpoint sends what.  Three consumers import it:
 
 * the runtime dispatch code in
-  :mod:`repro.experiments.backends.distributed`,
   :mod:`repro.experiments.backends.worker`,
   :mod:`repro.service.daemon` and :mod:`repro.service.client`;
 * the static frame-protocol conformance checker
@@ -37,27 +35,25 @@ WELCOME = "welcome"
 #: Handshake or job refused; carries a human-readable ``reason``.
 REJECT = "reject"
 
-#: Coordinator/daemon -> worker: one batch of sweep-cell payloads.
+#: Daemon -> worker: one batch of sweep-cell payloads.
 BATCH = "batch"
-#: Worker -> coordinator/daemon: the records of one finished batch.
+#: Worker -> daemon: the records of one finished batch, as a block.
 RESULT = "result"
 #: Either direction: something went wrong with one frame/batch.
 ERROR = "error"
-#: Coordinator/daemon -> worker: stop serving and exit cleanly.
+#: Daemon -> worker: stop serving and exit cleanly.
 SHUTDOWN = "shutdown"
-#: Worker/client -> coordinator/daemon: clean goodbye before closing.
+#: Worker/client -> daemon: clean goodbye before closing.
 GOODBYE = "goodbye"
 
 #: Client -> daemon: submit a job (a list of sweep-cell payloads).
 JOB = "job"
 #: Daemon -> client: the job was accepted; carries its id.
 JOB_ACCEPTED = "job_accepted"
-#: Daemon -> client: one cell's record, streamed as it resolves.
-CELL_RESULT = "cell_result"
-#: Daemon -> client (binary wire only): a coalesced run of finished
-#: cells as one columnar block (``repro.service.wire``).
+#: Daemon -> client: a coalesced run of finished cells as one columnar
+#: block (``repro.service.wire``), streamed as they resolve.
 CELL_RESULT_BLOCK = "cell_result_block"
-#: Client -> daemon (binary wire only): acknowledges one decoded block.
+#: Client -> daemon: acknowledges one decoded block.
 WIRE_ACK = "wire_ack"
 #: Daemon -> client: every cell of the job resolved; carries counters.
 JOB_DONE = "job_done"
@@ -80,7 +76,7 @@ FRAME_TYPES = frozenset(
     {
         HELLO, WELCOME, REJECT,
         BATCH, RESULT, ERROR, SHUTDOWN, GOODBYE,
-        JOB, JOB_ACCEPTED, CELL_RESULT, CELL_RESULT_BLOCK, WIRE_ACK,
+        JOB, JOB_ACCEPTED, CELL_RESULT_BLOCK, WIRE_ACK,
         JOB_DONE, JOB_FAILED,
         CACHE_GET, CACHE_HIT, CACHE_MISS, CACHE_PUT, CACHE_OK,
     }
@@ -107,7 +103,6 @@ class Channel:
 #: conformance checker extracts sent/handled frame types from exactly
 #: these modules; anything else touching the codec is a transport shim.
 ENDPOINT_PATHS: Dict[str, Tuple[str, ...]] = {
-    "coordinator": ("experiments/backends/distributed.py",),
     "worker": ("experiments/backends/worker.py",),
     "daemon": ("service/daemon.py",),
     "client": (
@@ -121,14 +116,6 @@ ENDPOINT_PATHS: Dict[str, Tuple[str, ...]] = {
 #: dispatch on -- is a conformance finding.
 CHANNELS: Tuple[Channel, ...] = (
     Channel(
-        "coordinator", "worker",
-        frozenset({WELCOME, REJECT, BATCH, SHUTDOWN}),
-    ),
-    Channel(
-        "worker", "coordinator",
-        frozenset({HELLO, RESULT, ERROR, GOODBYE}),
-    ),
-    Channel(
         "daemon", "worker",
         frozenset({WELCOME, REJECT, BATCH, SHUTDOWN}),
     ),
@@ -139,8 +126,7 @@ CHANNELS: Tuple[Channel, ...] = (
     Channel(
         "daemon", "client",
         frozenset({
-            WELCOME, REJECT, JOB_ACCEPTED, CELL_RESULT,
-            CELL_RESULT_BLOCK, JOB_DONE,
+            WELCOME, REJECT, JOB_ACCEPTED, CELL_RESULT_BLOCK, JOB_DONE,
             JOB_FAILED, CACHE_HIT, CACHE_MISS, CACHE_OK, ERROR,
         }),
     ),
@@ -187,7 +173,6 @@ __all__ = [
     "CACHE_MISS",
     "CACHE_OK",
     "CACHE_PUT",
-    "CELL_RESULT",
     "CELL_RESULT_BLOCK",
     "CHANNELS",
     "Channel",

@@ -1,74 +1,153 @@
-"""Async transport of the length-prefixed frame protocol.
+"""The length-prefixed frame codec, on both socket transports.
 
-The wire format is *identical* to the synchronous codec in
-:mod:`repro.experiments.backends.distributed` -- a 4-byte big-endian
-length followed by one frame payload in either encoding: canonical
-UTF-8 JSON, or the negotiated binary envelope of
-:mod:`repro.service.wire` (magic + flags + optionally-deflated JSON).
-Decoding sniffs the payload's first byte, so a synchronous worker
-(``python -m repro worker``) of either vintage and the asyncio daemon
-interoperate byte-for-byte on one frame format with two transports.
+Every frame is a 4-byte big-endian length followed by one payload in
+the binary envelope of :mod:`repro.service.wire` (magic + flags +
+optionally-deflated canonical JSON) -- the handshake included.  Two
+transports share it:
+
+* :func:`send_frame` / :func:`recv_frame` on a blocking socket, used by
+  the socket workers (``python -m repro worker``) and
+  :class:`~repro.service.client.ServiceClient`;
+* :func:`read_frame` / :func:`write_frame` on an
+  ``asyncio.StreamReader/Writer``, used by the
+  :class:`~repro.service.daemon.SweepService` daemon.
+
+Both reach the codec through the ``wire`` module attribute, so a
+tracer that patches :mod:`repro.service.wire` sees every frame.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.backends.distributed import (
-    MAX_FRAME_BYTES,
-    encode_frame,
-)
 from repro.service import wire
 from repro.util.validation import ReproError
 
+#: Bump when the frame vocabulary or encoding changes incompatibly; the
+#: handshake rejects a peer that sends any other value.  Version 2 is the
+#: binary envelope on every frame.
+PROTOCOL_VERSION = 2
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-    stats: Optional[wire.WireStats] = None,
-):
-    """Read one length-prefixed frame (either encoding) from a stream.
+#: Hard per-frame ceiling -- a corrupt length prefix must not allocate
+#: GBs.  Defined by the wire codec.
+MAX_FRAME_BYTES = wire.MAX_FRAME_BYTES
 
-    Raises :class:`asyncio.IncompleteReadError` when the peer closes
-    mid-frame and :class:`~repro.util.validation.ReproError` on a length
-    prefix beyond :data:`MAX_FRAME_BYTES` (a corrupt prefix must not
-    allocate gigabytes).
-    """
-    header = await reader.readexactly(4)
-    (length,) = struct.unpack(">I", header)
+#: Handshake / connect socket timeout (seconds).  Liveness only: no value
+#: derived from it ever reaches a record.
+HANDSHAKE_TIMEOUT = 30.0
+
+
+def _check_length(length: int) -> None:
     if length > MAX_FRAME_BYTES:
         raise ReproError(
             f"incoming frame of {length} bytes exceeds the "
             f"{MAX_FRAME_BYTES} limit"
         )
-    blob = await reader.readexactly(length)
+
+
+# ------------------------------------------------------- blocking sockets
+
+
+def send_frame(
+    sock: socket.socket,
+    obj,
+    stats: Optional[wire.WireStats] = None,
+) -> None:
+    """Write one frame (blocking)."""
+    blob = wire.encode_binary_frame(obj)
+    sock.sendall(blob)
+    if stats is not None:
+        stats.add("bytes_sent", len(blob))
+        if blob[5] & wire.FLAG_ZLIB:
+            stats.add("blocks_compressed", 1)
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    chunks = []
+    while n:
+        chunk = sock.recv(min(n, 65536))
+        if not chunk:
+            raise ConnectionError("peer closed mid-frame")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def recv_frame(
+    sock: socket.socket, stats: Optional[wire.WireStats] = None
+):
+    """Read one frame (blocking)."""
+    (length,) = struct.unpack(">I", _recv_exact(sock, 4))
+    _check_length(length)
+    blob = _recv_exact(sock, length)
     if stats is not None:
         stats.add("bytes_received", 4 + length)
     return wire.decode_blob(blob, stats)
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter,
-    obj,
-    binary: bool = False,
-    stats: Optional[wire.WireStats] = None,
-) -> None:
+def result_records(frame: Dict[str, object]) -> List[Dict[str, object]]:
+    """The records of one RESULT frame, decoded from its columnar
+    ``block``; :class:`ReproError` when the block is missing or corrupt."""
+    block = frame.get("block")
+    if not isinstance(block, dict):
+        raise ReproError("result frame carries no record block")
+    return [record for _index, record in wire.decode_record_block(block)]
+
+
+def parse_address(address: Optional[str]) -> Tuple[str, int]:
+    """``"host:port"`` -> ``(host, port)``; ``None`` means ephemeral loopback."""
+    if address is None:
+        return ("127.0.0.1", 0)
+    host, sep, port = address.rpartition(":")
+    if not sep or not host:
+        raise ReproError(
+            f"coordinator address {address!r} must look like host:port"
+        )
+    try:
+        return (host, int(port))
+    except ValueError:
+        raise ReproError(f"coordinator port {port!r} is not an integer")
+
+
+# ------------------------------------------------------------ asyncio
+
+
+async def read_frame(reader: asyncio.StreamReader):
+    """Read one frame from a stream.
+
+    Raises :class:`asyncio.IncompleteReadError` when the peer closes
+    mid-frame and :class:`~repro.util.validation.ReproError` on a length
+    prefix beyond :data:`MAX_FRAME_BYTES` (a corrupt prefix must not
+    allocate gigabytes) or a payload outside the binary envelope.
+    """
+    header = await reader.readexactly(4)
+    (length,) = struct.unpack(">I", header)
+    _check_length(length)
+    return wire.decode_blob(await reader.readexactly(length))
+
+
+async def write_frame(writer: asyncio.StreamWriter, obj) -> None:
     """Write one frame and drain.
 
-    ``binary`` selects the negotiated wire envelope (adaptively
-    deflated) over plain JSON.  The whole frame goes through a single
-    ``writer.write`` call, so concurrent tasks writing to the same peer
-    never interleave partial frames -- per-connection locks are
-    unnecessary.
+    The whole frame goes through a single ``writer.write`` call, so
+    concurrent tasks writing to the same peer never interleave partial
+    frames -- per-connection locks are unnecessary.
     """
-    blob = wire.encode_binary_frame(obj) if binary else encode_frame(obj)
-    writer.write(blob)
-    if stats is not None:
-        stats.add("bytes_sent", len(blob))
-        if binary and blob[5] & wire.FLAG_ZLIB:
-            stats.add("blocks_compressed", 1)
+    writer.write(wire.encode_binary_frame(obj))
     await writer.drain()
 
 
-__all__ = ["read_frame", "write_frame"]
+__all__ = [
+    "HANDSHAKE_TIMEOUT",
+    "MAX_FRAME_BYTES",
+    "PROTOCOL_VERSION",
+    "parse_address",
+    "read_frame",
+    "recv_frame",
+    "result_records",
+    "send_frame",
+    "write_frame",
+]

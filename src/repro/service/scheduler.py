@@ -15,8 +15,7 @@ randomness -- so its behaviour is exactly unit-testable:
 
 * batches of one job are served strictly in submission order (and a
   :meth:`requeue` puts an interrupted batch back at the *front*, which is
-  the deterministic-reassignment contract inherited from the distributed
-  backend);
+  the daemon's deterministic-reassignment contract);
 * within one submitter, higher-priority jobs are drained first
   (ties broken by arrival order);
 * across submitters, service alternates deficit-round-robin in first
@@ -151,8 +150,8 @@ class FairScheduler:
         """Put an interrupted batch back at the *front* of its job.
 
         Deterministic reassignment: the next dispatch for this job serves
-        exactly the failed batch again (the contract the distributed
-        backend established).  The cost is refunded to the submitter.
+        exactly the failed batch again.  The cost is refunded to the
+        submitter.
         """
         job_id = self._token_job.get(token)
         if job_id is None:

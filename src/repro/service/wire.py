@@ -1,41 +1,29 @@
 """Binary columnar wire codec for the socket transports.
 
-The JSON frame protocol (4-byte big-endian length prefix + canonical
-JSON) pays a per-cell encode/flush/decode cost on the ``cell_result``
-path: a fleet-scale sweep streams every record as its own frame.  This
-module adds a negotiated second encoding under the *same* length
-prefix:
+Every frame on a socket is a 4-byte big-endian length prefix followed
+by one payload in this module's envelope:
 
 * ``encode_binary_frame`` wraps a frame document in a two-byte envelope
-  (``MAGIC`` + flags) and, when the adaptive heuristic says the payload
-  is compressible, deflates it with :mod:`zlib`;
-* ``decode_blob`` sniffs the first byte, so binary and plain-JSON
-  frames interleave freely on one connection -- the receiver never
-  needs to know what the peer negotiated;
+  (``WIRE_MAGIC`` + flags) and, when the adaptive heuristic says the
+  payload is compressible, deflates it with :mod:`zlib`;
+* ``decode_blob`` accepts only that envelope: a payload without the
+  magic byte (a plain-JSON frame from a protocol-1 peer) is refused;
 * ``encode_record_block`` / ``decode_record_block`` pack a run of
   ``(index, record)`` pairs column-wise through the result store's
   shard codec (:mod:`repro.results.schema`): interned strings, packed
   int64/float64 arrays, presence bitmaps, and a checksum verified on
   decode.
 
-Negotiation rides the fingerprint handshake: an endpoint running in
-binary mode advertises ``wire: ["v2"]`` in its hello/welcome frame, and
-a connection speaks binary only when *both* sides advertised it
-(:func:`negotiate_wire`).  Old peers ignore the unknown key and keep
-receiving byte-identical JSON frames, so mixed-version fleets
-interoperate silently.
-
 The codec is deterministic end to end: zlib at a fixed level, the
 sampled-ratio heuristic keyed only on payload bytes, and the shard
-codec's lossless round-trip -- which is what lets the binary transport
-sit under the byte-identity determinism gates unchanged.
+codec's lossless round-trip -- which is what lets the transport sit
+under the byte-identity determinism gates unchanged.
 """
 
 import json
 import select
 import socket
 import struct
-import threading
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,19 +35,16 @@ from repro.results.schema import (
 )
 from repro.util.validation import ReproError
 
-#: Hard ceiling on a single frame payload (shared by both encodings).
+#: Hard ceiling on a single frame payload.
 #: 64 MiB of canonical JSON is far beyond any sane batch; anything
 #: larger indicates a corrupt or hostile stream.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: First payload byte of a binary-envelope frame.  0xC0 can never start
-#: a JSON text (it is not even a valid UTF-8 lead byte for a two-byte
-#: sequence that JSON would produce unescaped), so one byte of lookahead
-#: routes a blob to the right decoder.
+#: First payload byte of every frame.  0xC0 can never start a JSON text
+#: (it is not even a valid UTF-8 lead byte for a two-byte sequence that
+#: JSON would produce unescaped), so a plain-JSON frame is told apart by
+#: its first byte.
 WIRE_MAGIC = 0xC0
-
-#: Capability token advertised in hello/welcome ``wire`` lists.
-WIRE_V2 = "v2"
 
 #: Envelope flag bit: payload body is zlib-deflated.
 FLAG_ZLIB = 0x01
@@ -87,14 +72,11 @@ COALESCE_FLUSH_ROWS = 4096
 
 
 class WireStats:
-    """Thread-safe transport counters for one endpoint.
-
-    The coordinator reads worker sockets from per-link threads, so the
-    increments take a lock; the cost is noise next to a syscall.
-    """
+    """Transport counters of one blocking endpoint (a
+    :class:`~repro.service.client.ServiceClient` connection, which one
+    thread drives at a time)."""
 
     __slots__ = (
-        "_lock",
         "bytes_sent",
         "bytes_received",
         "frames_coalesced",
@@ -102,43 +84,21 @@ class WireStats:
     )
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.bytes_sent = 0
         self.bytes_received = 0
         self.frames_coalesced = 0
         self.blocks_compressed = 0
 
     def add(self, name: str, amount: int) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
+        setattr(self, name, getattr(self, name) + amount)
 
     def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "bytes_sent": self.bytes_sent,
-                "bytes_received": self.bytes_received,
-                "frames_coalesced": self.frames_coalesced,
-                "blocks_compressed": self.blocks_compressed,
-            }
-
-
-def negotiate_wire(local_binary: bool, peer_caps: object) -> bool:
-    """True when this connection should speak the binary encoding.
-
-    ``peer_caps`` is the raw ``wire`` value from the peer's hello or
-    welcome frame; anything that is not a list containing ``"v2"``
-    (including its absence, i.e. an old peer) falls back to JSON.
-    """
-    if not local_binary:
-        return False
-    if not isinstance(peer_caps, (list, tuple)):
-        return False
-    return WIRE_V2 in peer_caps
-
-
-def wire_capabilities(binary: bool) -> List[str]:
-    """The ``wire`` list to advertise in a hello/welcome frame."""
-    return [WIRE_V2] if binary else []
+        return {
+            "bytes_sent": self.bytes_sent,
+            "bytes_received": self.bytes_received,
+            "frames_coalesced": self.frames_coalesced,
+            "blocks_compressed": self.blocks_compressed,
+        }
 
 
 def maybe_compress(payload: bytes) -> Tuple[int, bytes]:
@@ -181,33 +141,30 @@ def encode_binary_frame(frame: Dict[str, object]) -> bytes:
 
 
 def decode_blob(blob: bytes, stats: Optional[WireStats] = None) -> Dict:
-    """Decode one frame payload of either encoding.
-
-    The magic byte routes binary envelopes through flag handling and
-    optional inflation; anything else is parsed as plain JSON, which is
-    what makes mixed-version connections safe without negotiation state
-    on the receive path.
-    """
-    if blob[:1] == bytes((WIRE_MAGIC,)):
-        if len(blob) < 2:
-            raise ReproError("binary frame shorter than its envelope")
-        flags = blob[1]
-        body = blob[2:]
-        if flags & FLAG_ZLIB:
-            if stats is not None:
-                stats.add("blocks_compressed", 1)
-            try:
-                body = zlib.decompress(body)
-            except zlib.error as exc:
-                raise ReproError(f"corrupt deflated frame: {exc}") from exc
-            if len(body) > MAX_FRAME_BYTES:
-                raise ReproError(
-                    f"inflated frame of {len(body)} bytes exceeds limit "
-                    f"{MAX_FRAME_BYTES}"
-                )
-        frame = json.loads(body.decode("utf-8"))
-    else:
-        frame = json.loads(blob.decode("utf-8"))
+    """Decode one frame payload: check the envelope, inflate if flagged,
+    parse the JSON object."""
+    if blob[:1] != bytes((WIRE_MAGIC,)):
+        raise ReproError(
+            "frame payload lacks the binary envelope: wire protocol v2 "
+            "requires it on every frame"
+        )
+    if len(blob) < 2:
+        raise ReproError("binary frame shorter than its envelope")
+    flags = blob[1]
+    body = blob[2:]
+    if flags & FLAG_ZLIB:
+        if stats is not None:
+            stats.add("blocks_compressed", 1)
+        try:
+            body = zlib.decompress(body)
+        except zlib.error as exc:
+            raise ReproError(f"corrupt deflated frame: {exc}") from exc
+        if len(body) > MAX_FRAME_BYTES:
+            raise ReproError(
+                f"inflated frame of {len(body)} bytes exceeds limit "
+                f"{MAX_FRAME_BYTES}"
+            )
+    frame = json.loads(body.decode("utf-8"))
     if not isinstance(frame, dict):
         raise ReproError("frame payload is not a JSON object")
     return frame
@@ -308,7 +265,6 @@ __all__ = [
     "FrameSender",
     "MAX_FRAME_BYTES",
     "WIRE_MAGIC",
-    "WIRE_V2",
     "WireStats",
     "data_ready",
     "decode_blob",
@@ -317,6 +273,4 @@ __all__ = [
     "encode_binary_frame",
     "encode_record_block",
     "maybe_compress",
-    "negotiate_wire",
-    "wire_capabilities",
 ]

@@ -13,11 +13,6 @@ import pytest
 
 from repro.experiments import engine as engine_module
 from repro.experiments.backends import resolve_backend
-from repro.experiments.backends.distributed import (
-    PROTOCOL_VERSION,
-    recv_frame,
-    send_frame,
-)
 from repro.experiments.backends.service import ServiceBackend
 from repro.experiments.backends.worker import (
     RECONNECT_BASE,
@@ -32,7 +27,9 @@ from repro.service import (
     RecordStore,
     ServiceClient,
     start_service_thread,
+    wire,
 )
+from repro.service.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.util.validation import ReproError
 
 FAST = {"frames": 2, "scale": 0.4}
@@ -304,10 +301,10 @@ class TestServiceEndToEnd:
         assert canonical(records) == canonical(ref)
         assert counters["worker_restarts"] >= 1
 
-    def test_short_record_list_fails_job_instead_of_hanging(self):
-        # Regression: a worker result with fewer records than batch keys
-        # used to zip-truncate, stranding the tail keys in _computing and
-        # the job in unresolved forever; it must fail the job loudly.
+    @staticmethod
+    def _fail_on_result(result):
+        """Feed ``result`` for a 2-cell batch of one job to the daemon's
+        result handler; returns ``(service, job)`` for inspection."""
         from repro.service.daemon import (
             SweepService, _BatchState, _JobState, _Peer,
         )
@@ -327,13 +324,27 @@ class TestServiceEndToEnd:
         )
         worker = _Peer(1, "worker", None, None)
         worker.token = 7
-        asyncio.run(
-            service._on_result(
-                worker, {"type": "result", "batch": 7, "records": [{"x": 1}]}
-            )
-        )
+        asyncio.run(service._on_result(worker, dict(result, batch=7)))
+        return service, job
+
+    def test_short_record_list_fails_job_instead_of_hanging(self):
+        # Regression: a worker result with fewer records than batch keys
+        # used to zip-truncate, stranding the tail keys in _computing and
+        # the job in unresolved forever; it must fail the job loudly.
+        service, job = self._fail_on_result({
+            "type": "result",
+            "block": wire.encode_record_block([(0, {"x": 1})]),
+        })
         assert job.failed
         assert 0 not in service._jobs
+        assert service._computing == {}
+        assert service.jobs_failed == 1
+
+    def test_unreadable_result_fails_job_instead_of_hanging(self):
+        # A result without a record block (or with a corrupt one) must
+        # fail the job too, not strand its keys.
+        service, job = self._fail_on_result({"type": "result"})
+        assert job.failed
         assert service._computing == {}
         assert service.jobs_failed == 1
 
@@ -394,7 +405,9 @@ class TestServiceEndToEnd:
                     send_frame(conn, {
                         "type": "result",
                         "batch": frame["batch"],
-                        "records": records,
+                        "block": wire.encode_record_block(
+                            list(enumerate(records))
+                        ),
                         "built": built,
                     })
             finally:
@@ -429,8 +442,9 @@ class TestServiceEndToEnd:
         seen = []
         while True:
             frame = recv_frame(client_a)
-            if frame["type"] == "cell_result":
-                seen.append(frame["index"])
+            if frame["type"] == "cell_result_block":
+                rows = wire.decode_record_block(frame["block"])
+                seen.extend(index for index, _record in rows)
             elif frame["type"] == "job_done":
                 break
         assert sorted(seen) == [0, 1]
