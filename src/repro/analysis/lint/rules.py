@@ -381,19 +381,20 @@ _BLOCKING_CALLS = frozenset(
         "socket.create_connection",
         "socket.getaddrinfo",
         "socket.gethostbyname",
+        "sqlite3.connect",
     }
 )
 
 
 class BlockingCallInAsyncRule(Rule):
     name = "blocking-call-in-async"
-    summary = "blocking sleep/socket/file calls inside async def bodies"
+    summary = "blocking sleep/socket/file/database calls inside async def bodies"
     rationale = (
         "The sweep service daemon multiplexes every client and worker on "
-        "one event loop; a single time.sleep, blocking socket call or "
-        "synchronous open() inside an async def stalls all of them at "
-        "once.  Use asyncio.sleep, the stream APIs, or push the work into "
-        "asyncio.to_thread."
+        "one event loop; a single time.sleep, blocking socket call, "
+        "synchronous open() or sqlite3.connect() inside an async def "
+        "stalls all of them at once.  Use asyncio.sleep, the stream APIs, "
+        "or push the work into asyncio.to_thread."
     )
     node_types = (ast.AsyncFunctionDef,)
 

@@ -23,21 +23,21 @@ This module turns that shape into infrastructure:
   budget instead of one of each per cell.  The memoised objects are
   immutable after construction (frozen dataclasses, tuple candidate
   lists), which is what makes reuse byte-identical to rebuilding.
-* **Content-addressed cache.**  Each cell's record is stored as JSON under
-  ``.repro_cache/`` keyed by a stable hash of the cell *and* a structural
-  fingerprint of the compile-time ISE library, so editing the library
-  builder, the cost model or any cell parameter invalidates exactly the
-  affected cells.  A sidecar ``index.json`` summarises record sizes and
-  ages so :func:`cache_stats` does not stat every record on every call.
+* **Content-addressed cache.**  Each cell's record is one row of the
+  SQLite cell store ``.repro_cache/cells.sqlite``
+  (:class:`repro.service.store.RecordStore`), keyed by a stable hash of
+  the cell *and* a structural fingerprint of the compile-time ISE
+  library, so editing the library builder, the cost model or any cell
+  parameter invalidates exactly the affected cells.  A run reads its
+  hits in batched queries and answers :func:`cache_stats` in SQL.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from collections import OrderedDict
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -498,182 +498,25 @@ def cell_key(cell: SweepCell) -> str:
 
 # ------------------------------------------------------ cache maintenance
 
-#: Sidecar stats index at the cache root; bump on layout changes.
-INDEX_SCHEMA = 1
-_INDEX_NAME = "index.json"
 
+def _cell_store(cache_dir: Union[str, Path, None]):
+    from repro.service.store import RecordStore
 
-def _cache_files(cache_dir: Union[str, Path]) -> List[Path]:
-    root = Path(cache_dir)
-    if not root.is_dir():
-        return []
-    return [p for p in root.glob("*/*.json") if p.is_file()]
-
-
-def _index_path(root: Union[str, Path]) -> Path:
-    return Path(root) / _INDEX_NAME
-
-
-def _load_index(root: Union[str, Path]) -> Optional[Dict[str, List[float]]]:
-    """The sidecar entries (``key -> [size, mtime]``), or ``None``."""
-    try:
-        with open(_index_path(root), "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict) or data.get("schema") != INDEX_SCHEMA:
-        return None
-    entries = data.get("entries")
-    if not isinstance(entries, dict):
-        return None
-    return entries
-
-
-def _write_index(root: Union[str, Path], entries: Dict[str, List[float]]) -> None:
-    """Atomically publish the sidecar index (best effort: the index is an
-    optimisation, so an unwritable cache dir never fails the caller)."""
-    root = Path(root)
-    if not root.is_dir():
-        return
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=str(root), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"schema": INDEX_SCHEMA, "entries": entries},
-                handle,
-                sort_keys=True,
-            )
-        os.replace(tmp, _index_path(root))
-    except OSError:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
-def _scan_entries(root: Union[str, Path]) -> Dict[str, List[float]]:
-    """Full-scan fallback: stat every record (the O(N) path the index avoids)."""
-    entries: Dict[str, List[float]] = {}
-    for path in _cache_files(root):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries[path.stem] = [stat.st_size, stat.st_mtime]
-    return entries
-
-
-def _index_fresh(root: Union[str, Path], index_mtime: float) -> bool:
-    """Whether the sidecar still reflects the record tree.
-
-    Any record write, eviction or externally planted file bumps its shard
-    directory's mtime past the index's, which is what we check -- one stat
-    per shard (<= 256) instead of one per record.
-    """
-    root = Path(root)
-    try:
-        children = sorted(root.iterdir())
-    except OSError:
-        return False
-    for child in children:
-        if not child.is_dir():
-            continue
-        try:
-            if child.stat().st_mtime > index_mtime:
-                return False
-        except OSError:
-            return False
-    return True
-
-
-def _index_apply(
-    root: Union[str, Path],
-    updates: Dict[str, List[float]],
-    removed: Sequence[str] = (),
-) -> None:
-    """Fold written/touched/evicted keys into the sidecar index.
-
-    When no index exists yet the record tree is scanned once to seed it --
-    after that, engine runs and evictions keep it incremental.
-    """
-    root = Path(root)
-    entries = _load_index(root)
-    if entries is None:
-        entries = _scan_entries(root)
-        if not entries:
-            return
-    else:
-        entries.update(updates)
-        for key in sorted(removed):
-            entries.pop(key, None)
-    _write_index(root, entries)
+    return RecordStore(
+        resolve_cache_dir(cache_dir if cache_dir is None else str(cache_dir))
+    )
 
 
 def cache_stats(cache_dir: Union[str, Path, None] = None) -> Dict[str, object]:
-    """Size report of the on-disk sweep cell cache.
-
-    Served from the sidecar ``index.json`` when it is present and no shard
-    directory changed after it was written; otherwise every record is
-    statted once and the index rebuilt for the next call.  The extra
-    ``source`` key reports which path answered (``"index"`` / ``"scan"``).
-    """
-    root = Path(resolve_cache_dir(cache_dir if cache_dir is None else str(cache_dir)))
-    entries: Optional[Dict[str, List[float]]] = None
-    source = "scan"
-    try:
-        index_mtime = _index_path(root).stat().st_mtime
-    except OSError:
-        index_mtime = None
-    if index_mtime is not None:
-        loaded = _load_index(root)
-        if loaded is not None and _index_fresh(root, index_mtime):
-            entries = loaded
-            source = "index"
-    if entries is None:
-        entries = _scan_entries(root)
-        if entries:
-            _write_index(root, entries)
-    sizes: List[int] = []
-    oldest: Optional[float] = None
-    newest: Optional[float] = None
-    for key in sorted(entries):
-        size, mtime = entries[key][0], entries[key][1]
-        sizes.append(int(size))
-        oldest = mtime if oldest is None else min(oldest, mtime)
-        newest = mtime if newest is None else max(newest, mtime)
-    return {
-        "cache_dir": str(root),
-        "records": len(sizes),
-        "total_bytes": sum(sizes),
-        "oldest_mtime": oldest,
-        "newest_mtime": newest,
-        "source": source,
-    }
+    """Row count and byte total of the cell store (one SQL aggregate)."""
+    with closing(_cell_store(cache_dir)) as store:
+        return {"cache_dir": str(store.root), **store.stats()}
 
 
 def clear_cache(cache_dir: Union[str, Path, None] = None) -> int:
     """Delete every cached record; returns how many were removed."""
-    root = Path(resolve_cache_dir(cache_dir if cache_dir is None else str(cache_dir)))
-    removed = 0
-    for path in _cache_files(root):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
-    for shard in root.glob("*"):
-        if shard.is_dir():
-            try:
-                shard.rmdir()
-            except OSError:
-                pass
-    try:
-        _index_path(root).unlink()
-    except OSError:
-        pass
-    return removed
+    with closing(_cell_store(cache_dir)) as store:
+        return store.clear()
 
 
 def evict_cache(
@@ -681,39 +524,11 @@ def evict_cache(
     max_bytes: int = 0,
 ) -> Dict[str, int]:
     """Shrink the cache to ``max_bytes`` by deleting least-recently-used
-    records (mtime order; cache hits touch their record's mtime, so reads
-    count as use).  Returns ``{"evicted": n, "freed_bytes": b}``.
+    records (cache hits count as use; equal use breaks ties by key).
+    Returns ``{"evicted": n, "freed_bytes": b}``.
     """
-    if max_bytes < 0:
-        raise ReproError(f"max_bytes must be >= 0, got {max_bytes}")
-    root = Path(resolve_cache_dir(cache_dir if cache_dir is None else str(cache_dir)))
-    entries = []
-    total = 0
-    for path in _cache_files(root):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, str(path), path, stat.st_size))
-        total += stat.st_size
-    evicted = freed = 0
-    removed_keys: List[str] = []
-    # Oldest first; the path string breaks mtime ties deterministically.
-    entries.sort()
-    for _, _, path, size in entries:
-        if total <= max_bytes:
-            break
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        freed += size
-        evicted += 1
-        removed_keys.append(path.stem)
-    if removed_keys or _load_index(root) is not None:
-        _index_apply(root, {}, removed_keys)
-    return {"evicted": evicted, "freed_bytes": freed}
+    with closing(_cell_store(cache_dir)) as store:
+        return store.evict(max_bytes)
 
 
 # ----------------------------------------------------------- cell workers
@@ -992,59 +807,8 @@ class SweepEngine:
         self.workers = workers
         self.coordinator = coordinator
         self.stats = EngineStats()
-
-    # ------------------------------------------------------------- cache
-    def _record_path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.json"
-
-    def _read_record(self, key: str) -> Optional[Dict[str, object]]:
-        path = self._record_path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if envelope.get("schema") != ENGINE_SCHEMA or envelope.get("key") != key:
-            return None
-        record = envelope.get("record")
-        if isinstance(record, dict):
-            # A hit counts as use: bump the mtime so LRU eviction keeps the
-            # records sweeps actually reach for.
-            try:
-                os.utime(path)
-            except OSError:
-                pass
-            return record
-        return None
-
-    def _write_record(self, key: str, cell: SweepCell, record: Dict[str, object]) -> None:
-        path = self._record_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        envelope = {
-            "schema": ENGINE_SCHEMA,
-            "key": key,
-            "cell": cell.payload(),
-            "record": record,
-        }
-        # Atomic publish: a crashed/parallel writer never leaves a torn file.
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _stat_entry(self, key: str) -> Optional[List[float]]:
-        try:
-            stat = self._record_path(key).stat()
-        except OSError:
-            return None
-        return [stat.st_size, stat.st_mtime]
+        #: the cell store under ``cache_dir`` (opened on first use)
+        self.store = _cell_store(self.cache_dir)
 
     # --------------------------------------------------------------- run
     def run(self, cells: Sequence[SweepCell]) -> List[Dict[str, object]]:
@@ -1052,43 +816,13 @@ class SweepEngine:
 
         Duplicate cells are simulated once and share the record.
         """
-        self.stats.reset()
-        self.stats.cells = len(cells)
-        keys = [cell_key(cell) for cell in cells]
-        by_key: Dict[str, SweepCell] = {}
-        for cell, key in zip(cells, keys):
-            by_key.setdefault(key, cell)
-        self.stats.unique_cells = len(by_key)
+        records: List[Optional[Dict[str, object]]] = [None] * len(cells)
 
-        records: Dict[str, Dict[str, object]] = {}
-        index_updates: Dict[str, List[float]] = {}
-        if self.use_cache:
-            for key in by_key:
-                cached = self._read_record(key)
-                if cached is not None:
-                    records[key] = cached
-                    entry = self._stat_entry(key)
-                    if entry is not None:
-                        index_updates[key] = entry
-            self.stats.cache_hits = len(records)
+        def collect(index: int, cell: SweepCell, record: Dict[str, object]) -> None:
+            records[index] = record
 
-        missing = [(key, cell) for key, cell in by_key.items() if key not in records]
-        fresh = self._execute_missing(missing)
-        for (key, cell), record in zip(missing, fresh):
-            records[key] = record
-            if self.use_cache:
-                self._write_record(key, cell, record)
-                entry = self._stat_entry(key)
-                if entry is not None:
-                    index_updates[key] = entry
-        self.stats.executed = len(missing)
-        if self.use_cache and index_updates:
-            _index_apply(self.cache_dir, index_updates)
-        if self.use_cache and self.cache_max_bytes is not None:
-            evict_cache(self.cache_dir, self.cache_max_bytes)
-        # Canonical form at every nesting level, so fresh and cache-served
-        # records serialise byte-identically (cached JSON comes back sorted).
-        return [_canonical(records[key]) for key in keys]
+        self.run_streamed(cells, collect)
+        return records
 
     def run_streamed(
         self,
@@ -1115,55 +849,43 @@ class SweepEngine:
             by_key.setdefault(key, cell)
             indices.setdefault(key, []).append(index)
         self.stats.unique_cells = len(by_key)
-
-        delivered = [0]
+        delivered = 0
 
         def deliver(key: str, record: Dict[str, object]) -> None:
-            canonical = _canonical(record)
+            nonlocal delivered
             for index in indices[key]:
-                sink(index, by_key[key], canonical)
-                delivered[0] += 1
+                sink(index, by_key[key], record)
+            delivered += len(indices[key])
 
-        served: Dict[str, bool] = {}
-        index_updates: Dict[str, List[float]] = {}
-        if self.use_cache:
-            for key in by_key:
-                cached = self._read_record(key)
-                if cached is not None:
-                    served[key] = True
-                    entry = self._stat_entry(key)
-                    if entry is not None:
-                        index_updates[key] = entry
-                    deliver(key, cached)
-            self.stats.cache_hits = len(served)
+        # Stored records were written canonical (sort_keys), so they are
+        # delivered as parsed.
+        hits = self.store.get_many(list(by_key)) if self.use_cache else {}
+        for key, record in hits.items():
+            deliver(key, record)
+        self.stats.cache_hits = len(hits)
 
-        missing = [(key, cell) for key, cell in by_key.items() if key not in served]
+        missing = [(key, cell) for key, cell in by_key.items() if key not in hits]
 
         def on_record(position: int, record: Dict[str, object]) -> None:
             key, cell = missing[position]
+            record = _canonical(record)
             if self.use_cache:
-                self._write_record(key, cell, record)
-                entry = self._stat_entry(key)
-                if entry is not None:
-                    index_updates[key] = entry
+                self.store.put(key, cell.payload(), record)
             deliver(key, record)
 
-        self._execute_missing(missing, on_record=on_record)
+        self._execute_missing([cell for _, cell in missing], on_record)
         self.stats.executed = len(missing)
-        if self.use_cache and index_updates:
-            _index_apply(self.cache_dir, index_updates)
         if self.use_cache and self.cache_max_bytes is not None:
-            evict_cache(self.cache_dir, self.cache_max_bytes)
-        return delivered[0]
+            self.store.evict(self.cache_max_bytes)
+        return delivered
 
     def _execute_missing(
         self,
-        missing: Sequence[Tuple[str, SweepCell]],
-        on_record: Optional[Callable[[int, Dict[str, object]], None]] = None,
-    ) -> Optional[List[Dict[str, object]]]:
-        cells = [cell for _, cell in missing]
+        cells: Sequence[SweepCell],
+        on_record: Callable[[int, Dict[str, object]], None],
+    ) -> None:
         if not cells:
-            return []
+            return
         from repro.experiments.backends import resolve_backend
 
         backend = resolve_backend(
@@ -1173,7 +895,7 @@ class SweepEngine:
             workers=self.workers,
             coordinator=self.coordinator,
         )
-        records = backend.run(cells, on_record=on_record)
+        backend.run(cells, on_record=on_record)
         counters = backend.counters
         self.stats.applications_built += counters["applications_built"]
         self.stats.libraries_built += counters["libraries_built"]
@@ -1188,7 +910,6 @@ class SweepEngine:
         self.stats.bytes_received += counters["bytes_received"]
         self.stats.frames_coalesced += counters["frames_coalesced"]
         self.stats.blocks_compressed += counters["blocks_compressed"]
-        return records
 
 
 def resolve_engine(
@@ -1237,7 +958,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ENGINE_SCHEMA",
     "EngineStats",
-    "INDEX_SCHEMA",
     "LIBRARY_MEMO_CAPACITY",
     "METRICS",
     "MetricSpec",

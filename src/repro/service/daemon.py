@@ -43,8 +43,7 @@ workers to dial in.
 
 Graceful drain: SIGTERM/SIGINT (or :meth:`request_drain`) stops intake --
 new jobs are rejected with a ``reject`` frame -- finishes every accepted
-job, flushes the store's sidecar index, shuts the workers down, and
-exits.
+job, closes the store, shuts the workers down, and exits.
 
 Every blocking operation (cell parsing, key hashing, store I/O) runs in
 ``asyncio.to_thread``; the event loop itself never touches a file or
@@ -280,7 +279,7 @@ class SweepService:
         self._live.clear()
         self._idle.clear()
         if self.store is not None:
-            await asyncio.to_thread(self.store.flush_index)
+            await asyncio.to_thread(self.store.close)
         loop = asyncio.get_running_loop()
         processes, self._processes = self._processes, []
         for process in processes:
@@ -482,14 +481,7 @@ class SweepService:
             keys.append(entry[1])
         hits: Dict[str, Dict[str, object]] = {}
         if self.store is not None:
-            seen: Set[str] = set()
-            for key in keys:
-                if key in seen:
-                    continue
-                seen.add(key)
-                record = self.store.get(key)
-                if record is not None:
-                    hits[key] = record
+            hits = self.store.get_many(list(dict.fromkeys(keys)))
         return cells, keys, hits
 
     async def _on_job(self, peer: _Peer, frame: Dict) -> None:
@@ -649,10 +641,8 @@ class SweepService:
                 merge_counters(job.counters, frame.get("built", {}))
             if self.store is not None:
                 await asyncio.to_thread(
-                    self._store_batch,
-                    state.keys,
-                    state.frame["cells"],
-                    records,
+                    self.store.put_many,
+                    zip(state.keys, state.frame["cells"], records),
                 )
             for key, record in zip(state.keys, records):
                 await self._resolve_key(key, record)
@@ -660,10 +650,6 @@ class SweepService:
             # still-running jobs goes out now, one block per job.
             await self._flush_all_blocks()
         await self._dispatch()
-
-    def _store_batch(self, keys, payloads, records) -> None:
-        for key, payload, record in zip(keys, payloads, records):
-            self.store.put(key, payload, record)
 
     async def _resolve_key(self, key: str, record: Dict) -> None:
         for job_id in self._computing.pop(key, []):
@@ -716,8 +702,6 @@ class SweepService:
         await self._flush_job_blocks(job)
         job.counters["jobs_completed"] += 1
         self.jobs_finished += 1
-        if self.store is not None:
-            await asyncio.to_thread(self.store.flush_index)
         if not job.peer.closed:
             try:
                 await write_frame(

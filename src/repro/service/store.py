@@ -1,135 +1,298 @@
-"""The network-served content-addressed record store.
+"""The content-addressed cell record store: one SQLite file per cache dir.
 
-The daemon serves one ``.repro_cache``-compatible store to every client
-and worker: same shard layout (``<key[:2]>/<key>.json``), same envelope
-(``{"schema", "key", "cell", "record"}``), same sidecar ``index.json``
-maintained incrementally through the engine's ``_index_apply``.  A
-directory written by the daemon is therefore a valid local cell cache
-and vice versa.
+Every cached sweep cell -- whether the local :class:`SweepEngine` computed
+it into ``.repro_cache`` or the ``repro serve`` daemon computed it for a
+client -- is one row of ``<cache_dir>/cells.sqlite``:
+
+``key``
+    ``cell_key(cell)``, the primary key;
+``schema``
+    the ``ENGINE_SCHEMA`` the row was written under;
+``cell`` / ``record``
+    the cell payload and its record as canonical JSON (``sort_keys``);
+``size``
+    bytes of the two JSON texts (what ``cache_stats`` sums);
+``used``
+    a use generation: every write and every run's hits take the next
+    one, so ``ORDER BY used, key`` is least-recently-used first.  It is a
+    counter kept in the table, not a clock.
+
+The daemon and the engine open the same class on the same file, so a
+daemon's cache dir is a valid local cache and vice versa.  Files of
+other layouts in the directory (such as ``<key[:2]>/<key>.json`` trees)
+are never read.
 
 Namespace rules: the store is content-addressed -- a record's key is
 ``cell_key(cell)``, whose hash already covers the cell payload *and* the
 structural library fingerprint -- so the fingerprint "namespace" carried
-by ``cache_put`` frames is a *verification* tag, not a directory level.
+by ``cache_put`` frames is a *verification* tag, not a key prefix.
 :meth:`RecordStore.verified_put` recomputes both the fingerprint and the
 key from the submitted cell and refuses mismatches, so a client with a
 divergent workload checkout cannot poison the shared store.  Reads need
 no namespace check: a divergent client derives different keys and
 simply misses.
 
-All methods are synchronous (they do file I/O); the asyncio daemon calls
-them through ``asyncio.to_thread`` so the event loop never blocks --
-which is exactly what the ``blocking-call-in-async`` lint rule enforces
-over the service code.
+Rows are never trusted blindly: a row of another schema or with a
+record that does not parse to an object reads as a miss (the engine then
+re-executes the cell and overwrites it), and a file that is not a
+readable SQLite database is set aside and replaced by an empty store.
+
+All methods are synchronous and serialised by one lock, so the asyncio
+daemon may call them from any ``asyncio.to_thread`` worker -- and must,
+which the ``blocking-call-in-async`` lint rule enforces over the service
+code.  The connection is opened on first use and belongs to the process
+that opened it: a forked child opens its own and never touches (or
+closes) its parent's.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import sqlite3
+import threading
+import warnings
+from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    TypeVar, Union,
+)
 
 from repro.experiments import engine as engine_module
 from repro.util.validation import ReproError
 
+#: The store's file name inside a cache dir.
+STORE_NAME = "cells.sqlite"
+
+#: Keys per ``WHERE key IN (...)`` statement, under SQLite's historical
+#: limit of 999 bound parameters per statement.
+BATCH_KEYS = 900
+
+_SCHEMA_SQL = (
+    "CREATE TABLE IF NOT EXISTS cells ("
+    "key TEXT PRIMARY KEY, schema INTEGER NOT NULL, cell TEXT NOT NULL, "
+    "record TEXT NOT NULL, size INTEGER NOT NULL, used INTEGER NOT NULL"
+    ") WITHOUT ROWID",
+    "CREATE INDEX IF NOT EXISTS cells_by_use ON cells (used)",
+)
+
+_T = TypeVar("_T")
+
+
+def _chunks(keys: Sequence[str]) -> Iterator[Sequence[str]]:
+    for start in range(0, len(keys), BATCH_KEYS):
+        yield keys[start:start + BATCH_KEYS]
+
+
+def _marks(chunk: Sequence[str]) -> str:
+    return ",".join("?" * len(chunk))
+
+
+def _encode(value: Mapping[str, object]) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
 
 class RecordStore:
-    """Synchronous record store over one cache directory.
-
-    Index updates accumulate in memory and are published by
-    :meth:`flush_index` (the daemon flushes after every completed job and
-    on drain), keeping the sidecar incremental without a write per cell.
-    """
+    """Synchronous cell store over one cache directory's ``cells.sqlite``."""
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._root = str(self.root)
-        self._pending_index: Dict[str, List[float]] = {}
+        self.path = self.root / STORE_NAME
+        self._lock = threading.Lock()
+        self._conn: Optional[sqlite3.Connection] = None
+        self._pid = os.getpid()
+        #: connections a forked child inherited: its parent's to use and
+        #: close, so the child keeps them referenced and never closes them
+        self._inherited: List[sqlite3.Connection] = []
         self.reads = 0
         self.hits = 0
         self.writes = 0
+        self.selects = 0       #: SELECT batches issued by get_many
+        self.transactions = 0  #: write transactions committed
 
-    # -------------------------------------------------------------- layout
-    def _record_path(self, key: str) -> str:
-        # A plain string: pathlib interns every component it parses, and a
-        # fresh record file name per cell keeps growing the interpreter's
-        # interned-string table in a long-running daemon.
-        return os.path.join(self._root, key[:2], key + ".json")
+    # ---------------------------------------------------------- connection
+    def _connection(self) -> sqlite3.Connection:
+        if self._conn is None:
+            self.root.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(
+                str(self.path),
+                timeout=60.0,
+                isolation_level=None,
+                check_same_thread=False,
+            )
+            try:
+                # NORMAL: commits append to the WAL without an fsync; only
+                # checkpoints sync.  A crash loses at most the newest rows.
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute("PRAGMA journal_mode=WAL")
+                for statement in _SCHEMA_SQL:
+                    conn.execute(statement)
+            except BaseException:
+                conn.close()
+                raise
+            self._conn = conn
+        return self._conn
 
-    def _stat_entry(self, key: str) -> Optional[List[float]]:
+    def _run(self, work: Callable[[sqlite3.Connection], _T]) -> _T:
+        """``work(connection)`` under the lock; on a corrupt file, set it
+        aside and run ``work`` once more against a fresh, empty store."""
+        if self._pid != os.getpid():
+            # First use in a forked child; the child is single-threaded here.
+            if self._conn is not None:
+                self._inherited.append(self._conn)
+            self._conn, self._pid, self._lock = None, os.getpid(), threading.Lock()
+        with self._lock:
+            try:
+                return work(self._connection())
+            except sqlite3.DatabaseError as error:
+                # Subclasses are busy timeouts, I/O and constraint errors:
+                # real failures.  The base class is SQLITE_NOTADB/CORRUPT.
+                if type(error) is not sqlite3.DatabaseError:
+                    raise
+                self._set_aside(error)
+            return work(self._connection())
+
+    def _set_aside(self, error: sqlite3.DatabaseError) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+        aside = self.path.with_name(STORE_NAME + ".corrupt")
+        # FileNotFoundError: another process set the file aside first.
         try:
-            stat = os.stat(self._record_path(key))
-        except OSError:
-            return None
-        return [stat.st_size, stat.st_mtime]
+            os.replace(self.path, aside)
+        except FileNotFoundError:
+            pass
+        # The WAL and shared-memory files belong to the bad file; the
+        # fresh store must not replay them.
+        for suffix in ("-wal", "-shm"):
+            try:
+                os.unlink(f"{self.path}{suffix}")
+            except FileNotFoundError:
+                pass
+        warnings.warn(
+            f"cell store {self.path} is unreadable ({error}); moved it to "
+            f"{aside.name} and started an empty store",
+            RuntimeWarning,
+        )
+
+    @contextmanager
+    def _transaction(self, conn: sqlite3.Connection) -> Iterator[int]:
+        """One write transaction; yields the use generation its writes take."""
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            (generation,) = conn.execute(
+                "SELECT COALESCE(MAX(used), 0) + 1 FROM cells"
+            ).fetchone()
+            yield generation
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
+        self.transactions += 1
+
+    def close(self) -> None:
+        """Close this process's connection (reopened on next use); one a
+        forked child inherited stays open for its parent."""
+        if self._pid != os.getpid():
+            return
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
     # ---------------------------------------------------------------- read
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        """The stored record for ``key``, or ``None``.
+    def get_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, object]]:
+        """The valid stored records among ``keys`` (distinct), in ``keys``
+        order; every other key is a miss.
 
-        A hit counts as use: the record's mtime is touched so LRU eviction
-        (``repro cache``) keeps records the fleet actually reaches for.
+        One ``SELECT`` per :data:`BATCH_KEYS` keys, then one transaction
+        that marks every hit as used, so LRU eviction keeps the records
+        sweeps actually reach for.  Records come back exactly as stored:
+        canonical (sorted keys, lists), ready to deliver.
         """
-        self.reads += 1
-        path = self._record_path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if (
-            envelope.get("schema") != engine_module.ENGINE_SCHEMA
-            or envelope.get("key") != key
-        ):
-            return None
-        record = envelope.get("record")
-        if not isinstance(record, dict):
-            return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        entry = self._stat_entry(key)
-        if entry is not None:
-            self._pending_index[key] = entry
-        self.hits += 1
-        return record
+        keys = list(keys)
+
+        def work(conn: sqlite3.Connection) -> Dict[str, Dict[str, object]]:
+            found: Dict[str, Dict[str, object]] = {}
+            for chunk in _chunks(keys):
+                rows = conn.execute(
+                    "SELECT key, schema, record FROM cells "
+                    f"WHERE key IN ({_marks(chunk)})",
+                    chunk,
+                ).fetchall()
+                self.selects += 1
+                for key, schema, text in rows:
+                    if schema != engine_module.ENGINE_SCHEMA:
+                        continue
+                    try:
+                        record = json.loads(text)
+                    except (TypeError, ValueError):
+                        continue
+                    if isinstance(record, dict):
+                        found[key] = record
+            if found:
+                hit_keys = list(found)
+                with self._transaction(conn) as generation:
+                    for chunk in _chunks(hit_keys):
+                        conn.execute(
+                            f"UPDATE cells SET used = ? WHERE key IN ({_marks(chunk)})",
+                            [generation, *chunk],
+                        )
+            self.reads += len(keys)
+            self.hits += len(found)
+            return found
+
+        found = self._run(work)
+        return {key: found[key] for key in keys if key in found}
+
+    def get(self, key: str) -> Optional[Dict[str, object]]:
+        """The stored record for ``key``, or ``None`` (a hit counts as use)."""
+        return self.get_many([key]).get(key)
 
     # --------------------------------------------------------------- write
+    def put_many(
+        self,
+        items: Iterable[Tuple[str, Mapping[str, object], Mapping[str, object]]],
+    ) -> None:
+        """Publish ``(key, cell_payload, record)`` rows in one transaction.
+
+        Readers see all of them or none; an existing row under a key is
+        replaced.
+        """
+        # Encode before taking the lock: an unserialisable record raises
+        # here and leaves the store untouched.
+        rows = []
+        for key, cell_payload, record in items:
+            cell_text, record_text = _encode(cell_payload), _encode(record)
+            rows.append((key, cell_text, record_text, len(cell_text) + len(record_text)))
+        if not rows:
+            return
+
+        def work(conn: sqlite3.Connection) -> None:
+            with self._transaction(conn) as generation:
+                conn.executemany(
+                    "INSERT OR REPLACE INTO cells "
+                    "(key, schema, cell, record, size, used) "
+                    "VALUES (?, ?, ?, ?, ?, ?)",
+                    [
+                        (key, engine_module.ENGINE_SCHEMA, cell, record, size, generation)
+                        for key, cell, record, size in rows
+                    ],
+                )
+            self.writes += len(rows)
+
+        self._run(work)
+
     def put(
         self,
         key: str,
         cell_payload: Mapping[str, object],
         record: Mapping[str, object],
     ) -> None:
-        """Atomically publish one record (tmp file + ``os.replace``)."""
-        path = self._record_path(key)
-        shard = os.path.dirname(path)
-        os.makedirs(shard, exist_ok=True)
-        envelope = {
-            "schema": engine_module.ENGINE_SCHEMA,
-            "key": key,
-            "cell": dict(cell_payload),
-            "record": dict(record),
-        }
-        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.writes += 1
-        entry = self._stat_entry(key)
-        if entry is not None:
-            self._pending_index[key] = entry
+        """Publish one record (its own transaction)."""
+        self.put_many([(key, cell_payload, record)])
 
     def verified_put(
         self,
@@ -163,23 +326,71 @@ class RecordStore:
             )
         self.put(key, cell_payload, record)
 
-    # --------------------------------------------------------------- index
-    def flush_index(self) -> int:
-        """Fold accumulated entries into the sidecar ``index.json``.
+    # --------------------------------------------------------- maintenance
+    def stats(self) -> Dict[str, int]:
+        """``{"records", "total_bytes"}`` (an absent store is empty)."""
+        if not self.path.exists():
+            return {"records": 0, "total_bytes": 0}
+        records, total = self._run(
+            lambda conn: conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM cells"
+            ).fetchone()
+        )
+        return {"records": records, "total_bytes": total}
 
-        Returns how many entries were published.  Uses the engine's
-        ``_index_apply`` so the daemon's cache dir stays interchangeable
-        with a locally-maintained ``.repro_cache``.
-        """
-        if not self._pending_index:
+    def evict(self, max_bytes: int) -> Dict[str, int]:
+        """Delete least-recently-used rows (``ORDER BY used, key``) until
+        at most ``max_bytes`` remain; ``{"evicted", "freed_bytes"}``."""
+        if max_bytes < 0:
+            raise ReproError(f"max_bytes must be >= 0, got {max_bytes}")
+        if not self.path.exists():
+            return {"evicted": 0, "freed_bytes": 0}
+
+        def work(conn: sqlite3.Connection) -> Dict[str, int]:
+            with self._transaction(conn):
+                (excess,) = conn.execute(
+                    "SELECT COALESCE(SUM(size), 0) - ? FROM cells", (max_bytes,)
+                ).fetchone()
+                victims: List[str] = []
+                freed = 0
+                if excess > 0:
+                    with closing(conn.execute(
+                        "SELECT key, size FROM cells ORDER BY used, key"
+                    )) as oldest_first:
+                        for key, size in oldest_first:
+                            victims.append(key)
+                            freed += size
+                            if freed >= excess:
+                                break
+                for chunk in _chunks(victims):
+                    conn.execute(
+                        f"DELETE FROM cells WHERE key IN ({_marks(chunk)})", chunk
+                    )
+            return {"evicted": len(victims), "freed_bytes": freed}
+
+        return self._run(work)
+
+    def clear(self) -> int:
+        """Delete every row; returns how many there were."""
+        if not self.path.exists():
             return 0
-        updates = dict(self._pending_index)
-        self._pending_index.clear()
-        engine_module._index_apply(self.root, updates)
-        return len(updates)
+
+        def work(conn: sqlite3.Connection) -> int:
+            with self._transaction(conn):
+                (count,) = conn.execute("SELECT COUNT(*) FROM cells").fetchone()
+                conn.execute("DELETE FROM cells")
+            return count
+
+        return self._run(work)
 
     def counters(self) -> Dict[str, int]:
-        return {"reads": self.reads, "hits": self.hits, "writes": self.writes}
+        return {
+            "reads": self.reads,
+            "hits": self.hits,
+            "writes": self.writes,
+            "selects": self.selects,
+            "transactions": self.transactions,
+        }
 
 
-__all__ = ["RecordStore"]
+__all__ = ["BATCH_KEYS", "RecordStore", "STORE_NAME"]

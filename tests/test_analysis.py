@@ -461,6 +461,14 @@ class TestBlockingCallInAsyncRule:
         )
         assert "blocking-call-in-async" in _rules_hit(src)
 
+    def test_sqlite_connect_flagged(self):
+        src = (
+            "import sqlite3\n"
+            "async def handler(path):\n"
+            "    return sqlite3.connect(path)\n"
+        )
+        assert "blocking-call-in-async" in _rules_hit(src)
+
     def test_to_thread_offload_is_clean(self):
         src = (
             "import asyncio\n"

@@ -2,8 +2,7 @@
 extensions that route the sensitivity experiment through the engine
 (``budget_params`` and cost-model overrides)."""
 
-import json
-import os
+import warnings
 
 import pytest
 
@@ -17,56 +16,60 @@ from repro.experiments.engine import (
     evict_cache,
     execute_cell,
 )
+from repro.service.store import STORE_NAME, RecordStore
 from repro.util.validation import ReproError
+from tests.test_cache_concurrency import run_sql
 
 FAST = {"frames": 2, "scale": 0.4}
 
 
-def _fake_record(cache_dir, name, size, mtime):
-    """Plant a cache record of a known size and age."""
-    shard = cache_dir / name[:2]
-    shard.mkdir(parents=True, exist_ok=True)
-    path = shard / f"{name}.json"
-    path.write_bytes(b"x" * size)
-    os.utime(path, (mtime, mtime))
-    return path
+def _plant(cache_dir, key, size, used):
+    """Plant a store row of a known size and use generation."""
+    store = RecordStore(cache_dir)
+    store.put(key, {}, {})
+    store.close()
+    run_sql(cache_dir, "UPDATE cells SET size = ?, used = ? WHERE key = ?", (size, used, key))
+
+
+def _keys(cache_dir):
+    return [key for (key,) in run_sql(cache_dir, "SELECT key FROM cells ORDER BY key")]
 
 
 class TestEviction:
     def test_evicts_oldest_first(self, tmp_path):
-        old = _fake_record(tmp_path, "aa1", 100, mtime=1_000)
-        mid = _fake_record(tmp_path, "bb2", 100, mtime=2_000)
-        new = _fake_record(tmp_path, "cc3", 100, mtime=3_000)
+        _plant(tmp_path, "aa1", 100, used=1)
+        _plant(tmp_path, "bb2", 100, used=2)
+        _plant(tmp_path, "cc3", 100, used=3)
         report = evict_cache(tmp_path, max_bytes=250)
         assert report == {"evicted": 1, "freed_bytes": 100}
-        assert not old.exists() and mid.exists() and new.exists()
+        assert _keys(tmp_path) == ["bb2", "cc3"]
 
     def test_evicts_until_under_budget(self, tmp_path):
-        for i, mtime in enumerate((1_000, 2_000, 3_000, 4_000)):
-            _fake_record(tmp_path, f"e{i}x", 100, mtime=mtime)
+        for i, used in enumerate((1, 2, 3, 4)):
+            _plant(tmp_path, f"e{i}x", 100, used=used)
         report = evict_cache(tmp_path, max_bytes=150)
         assert report["evicted"] == 3
         assert cache_stats(tmp_path)["total_bytes"] == 100
+        assert _keys(tmp_path) == ["e3x"]
 
     def test_zero_budget_clears_everything(self, tmp_path):
-        _fake_record(tmp_path, "aa1", 50, mtime=1_000)
-        _fake_record(tmp_path, "bb2", 50, mtime=2_000)
+        _plant(tmp_path, "aa1", 50, used=1)
+        _plant(tmp_path, "bb2", 50, used=2)
         assert evict_cache(tmp_path, max_bytes=0)["evicted"] == 2
         assert cache_stats(tmp_path)["records"] == 0
 
     def test_under_budget_is_a_no_op(self, tmp_path):
-        _fake_record(tmp_path, "aa1", 50, mtime=1_000)
+        _plant(tmp_path, "aa1", 50, used=1)
         assert evict_cache(tmp_path, max_bytes=10_000) == {
             "evicted": 0, "freed_bytes": 0,
         }
 
     def test_mtime_ties_break_deterministically(self, tmp_path):
-        _fake_record(tmp_path, "bb2", 100, mtime=1_000)
-        _fake_record(tmp_path, "aa1", 100, mtime=1_000)
+        """Equal use generations break ties by key."""
+        _plant(tmp_path, "bb2", 100, used=7)
+        _plant(tmp_path, "aa1", 100, used=7)
         evict_cache(tmp_path, max_bytes=100)
-        # Same age: lexicographically smaller path goes first.
-        assert not (tmp_path / "aa" / "aa1.json").exists()
-        assert (tmp_path / "bb" / "bb2.json").exists()
+        assert _keys(tmp_path) == ["bb2"]
 
     def test_negative_budget_rejected(self, tmp_path):
         with pytest.raises(ReproError):
@@ -76,17 +79,25 @@ class TestEviction:
         ghost = tmp_path / "nope"
         assert evict_cache(ghost, max_bytes=0) == {"evicted": 0, "freed_bytes": 0}
         assert cache_stats(ghost)["records"] == 0
+        assert clear_cache(ghost) == 0
+        assert not ghost.exists()
 
     def test_cache_hit_refreshes_mtime(self, tmp_path):
         """Reads count as use: a record served from cache must not be the
         next eviction victim."""
-        cell = SweepCell.make((1, 1), 0, "risc", workload_params=FAST)
+        old, new = (
+            SweepCell.make((1, 1), seed, "risc", workload_params=FAST)
+            for seed in (0, 1)
+        )
         engine = SweepEngine(jobs=1, use_cache=True, cache_dir=tmp_path)
-        engine.run([cell])
-        [path] = [p for p in tmp_path.glob("*/*.json")]
-        os.utime(path, (1_000, 1_000))
-        engine.run([cell])  # cache hit -> touch
-        assert path.stat().st_mtime > 1_000
+        engine.run([old])
+        engine.run([new])
+        engine.run([old])  # cache hit -> newest use
+        assert engine.stats.cache_hits == 1
+        sizes = dict(run_sql(tmp_path, "SELECT key, size FROM cells"))
+        report = evict_cache(tmp_path, max_bytes=sizes[cell_key(old)])
+        assert report["evicted"] == 1
+        assert _keys(tmp_path) == [cell_key(old)]
 
     def test_engine_enforces_budget_after_run(self, tmp_path):
         cells = [
@@ -107,59 +118,60 @@ class TestEviction:
 
 class TestStatsAndClear:
     def test_stats_counts_bytes_and_ages(self, tmp_path):
-        _fake_record(tmp_path, "aa1", 30, mtime=1_000)
-        _fake_record(tmp_path, "bb2", 70, mtime=2_000)
+        _plant(tmp_path, "aa1", 30, used=1)
+        _plant(tmp_path, "bb2", 70, used=2)
         stats = cache_stats(tmp_path)
-        assert stats["records"] == 2
-        assert stats["total_bytes"] == 100
-        assert stats["oldest_mtime"] == pytest.approx(1_000)
-        assert stats["newest_mtime"] == pytest.approx(2_000)
+        assert stats == {
+            "cache_dir": str(tmp_path), "records": 2, "total_bytes": 100,
+        }
 
     def test_clear_removes_records_and_shards(self, tmp_path):
-        _fake_record(tmp_path, "aa1", 10, mtime=1_000)
-        _fake_record(tmp_path, "bb2", 10, mtime=1_000)
+        _plant(tmp_path, "aa1", 10, used=1)
+        _plant(tmp_path, "bb2", 10, used=1)
         assert clear_cache(tmp_path) == 2
         assert cache_stats(tmp_path)["records"] == 0
-        assert not any(tmp_path.glob("*"))
+        assert _keys(tmp_path) == []
 
 
 class TestSidecarIndex:
-    """cache_stats answers from the sidecar index.json when fresh, falls
-    back to a full scan (and rebuilds the index) when the record tree
-    moved underneath it, and never survives clear_cache."""
+    """Stats, eviction and clear are SQL over the store itself: there is
+    no second copy of the sizes to go stale, and an unreadable store file
+    is set aside and rebuilt empty."""
 
-    def test_scan_seeds_index_then_serves_from_it(self, tmp_path):
-        _fake_record(tmp_path, "aa1", 30, mtime=1_000)
-        _fake_record(tmp_path, "bb2", 70, mtime=2_000)
+    def test_scan_seeds_index_then_serves_from_it(self, tmp_path, monkeypatch):
+        _plant(tmp_path, "aa1", 30, used=1)
+        _plant(tmp_path, "bb2", 70, used=2)
+        opened = []
+        monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a))
         first = cache_stats(tmp_path)
-        assert first["source"] == "scan"
-        assert (tmp_path / "index.json").exists()
         second = cache_stats(tmp_path)
-        assert second["source"] == "index"
+        assert opened == []
+        assert first == second
         assert {k: second[k] for k in ("records", "total_bytes")} == {
             "records": 2, "total_bytes": 100,
         }
+        assert not (tmp_path / "index.json").exists()
 
     def test_index_and_scan_agree(self, tmp_path):
-        cell = SweepCell.make((1, 1), 0, "risc", workload_params=FAST)
-        SweepEngine(jobs=1, use_cache=True, cache_dir=tmp_path).run([cell])
-        from_index = cache_stats(tmp_path)
-        (tmp_path / "index.json").unlink()
-        from_scan = cache_stats(tmp_path)
-        assert from_index["source"] == "index" and from_scan["source"] == "scan"
-        for field in ("records", "total_bytes", "oldest_mtime", "newest_mtime"):
-            assert from_index[field] == from_scan[field]
+        cells = [
+            SweepCell.make((1, 1), seed, "risc", workload_params=FAST)
+            for seed in range(2)
+        ]
+        SweepEngine(jobs=1, use_cache=True, cache_dir=tmp_path).run(cells)
+        rows = run_sql(tmp_path, "SELECT cell, record, size FROM cells")
+        stats = cache_stats(tmp_path)
+        assert stats["records"] == len(rows) == 2
+        assert stats["total_bytes"] == sum(size for _, _, size in rows)
+        assert all(size == len(cell) + len(record) for cell, record, size in rows)
 
     def test_external_write_invalidates_index(self, tmp_path):
-        _fake_record(tmp_path, "aa1", 30, mtime=1_000)
-        assert cache_stats(tmp_path)["source"] == "scan"
-        assert cache_stats(tmp_path)["source"] == "index"
-        # Another process plants a record: its shard mtime moves past the
-        # index's, forcing a rescan that picks the new record up.
-        _fake_record(tmp_path, "cc3", 70, mtime=3_000)
-        stale = cache_stats(tmp_path)
-        assert stale["source"] == "scan"
-        assert stale["records"] == 2 and stale["total_bytes"] == 100
+        _plant(tmp_path, "aa1", 30, used=1)
+        reader = RecordStore(tmp_path)
+        assert reader.stats()["records"] == 1
+        # Another process writes through its own connection: the next
+        # stats call sees it, with no invalidation step.
+        _plant(tmp_path, "cc3", 70, used=2)
+        assert reader.stats() == {"records": 2, "total_bytes": 100}
 
     def test_engine_run_keeps_index_incremental(self, tmp_path):
         cells = [
@@ -168,44 +180,52 @@ class TestSidecarIndex:
         ]
         engine = SweepEngine(jobs=1, use_cache=True, cache_dir=tmp_path)
         engine.run(cells)
-        stats = cache_stats(tmp_path)
-        assert stats["source"] == "index"
-        assert stats["records"] == len(cells)
+        assert cache_stats(tmp_path)["records"] == len(cells)
+        engine.run(cells)
+        assert engine.stats.cache_hits == len(cells)
+        assert cache_stats(tmp_path)["records"] == len(cells)
 
     def test_eviction_keeps_index_consistent(self, tmp_path):
-        _fake_record(tmp_path, "aa1", 100, mtime=1_000)
-        _fake_record(tmp_path, "bb2", 100, mtime=2_000)
-        cache_stats(tmp_path)  # seed the index
+        _plant(tmp_path, "aa1", 100, used=1)
+        _plant(tmp_path, "bb2", 100, used=2)
         evict_cache(tmp_path, max_bytes=100)
         stats = cache_stats(tmp_path)
         assert stats["records"] == 1 and stats["total_bytes"] == 100
 
     def test_corrupt_index_falls_back_to_scan(self, tmp_path):
-        _fake_record(tmp_path, "aa1", 30, mtime=1_000)
-        (tmp_path / "index.json").write_text("{torn", encoding="utf-8")
-        stats = cache_stats(tmp_path)
-        assert stats["source"] == "scan" and stats["records"] == 1
+        """A ``cells.sqlite`` that is not a SQLite database is set aside
+        (``cells.sqlite.corrupt``) and the store starts empty."""
+        (tmp_path / STORE_NAME).write_bytes(b"this is not a database" * 100)
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            stats = cache_stats(tmp_path)
+        assert stats["records"] == 0
+        assert (tmp_path / (STORE_NAME + ".corrupt")).read_bytes().startswith(b"this is")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _plant(tmp_path, "aa1", 30, used=1)
+            assert cache_stats(tmp_path)["records"] == 1
 
     def test_clear_cache_removes_index(self, tmp_path):
-        _fake_record(tmp_path, "aa1", 10, mtime=1_000)
-        cache_stats(tmp_path)
-        assert (tmp_path / "index.json").exists()
+        _plant(tmp_path, "aa1", 10, used=1)
         clear_cache(tmp_path)
-        assert not (tmp_path / "index.json").exists()
         assert cache_stats(tmp_path)["records"] == 0
+        assert not (tmp_path / "index.json").exists()
+        # The emptied store still takes writes.
+        _plant(tmp_path, "bb2", 10, used=1)
+        assert cache_stats(tmp_path)["records"] == 1
 
 
 class TestCliCache:
     def test_cache_stats_command(self, tmp_path, capsys):
-        _fake_record(tmp_path, "aa1", 42, mtime=1_000)
+        _plant(tmp_path, "aa1", 42, used=1)
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "records:      1" in out
         assert "42" in out
 
     def test_cache_stats_with_eviction(self, tmp_path, capsys):
-        _fake_record(tmp_path, "aa1", 100, mtime=1_000)
-        _fake_record(tmp_path, "bb2", 100, mtime=2_000)
+        _plant(tmp_path, "aa1", 100, used=1)
+        _plant(tmp_path, "bb2", 100, used=2)
         assert main([
             "cache", "stats", "--cache-dir", str(tmp_path),
             "--max-bytes", "100",
@@ -215,7 +235,7 @@ class TestCliCache:
         assert "records:      1" in out
 
     def test_cache_clear_command(self, tmp_path, capsys):
-        _fake_record(tmp_path, "aa1", 10, mtime=1_000)
+        _plant(tmp_path, "aa1", 10, used=1)
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 1 cached records" in capsys.readouterr().out
         assert cache_stats(tmp_path)["records"] == 0

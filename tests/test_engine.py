@@ -23,6 +23,8 @@ from repro.experiments.engine import (
 from repro.experiments.fig10_speedup import run_fig10
 from repro.experiments.sweep import run_sweep
 from repro.util.validation import ReproError
+from repro.service.store import STORE_NAME
+from tests.test_cache_concurrency import run_sql
 
 #: Small-but-real workload: each cell is a genuine mRTS/RISC simulation.
 FAST = {"frames": 2, "scale": 0.4}
@@ -147,16 +149,94 @@ class TestCache:
         eng = SweepEngine(jobs=1, cache_dir=tmp_path / "c")
         cell = SweepCell.make((1, 1), 0, "risc", workload_params=FAST)
         first = eng.run([cell])
-        record_file = eng._record_path(cell_key(cell))
-        record_file.write_text("{not json")
+        run_sql(tmp_path / "c", "UPDATE cells SET record = '{not json'")
         second = eng.run([cell])
         assert eng.stats.executed == 1
         assert first == second
+        eng.run([cell])  # the re-executed record overwrote the bad row
+        assert eng.stats.cache_hits == 1
 
     def test_no_cache_mode_writes_nothing(self, tmp_path):
         eng = SweepEngine(jobs=1, use_cache=False, cache_dir=tmp_path / "c")
         eng.run([SweepCell.make((1, 1), 0, "risc", workload_params=FAST)])
         assert not (tmp_path / "c").exists()
+
+
+class TestCellStore:
+    """Deterministic pins on the cell store's work per run."""
+
+    def test_corrupt_store_file_reexecutes_every_cell(self, tmp_path):
+        cells = make_cells(budgets=[(1, 1)], seeds=[0, 1])
+        expected = SweepEngine(jobs=1, use_cache=False).run(cells)
+        cache = tmp_path / "c"
+        cache.mkdir()
+        (cache / STORE_NAME).write_bytes(b"\x00garbage" * 512)
+        eng = SweepEngine(jobs=1, cache_dir=cache)
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            assert eng.run(cells) == expected
+        assert eng.stats.executed == len(cells) and eng.stats.cache_hits == 0
+        assert eng.run(cells) == expected
+        assert eng.stats.cache_hits == len(cells)
+
+    def test_warm_run_batches_reads(self, tmp_path, monkeypatch):
+        """N cached cells: ceil(N / 900) SELECTs, one recency transaction,
+        no per-record file open."""
+        cells = [
+            SweepCell.make((1, 1), seed, policy, workload_params=FAST)
+            for seed in range(455)
+            for policy in ("risc", "mrts")
+        ]
+        eng = SweepEngine(jobs=1, cache_dir=tmp_path)
+        eng.store.put_many(
+            (cell_key(cell), cell.payload(), {"seed": cell.seed, "policy": cell.policy})
+            for cell in cells
+        )
+        before = eng.store.counters()
+        opened = []
+        monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a))
+        delivered = {}
+        count = eng.run_streamed(cells, lambda i, cell, record: delivered.setdefault(i, record))
+        monkeypatch.undo()
+        after = eng.store.counters()
+        assert count == len(cells) == 910 and eng.stats.cache_hits == 910
+        assert after["selects"] - before["selects"] == 2
+        assert after["transactions"] - before["transactions"] == 1
+        assert after["writes"] == before["writes"]
+        assert opened == []
+        assert delivered[3] == {"policy": "mrts", "seed": 1}
+
+    def test_one_cell_runs_do_constant_store_work(self, tmp_path):
+        """Each one-cell run issues the same statements whatever the store
+        holds, and none of them scans the table."""
+
+        def statements_per_run(root, filler):
+            eng = SweepEngine(jobs=1, cache_dir=root)
+            eng.store.put_many(
+                (f"{n:064x}", {}, {"pad": "x" * 50}) for n in range(filler)
+            )
+            conn = eng.store._connection()
+            traced = []
+            conn.set_trace_callback(traced.append)
+            runs = []
+            for seed in range(3):
+                del traced[:]
+                eng.run([SweepCell.make((1, 1), seed, "risc", workload_params=FAST)])
+                runs.append(list(traced))
+            conn.set_trace_callback(None)
+            plans = [
+                detail
+                for run in runs
+                for sql in run
+                for (*_, detail) in conn.execute("EXPLAIN QUERY PLAN " + sql)
+            ]
+            return runs, plans
+
+        small, small_plans = statements_per_run(tmp_path / "small", 0)
+        large, large_plans = statements_per_run(tmp_path / "large", 3000)
+        shapes = [[sql.split(" ")[0] for sql in run] for run in small + large]
+        assert shapes == [["SELECT", "BEGIN", "SELECT", "INSERT", "COMMIT"]] * 6
+        assert small_plans == large_plans
+        assert large_plans and not any(plan.startswith("SCAN") for plan in large_plans)
 
 
 class TestRunSweepRouting:

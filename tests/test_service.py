@@ -31,6 +31,7 @@ from repro.service import (
 )
 from repro.service.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.util.validation import ReproError
+from tests.test_cache_concurrency import run_sql
 
 FAST = {"frames": 2, "scale": 0.4}
 
@@ -173,22 +174,24 @@ class TestRecordStore:
         assert store.get(key) is None
         store.put(key, cell.payload(), record)
         assert store.get(key) == record
-        path = tmp_path / key[:2] / f"{key}.json"
-        assert path.exists()
-        envelope = json.loads(path.read_text())
-        assert envelope["schema"] == engine_module.ENGINE_SCHEMA
-        assert envelope["key"] == key
-        assert envelope["cell"] == cell.payload()
+        [(schema, cell_text, record_text)] = run_sql(
+            tmp_path, "SELECT schema, cell, record FROM cells WHERE key = ?", (key,)
+        )
+        assert schema == engine_module.ENGINE_SCHEMA
+        assert json.loads(cell_text) == cell.payload()
+        assert record_text == json.dumps(record, sort_keys=True, separators=(",", ":"))
 
     def test_flush_index_feeds_engine_sidecar(self, tmp_path):
+        """A record the daemon's store wrote is a hit for a local engine
+        on the same directory, and counts in its cache_stats."""
         store = RecordStore(tmp_path)
         cell = self._cell()
         key = engine_module.cell_key(cell)
         store.put(key, cell.payload(), {"total_cycles": 1})
-        assert store.flush_index() == 1
-        entries = engine_module._load_index(tmp_path)
-        assert entries is not None and key in entries
-        assert store.flush_index() == 0
+        assert engine_module.cache_stats(tmp_path)["records"] == 1
+        engine = engine_module.SweepEngine(cache_dir=tmp_path)
+        assert engine.run([cell]) == [{"total_cycles": 1}]
+        assert engine.stats.cache_hits == 1
 
     def test_verified_put_rejects_wrong_namespace(self, tmp_path):
         store = RecordStore(tmp_path)
@@ -213,11 +216,8 @@ class TestRecordStore:
         store = RecordStore(tmp_path)
         cell = self._cell()
         key = engine_module.cell_key(cell)
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(
-            {"schema": -1, "key": key, "cell": {}, "record": {"x": 1}}
-        ))
+        store.put(key, cell.payload(), {"x": 1})
+        run_sql(tmp_path, "UPDATE cells SET schema = -1")
         assert store.get(key) is None
 
 
@@ -368,10 +368,8 @@ class TestServiceEndToEnd:
                     )
         finally:
             assert handle.stop()
-        # The drain flushed the sidecar index incrementally maintained by
-        # the daemon.
-        entries = engine_module._load_index(tmp_path)
-        assert entries is not None and key in entries
+        # What the daemon stored is this directory's local cell cache.
+        assert RecordStore(tmp_path).get(key) == record
 
     def test_drain_rejects_new_jobs_but_finishes_accepted(self, tmp_path):
         cells = make_cells()[:2]
