@@ -5,63 +5,13 @@ corresponding experiment once under pytest-benchmark timing, prints the
 same rows/series the paper reports, and asserts the qualitative shape.
 Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see the
 tables).
-
-Sweep-shaped benches route through the parallel cached engine; steer it
-with ``--jobs`` (worker processes), ``--no-cache`` and ``--cache-dir``,
-mirroring the ``repro`` CLI flags::
-
-    pytest benchmarks/bench_engine.py --jobs 4 --cache-dir /tmp/repro-cache
 """
-
-import pytest
 
 #: Frame count for the benchmark-sized experiment runs.  Smaller than the
 #: canonical 16 frames of the experiment modules so that the whole bench
 #: suite finishes in a few minutes; large enough for the shapes to hold.
 BENCH_FRAMES = 8
 BENCH_SEED = 7
-
-
-def pytest_addoption(parser):
-    group = parser.getgroup("repro sweep engine")
-    group.addoption("--jobs", type=int, default=1,
-                    help="worker processes for engine-backed benches")
-    group.addoption("--no-cache", action="store_true",
-                    help="disable the on-disk sweep cell cache")
-    group.addoption("--cache-dir", default=None,
-                    help="sweep cell cache location (default: tmp per run)")
-
-
-@pytest.fixture
-def bench_frames():
-    return BENCH_FRAMES
-
-
-@pytest.fixture
-def bench_seed():
-    return BENCH_SEED
-
-
-@pytest.fixture
-def engine_jobs(request):
-    return request.config.getoption("--jobs")
-
-
-@pytest.fixture
-def sweep_engine(request, tmp_path):
-    """Engine configured from the command-line flags.
-
-    Without ``--cache-dir`` the cache lives in the test's tmp dir, so
-    benchmark timings are not silently contaminated by earlier runs.
-    """
-    from repro.experiments.engine import SweepEngine
-
-    cache_dir = request.config.getoption("--cache-dir") or tmp_path / "cache"
-    return SweepEngine(
-        jobs=request.config.getoption("--jobs"),
-        use_cache=not request.config.getoption("--no-cache"),
-        cache_dir=cache_dir,
-    )
 
 
 def run_once(benchmark, fn):

@@ -1,28 +1,21 @@
 #!/usr/bin/env bash
-# The repo's verification gate: static lint, tier-1 tests, byte-level
-# determinism, and the benchmark smoke jobs.
+# The repo's verification gate: static lint, tier-1 tests, the sweep
+# benchmark's own tests, the stepped oracle and byte-level determinism.
 #
 #   bash scripts/verify.sh [--jobs N]
 #
-# The bench steps write the quick variants of BENCH_selector.json,
-# BENCH_sim.json, BENCH_engine.json, BENCH_service.json and
-# BENCH_store.json and fail on any A/B regression: differing results,
-# the packed selector recomputing more profits than the naive one
-# (repro.bench.check_gate), the packed engine reducing ECU cascade calls
-# by less than the 5x threshold or missing its per-cell wall-clock
-# speedup threshold over the stepped oracle (repro.bench.check_sim_gate),
-# the construction memos cutting builds by less than 3x / the executor
-# backends disagreeing (repro.bench.check_engine_gate), the always-on
-# sweep service failing byte-identity against serial, missing its
-# >= 1.5x aggregate throughput factor over sequential one-shot
-# self-hosted fleets (repro.bench.check_service_gate), or the
-# columnar result store losing
-# byte-identity on the round-trip / missing its peak-memory ratio over
-# in-memory aggregation (repro.bench.check_store_gate).  The sweep
-# benchmark's own tests (bench/tests) run after tier-1.  Tier-1 runs
-# the default packed engine; the stepped oracle gate re-runs the engine
-# identity and golden suites with REPRO_SIM=stepped, so every run the
-# suites leave to the default also goes through the literal Fig. 7 loop.
+# The hot-path gates are tier-1 tests: the selector's and the packed
+# engine's pinned fig8 counters (tests/test_selector_incremental.py,
+# tests/test_sim_packed.py::TestFig8Grid, which also holds the >= 2x
+# packed wall-clock floor), the construction memos (tests/test_engine.py::
+# TestBuildMemo), backend identity (tests/test_backends.py), the daemon's
+# >= 1.5x throughput over one-shot fleets (tests/test_service.py) and the
+# result store's >= 2x peak-memory cut (tests/test_results.py::
+# TestStreamedMemory).  The sweep benchmark's own tests (bench/tests) run
+# after tier-1.  Tier-1 runs the default packed engine; the stepped oracle
+# gate re-runs the engine identity and golden suites with REPRO_SIM=stepped,
+# so every run the suites leave to the default also goes through the
+# literal Fig. 7 loop.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -67,20 +60,5 @@ REPRO_SIM=stepped python -m pytest -q \
 echo "== determinism gate =="
 python scripts/check_determinism.py --jobs "$JOBS" --workers 2 \
     --json determinism.json
-
-echo "== selector bench smoke =="
-python benchmarks/bench_selector.py --quick --out BENCH_selector.quick.json
-
-echo "== sim engine bench smoke =="
-python benchmarks/bench_sim.py --quick --out BENCH_sim.quick.json
-
-echo "== sweep backend bench smoke =="
-python benchmarks/bench_engine.py --quick --out BENCH_engine.quick.json
-
-echo "== sweep service bench smoke =="
-python benchmarks/bench_service.py --quick --out BENCH_service.quick.json
-
-echo "== result store bench smoke =="
-python benchmarks/bench_store.py --quick --out BENCH_store.quick.json
 
 echo "verify: all gates passed"

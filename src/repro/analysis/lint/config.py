@@ -4,7 +4,7 @@ Two knobs, both data (no behaviour):
 
 * **allowlist** -- path patterns where a rule simply does not apply.  The
   shipped defaults encode the repo's sanctioned exceptions: wall-clock
-  timing in the report/runner/bench progress output (which never feeds a
+  timing in the report/runner progress output (which never feeds a
   cache key, a trace or a payload), and ``os.environ`` access inside the
   central :mod:`repro.config_env` module itself.
 * **severity** -- ``error`` (gates the exit code) or ``warning``
@@ -31,7 +31,6 @@ SEVERITIES = ("error", "warning")
 TIMING_ALLOWED = (
     "experiments/report.py",
     "experiments/runner.py",
-    "bench.py",
 )
 
 DEFAULT_ALLOW: Dict[str, Tuple[str, ...]] = {

@@ -53,7 +53,7 @@ class WallClockRule(Rule):
                 node,
                 f"wall-clock call {dotted}() -- simulated time must come from "
                 "the simulator; host timing belongs in the allowlisted "
-                "report/runner/bench paths",
+                "report/runner paths",
             )
 
 

@@ -11,7 +11,6 @@ Commands
 ``results``      summarise/aggregate/export stored columnar sweep results
 ``report``       write the full markdown experiment dossier
 ``export``       run one experiment and write its data as CSV/JSON
-``bench``        A/B-benchmark a hot path, write BENCH_<suite>.json
 ``cache``        inspect or clear the on-disk sweep cell cache
 ``worker``       join a ``repro serve`` daemon as a socket worker process
 ``serve``        run the always-on async sweep service daemon
@@ -317,18 +316,6 @@ def cmd_results(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import main as bench_main
-
-    argv = ["--suite", args.suite]
-    if args.out is not None:
-        argv += ["--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    argv += ["--frames", str(args.frames), "--seed", str(args.seed)]
-    return bench_main(argv)
-
-
 def cmd_cache(args) -> int:
     from repro.experiments.engine import cache_stats, clear_cache, evict_cache
 
@@ -603,23 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with 'export': JSONL output file "
                             "(default: stdout)")
     p_res.set_defaults(fn=cmd_results)
-
-    from repro.bench import SUITES
-
-    p_bench = sub.add_parser(
-        "bench", help="A/B-benchmark a hot path (selector, sim or engine)"
-    )
-    p_bench.add_argument("--suite", choices=tuple(sorted(SUITES)),
-                         default="selector",
-                         help="selector implementations, simulator engines "
-                              "or sweep executor backends (default: selector)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="small frame count and budget cut")
-    p_bench.add_argument("--frames", type=int, default=16)
-    p_bench.add_argument("--seed", type=int, default=7)
-    p_bench.add_argument("--out", default=None,
-                         help="JSON output (default: BENCH_<suite>.json)")
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_cache = sub.add_parser(
         "cache", help="inspect or clear the on-disk sweep cell cache"

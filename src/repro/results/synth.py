@@ -1,7 +1,7 @@
-"""Deterministic synthetic sweep rows for the store bench and CI smoke.
+"""Deterministic synthetic sweep rows for the store's memory tests.
 
 The store's perf claim is about *memory shape*, not simulation content,
-so the bench feeds it synthetic records that mimic ``execute_cell``
+so the tests feed it synthetic records that mimic ``execute_cell``
 output (same key set, same type mix: packed ints, floats, interned
 strings, nested JSON) without paying for simulations.  Every row is
 derived from ``random.Random(f"{seed}:...")`` keyed by its index alone,
@@ -31,7 +31,7 @@ def synthetic_row(
     """Row ``index`` of the synthetic sweep: ``(index, cell, record)``.
 
     Pure function of ``(index, seed)`` — regenerating row ``i`` twice
-    yields identical dicts, which the bench identity gate relies on.
+    yields identical dicts, which the round-trip identity check relies on.
     """
     group, slot = divmod(index, len(POLICIES))
     policy = POLICIES[slot]

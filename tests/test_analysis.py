@@ -297,11 +297,11 @@ class TestWallClockRule:
         assert "wall-clock" in _rules_hit(src)
 
     def test_allowlisted_timing_paths(self):
-        # The report/runner/bench progress timing is sanctioned by config.
+        # Only the report/runner progress timing is sanctioned by config.
         assert "wall-clock" not in _rules_hit(
             self.BAD, path="src/repro/experiments/report.py"
         )
-        assert "wall-clock" not in _rules_hit(self.BAD, path="src/repro/bench.py")
+        assert "wall-clock" in _rules_hit(self.BAD, path="src/repro/bench.py")
 
 
 class TestUnseededRandomRule:

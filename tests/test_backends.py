@@ -39,6 +39,7 @@ from repro.service.protocol import (
     send_frame,
 )
 from repro.util.validation import ReproError
+from tests.fig8_grid import FIG8_POLICIES, fig8_cells
 
 FAST = {"frames": 2, "scale": 0.4}
 
@@ -290,6 +291,21 @@ class TestBackendIdentity:
             else:
                 assert engine.stats.frames_sent > 0
         assert set(blobs) == {"pool", "serial", "service"}
+        assert blobs["pool"] == blobs["serial"]
+        assert blobs["service"] == blobs["serial"]
+
+    def test_fig8_quick_grid_byte_identical(self):
+        cells = fig8_cells(FIG8_POLICIES, frames=4)
+        blobs = {}
+        for name in backend_names():
+            clear_build_memo()
+            engine = SweepEngine(
+                jobs=2 if name == "pool" else 1,
+                use_cache=False,
+                backend=name,
+                workers=2 if name == "service" else None,
+            )
+            blobs[name] = json.dumps(engine.run(cells))
         assert blobs["pool"] == blobs["serial"]
         assert blobs["service"] == blobs["serial"]
 

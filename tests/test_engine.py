@@ -24,6 +24,7 @@ from repro.experiments.fig10_speedup import run_fig10
 from repro.experiments.sweep import run_sweep
 from repro.util.validation import ReproError
 from repro.service.store import STORE_NAME
+from tests.fig8_grid import FIG8_POLICIES, fig8_cells
 from tests.test_cache_concurrency import run_sql
 
 #: Small-but-real workload: each cell is a genuine mRTS/RISC simulation.
@@ -100,6 +101,24 @@ class TestAcceptance:
         assert pool.stats.executed == 0
         assert json.dumps(serial) == json.dumps(cached)
         assert cold / warm >= 5.0, f"cache speedup only {cold / warm:.1f}x"
+
+
+class TestBuildMemo:
+    def test_fig8_quick_grid_builds_pinned(self):
+        """All five policies over the quick fig8 grid (h264 frames=4): one
+        application, and one library per budget, serve all 15 cells, so
+        the memos save 26 of 30 constructions (7.5x)."""
+        engine_module.clear_build_memo()
+        try:
+            eng = SweepEngine(jobs=1, use_cache=False, backend="serial")
+            eng.run(fig8_cells(FIG8_POLICIES, frames=4))
+        finally:
+            engine_module.clear_build_memo()
+        assert (
+            eng.stats.applications_built,
+            eng.stats.libraries_built,
+            eng.stats.builds_saved,
+        ) == (1, 3, 26)
 
 
 class TestCache:

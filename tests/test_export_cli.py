@@ -90,6 +90,10 @@ class TestCli:
     def test_invalid_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--policy", "nonsense"])
+        # An unknown subcommand is a usage error (exit 2).
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["bench"])
+        assert exit_info.value.code == 2
 
 
 class TestMarkdownReport:

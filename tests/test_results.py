@@ -11,6 +11,7 @@ each exercised directly.
 import json
 import os
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +308,69 @@ class TestKpi:
         assert fleet["engine_stats"] == {"cells": 50}
 
 
+class _ListRows:
+    """In-memory stand-in for ``ResultReader``'s aggregation surface: the
+    baseline folds a materialised row list through the same KPI code as
+    the streamed leg, so only where the rows live differs."""
+
+    def __init__(self, rows):
+        self._rows = rows
+        self.rows = len(rows)
+
+    def group_fold(self, key, fn, init, fields=None):
+        groups = {}
+        for row in self._rows:
+            group = key(row)
+            if group not in groups:
+                groups[group] = init()
+            groups[group] = fn(groups[group], row)
+        return groups
+
+
+class TestStreamedMemory:
+    @pytest.mark.parametrize(
+        "cells,ratio",
+        [(1_000, 2.0), pytest.param(10_000, 5.0, marks=pytest.mark.slow)],
+        ids=["1e3", "1e4"],
+    )
+    def test_streamed_kpi_beats_in_memory_peak(self, tmp_path, cells, ratio):
+        """A synthetic sweep streamed through the store round-trips
+        byte-identically, folds to the in-memory KPI summary, and peaks at
+        ``ratio`` times less traced memory than aggregating a row list."""
+        tracemalloc.start()
+        try:
+            rows = list(synthetic_rows(cells, seed=7))
+            in_memory = speedup_summary(_ListRows(rows))
+            peak_in_memory = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del rows
+
+        tracemalloc.start()
+        try:
+            writer = ResultWriter(str(tmp_path), sweep="memory", shard_rows=256)
+            for row in synthetic_rows(cells, seed=7):
+                writer.append(*row)
+            reader = ResultReader(writer.close())
+            streamed = speedup_summary(reader)
+            peak_streamed = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        decoded = 0
+        for index, cell, record in reader.iter_rows():
+            _, cell2, record2 = synthetic_row(index, seed=7)
+            assert canonical_json([cell, record]) == canonical_json(
+                [cell2, record2]
+            )
+            decoded += 1
+        assert decoded == cells
+        assert canonical_json(streamed) == canonical_json(in_memory)
+        assert peak_in_memory >= ratio * peak_streamed, (
+            f"store cut peak memory only {peak_in_memory / peak_streamed:.2f}x"
+        )
+
+
 # ----------------------------------------------- engine streaming parity
 
 
@@ -318,11 +382,16 @@ class TestEngineStreaming:
         base = engine.run(cells)
         writer = ResultWriter(str(tmp_path), sweep="parity", shard_rows=3)
         delivered = engine.run_streamed(cells, writer.sink)
-        reader = ResultReader(writer.close())
+        reader = ResultReader(
+            writer.close(engine_stats=engine.stats.engine_payload())
+        )
         stored = reader.records_by_index()
         assert delivered == len(cells)
         assert sorted(stored) == list(range(len(cells)))
-        assert [stored[i] for i in range(len(cells))] == base
+        ordered = [stored[i] for i in range(len(cells))]
+        assert ordered == base
+        # Type-exact too: == alone would let 1 stand in for 1.0 or True.
+        assert canonical_json(ordered) == canonical_json(base)
         assert stored[len(cells) - 1] == stored[0]
 
     def test_run_streamed_serves_cache_hits(self, tmp_path, monkeypatch):

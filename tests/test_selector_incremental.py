@@ -31,6 +31,7 @@ from repro.ise.kernel import Kernel
 from repro.ise.library import ISELibrary
 from repro.sim.trigger import TriggerInstruction
 from repro.util.validation import ReproError
+from tests.fig8_grid import FIG8_BUDGETS, QUICK_BUDGETS, SEED
 
 
 # --------------------------------------------------------------- helpers
@@ -376,6 +377,40 @@ class TestPinnedCounters:
             "selector_rounds": rounds,
             "cache_hit_rate": (skipped + pruned) / evaluations,
         }
+
+    @pytest.mark.parametrize(
+        "budgets,frames,recomputed",
+        [
+            (QUICK_BUDGETS, 4, {"naive": 2_303, "packed": 348}),
+            (FIG8_BUDGETS, 16, {"naive": 46_463, "packed": 8_140}),
+        ],
+        ids=["quick", "fig8"],
+    )
+    def test_fig8_grid_recomputations_pinned(self, budgets, frames, recomputed):
+        """Profit recomputations of mRTS over a fig8 grid (h264 seed 7)
+        under each mode, with byte-identical stats payloads.  The full
+        grid is the 5.7x cut README cites (46,463 / 8,140)."""
+        from repro.core.config import MRTSConfig
+        from repro.core.mrts import MRTS
+        from repro.sim.simulator import Simulator
+        from repro.workloads.h264 import h264_application, h264_library
+
+        application = h264_application(frames=frames, seed=SEED)
+        payloads = {mode: [] for mode in SELECTOR_MODES}
+        totals = dict.fromkeys(SELECTOR_MODES, 0)
+        for mode in SELECTOR_MODES:
+            for cg, prc in budgets:
+                resources = ResourceBudget(n_prcs=prc, n_cg_fabrics=cg)
+                stats = Simulator(
+                    application,
+                    h264_library(resources),
+                    resources,
+                    MRTS(MRTSConfig(selector_mode=mode)),
+                ).run().stats
+                payloads[mode].append(stats.to_payload())
+                totals[mode] += stats.evaluations_recomputed
+        assert payloads["packed"] == payloads["naive"]
+        assert totals == recomputed
 
 
 # ------------------------------------------------- profit bound (tentpole)

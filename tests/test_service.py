@@ -8,6 +8,7 @@ import json
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.service import (
 )
 from repro.service.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.util.validation import ReproError
+from tests.fig8_grid import fig8_cells
 from tests.test_cache_concurrency import run_sql
 
 FAST = {"frames": 2, "scale": 0.4}
@@ -278,6 +280,58 @@ class TestServiceEndToEnd:
         assert counters_second["frames_sent"] == 0
         assert counters_second["remote_cache_hits"] == len(cells)
         assert counters_second["jobs_completed"] == 1
+
+    def test_daemon_beats_one_shot_fleets(self, tmp_path):
+        """Four concurrent submissions of the quick fig8 grid through one
+        daemon finish at least 1.5x faster than the same four sweeps run
+        sequentially as one-shot self-hosted fleets, and every sweep stays
+        byte-identical to serial: the daemon shares one fleet and serves
+        repeats from its in-flight table and store."""
+        cells = fig8_cells(("risc", "mrts"), frames=3)
+        ref = canonical(
+            SweepEngine(backend="serial", use_cache=False).run(cells)
+        )
+
+        clear_build_memo()
+        started = time.perf_counter()
+        for _ in range(4):
+            eng = SweepEngine(backend="service", use_cache=False, workers=2)
+            assert canonical(eng.run(cells)) == ref
+        sequential = time.perf_counter() - started
+
+        clear_build_memo()
+        started = time.perf_counter()
+        handle = start_service_thread(workers=2, cache_dir=str(tmp_path))
+        try:
+            def submit(_index):
+                eng = SweepEngine(
+                    backend="service",
+                    use_cache=False,
+                    coordinator=handle.coordinator,
+                )
+                return canonical(eng.run(cells)), eng.stats.engine_payload()
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = list(pool.map(submit, range(4)))
+            concurrent = time.perf_counter() - started
+        finally:
+            assert handle.stop()
+        assert all(records == ref for records, _ in runs)
+        counters = {
+            name: sum(payload[name] for _, payload in runs)
+            for name in (
+                "frames_sent", "remote_cache_hits", "jobs_completed",
+                "worker_restarts",
+            )
+        }
+        assert counters == {
+            "frames_sent": 6,
+            "remote_cache_hits": 18,
+            "jobs_completed": 4,
+            "worker_restarts": 0,
+        }
+        speedup = sequential / concurrent
+        assert speedup >= 1.5, f"daemon only {speedup:.2f}x faster"
 
     def test_worker_death_mid_job_reassigns_deterministically(self, tmp_path):
         cells = make_cells()

@@ -7,10 +7,13 @@ fig8/9/10-style budget grids, under run-time fabric contention, and on
 randomized libraries/applications -- with and without trace collection:
 the stretch fold and the whole-iteration fold of time-invariant
 policies only run with tracing off, so both configurations are exercised.
+On the Fig. 8 grid the packed engine's ECU-call counts are pinned and its
+wall clock must beat the stepped loop's by a floor factor.
 ``tests/test_sim_event.py`` pins the traced per-run event loop itself.
 """
 
 import gc
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -51,6 +54,7 @@ from repro.workloads.h264 import (
     h264_library,
 )
 from repro.workloads.jpeg import jpeg_application, jpeg_library
+from tests.fig8_grid import FIG8_BUDGETS, QUICK_BUDGETS, SEED
 
 
 # --------------------------------------------------------------- helpers
@@ -142,9 +146,8 @@ class TestGoldenWorkloads:
     def test_packed_counters_match_event(self):
         """The packed engine keeps the deleted event engine's bookkeeping:
         traced (every group materialised) and untraced (suffixes folded)
-        runs report the counters the event engine recorded here -- the
-        h264 figures are the 40 of 10045 calls behind the sim bench's
-        ECU-call gate."""
+        runs report the counters the event engine recorded here: 40
+        ECU calls for 10045 h264 executions."""
         budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
         application = h264_application(frames=2, seed=7)
         for collect_trace in (True, False):
@@ -269,6 +272,66 @@ class TestPolicyGrid:
             POLICY_FACTORIES[policy_name],
             collect_trace=False,
         )
+
+
+# ------------------------------------------ fig8 grid: calls and speed
+
+
+def _fig8_grid(budgets, frames, engine):
+    """mRTS over a fig8 grid (h264 seed 7) on one engine, untraced:
+    per-cell stats payloads, summed ``(ecu_calls, total_executions)`` and
+    the wall seconds of the whole grid."""
+    application = h264_application(frames=frames, seed=SEED)
+    payloads, calls, executions = [], 0, 0
+    started = time.perf_counter()
+    for cg, prc in budgets:
+        budget = ResourceBudget(n_prcs=prc, n_cg_fabrics=cg)
+        stats = Simulator(
+            application, h264_library(budget), budget, MRTS(), engine=engine
+        ).run().stats
+        payloads.append(stats.to_payload())
+        calls += stats.ecu_calls
+        executions += stats.total_executions
+    return payloads, (calls, executions), time.perf_counter() - started
+
+
+@pytest.fixture(scope="module")
+def quick_grid():
+    """Both engines over the quick grid at frames=4, stepped first."""
+    return {
+        engine: _fig8_grid(QUICK_BUDGETS, 4, engine) for engine in ENGINE_MODES
+    }
+
+
+class TestFig8Grid:
+    def test_quick_grid_ecu_calls_pinned(self, quick_grid):
+        stepped_payloads, stepped_counters, _ = quick_grid["stepped"]
+        packed_payloads, packed_counters, _ = quick_grid["packed"]
+        assert packed_payloads == stepped_payloads
+        assert stepped_counters == (60_432, 60_432)
+        assert packed_counters == (213, 60_432)
+
+    def test_quick_grid_packed_speedup(self, quick_grid):
+        *_, stepped_wall = quick_grid["stepped"]
+        *_, packed_wall = quick_grid["packed"]
+        speedup = stepped_wall / packed_wall
+        assert speedup >= 2.0, f"packed only {speedup:.1f}x faster"
+
+    def test_fig8_grid_ecu_calls_pinned(self):
+        """The full grid at frames=16: 1,482,240 executions (one stepped
+        ECU call each) in 5,178 packed calls, the 286x cut README cites."""
+        _, counters, _ = _fig8_grid(FIG8_BUDGETS, 16, "packed")
+        assert counters == (5_178, 1_482_240)
+
+    @pytest.mark.slow
+    def test_fig8_grid_packed_speedup(self):
+        stepped_payloads, _, stepped_wall = _fig8_grid(
+            FIG8_BUDGETS, 16, "stepped"
+        )
+        packed_payloads, _, packed_wall = _fig8_grid(FIG8_BUDGETS, 16, "packed")
+        assert packed_payloads == stepped_payloads
+        speedup = stepped_wall / packed_wall
+        assert speedup >= 10.0, f"packed only {speedup:.1f}x faster"
 
 
 # ----------------------------------------- time-invariant iteration fold

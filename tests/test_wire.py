@@ -21,7 +21,6 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import QUICK_BUDGETS
 from repro.experiments import engine as engine_module
 from repro.experiments.backends.worker import worker_loop
 from repro.experiments.engine import SweepCell, clear_build_memo
@@ -31,6 +30,7 @@ from repro.service.frames import (
 )
 from repro.service.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.util.validation import ReproError
+from tests.fig8_grid import fig8_cells
 
 FAST = {"frames": 2, "scale": 0.4}
 
@@ -145,17 +145,10 @@ class TestRecordBlock:
             wire.decode_record_block({"checksum": "x"})
 
     def test_block_beats_json_by_bytes_threshold(self, fresh_memo):
-        # The wire's bytes gate as a deterministic pin: the service
-        # bench's quick grid, tiled, as one enveloped cell_result_block
-        # against the canonical JSON of the same records.
-        cells = [
-            SweepCell.make(
-                budget, 7, policy,
-                workload="h264", workload_params={"frames": 3},
-            )
-            for budget in QUICK_BUDGETS
-            for policy in ("risc", "mrts")
-        ]
+        # The wire's bytes gate as a deterministic pin: the quick fig8
+        # grid, tiled, as one enveloped cell_result_block against the
+        # canonical JSON of the same records.
+        cells = fig8_cells(("risc", "mrts"), frames=3)
         records, _built = engine_module.execute_batch(cells)
         sizes = wire_bytes(records * WIRE_TILE)
         assert sizes == wire_bytes(records * WIRE_TILE)
