@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import MRTSConfig
 from repro.core.mrts import MRTS
-from repro.core.profit import profit_value
+from repro.core.profit import profit_kernel
 from repro.core.selector import ISESelector
 from repro.util.units import kb_to_reconfig_cycles
 
@@ -56,7 +56,7 @@ def quantized_profit(
         slots = math.ceil(t / FG_RECONFIG_SLOT_CYCLES) if t > 0 else 0
         level = max(float(t), slots * float(FG_RECONFIG_SLOT_CYCLES))
         quantized.append(max(level, quantized[-1]) if quantized else level)
-    return profit_value(latencies, quantized, e, tf, 0.0)
+    return profit_kernel(latencies, quantized, e, tf, 0.0)
 
 
 class RisppLikePolicy(MRTS):

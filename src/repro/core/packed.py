@@ -20,10 +20,10 @@ break the byte-identity contract of the golden payloads):
 
 :class:`PackedProgram`
     One packing per :class:`~repro.sim.program.Application`: per block
-    iteration, the run-length-encoded ``(kernel id, length)`` groups of the
-    deterministic interleaving in compact typed arrays, with exact integer
-    positions and per-kernel pair tables that let the packed engine
-    collapse a whole iteration, or any stretch of groups in which no
+    iteration, a closed-form cursor over the ``(kernel id, length)`` groups
+    of the deterministic interleaving -- O(kernels^2) exact integers, no
+    per-execution state -- with per-kernel pair tables that let the packed
+    engine collapse a whole iteration, or any stretch of groups in which no
     decision can change, into closed-form arithmetic; and the
     offline-profiled trigger instructions per block,
     evaluated on those same pair tables -- the one profile of the
@@ -48,9 +48,8 @@ from __future__ import annotations
 import math
 import weakref
 from array import array
-from itertools import compress, islice
-from operator import attrgetter, floordiv, mul, ne, sub
-from typing import Callable, Dict, List, Sequence, Tuple
+from operator import attrgetter, mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fabric.datapath import FabricType
 from repro.ise.library import ISELibrary
@@ -255,32 +254,50 @@ def pack_library(library: ISELibrary) -> PackedLibrary:
 # --------------------------------------------------------------------------
 
 
-def _compact(values: Sequence[int]) -> array:
-    """``values`` in the narrowest unsigned typed array that holds them."""
-    top = max(values, default=0)
-    for typecode in ("B", "H", "I"):
-        if top < 1 << (8 * array(typecode).itemsize):
-            return array(typecode, values)
-    return array("Q", values)
+def _first_true(lo: int, hi: int, guess: int, pred: Callable[[int], bool]) -> int:
+    """The smallest ``c`` in ``[lo, hi)`` with ``pred(c)``, else ``hi``, for a
+    ``pred`` that is false and then true: galloping out from ``guess``, then
+    bisecting, so a close guess costs a few probes."""
+    if lo >= hi:
+        return hi
+    c = min(max(guess, lo), hi - 1)
+    step = 1
+    if pred(c):
+        hi = c
+        while hi - step >= lo and pred(hi - step):
+            hi -= step
+            step <<= 1
+        lo = max(lo, hi - step + 1)
+    else:
+        lo = c + 1
+        while lo + step - 1 < hi and not pred(lo + step - 1):
+            lo += step
+            step <<= 1
+        hi = min(hi, lo + step - 1)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class PackedIteration:
-    """Compact run-length encoding of one block iteration.
+    """Closed-form cursor over the interleaving of one block iteration.
 
     The deterministic interleaving is cut into maximal groups of
     back-to-back executions of one kernel -- exactly the batches the packed
     engine hands to the ECU regime path.  A kernel's gap is constant within
-    an iteration, so a group is just ``(kernel id, length)``.  Kernel ids
-    number the kernels in order of first appearance::
+    an iteration, so a group is just ``(kernel id, length)``.  No group is
+    materialised: the state is O(kernels^2) and every query below is exact
+    integer arithmetic on it.  Kernel ids number the kernels in order of
+    first appearance::
 
         kernels[i]              kernel name of id i
         gaps[i]                 its gap cycles before each execution
         totals[i]               its executions in the iteration
         units[i], slots[i]      its exact integer positions (see below)
-        run_kernel[j]           kernel id of group j
-        run_length[j]           executions in group j
-        run_index[j]            kernel-local index of group j's first
-                                execution
         before_first[i*n + i2]  executions of kernel i2 in the groups
                                 before kernel i's first group
         through_last[i*n + i2]  executions of kernel i2 in the groups up to
@@ -292,18 +309,22 @@ class PackedIteration:
     integer ``(2j + 1) * (L / e)``; with the kernel's name slot (its rank
     in name order) in the low digits, the execution's *key* is
     ``(2j + 1) * units[i] + slots[i]`` with ``units[i] = (L / e) * n_slots``.
-    One plain integer sort of the keys is the interleaving: equal positions
-    order by name slot, which is ``interleave()``'s tie-break, and distinct
-    positions differ by at least ``1 / (2 * e1 * e2)`` -- far more than an
-    ulp -- so ``interleave()``'s float order is the same order.  How many
-    of a kernel's executions precede a key is a closed form
-    (:meth:`count_before`); no per-execution steps are kept.
+    Keys order like the interleaving: equal positions order by name slot,
+    which is ``interleave()``'s tie-break, and distinct positions differ by
+    at least ``1 / (2 * e1 * e2)`` -- far more than an ulp -- so
+    ``interleave()``'s float order is the same order.  Keys of different
+    kernels never coincide.  How many of a kernel's executions precede a
+    key is a closed form (:meth:`count_before`).
 
-    With every kernel's period (gap + latency) fixed, the start of kernel
-    i's first execution and the end of its last one are linear in the two
-    O(kernels^2) pair tables (:meth:`timeline`) -- what the whole-iteration
-    fold and the offline RISC-mode profile evaluate -- and any stretch of
-    whole groups folds in closed form (:meth:`fold`).
+    **The cursor.**  With ``done[i]`` executions of each kernel i behind
+    it, the next execution is the smallest of the kernels' next keys, and
+    its group runs up to the second-smallest (:meth:`next_group`).  With
+    every kernel's period (gap + latency) fixed, the start of kernel i's
+    first execution and the end of its last one are linear in the two pair
+    tables (:meth:`timeline`) -- what the whole-iteration fold and the
+    offline RISC-mode profile evaluate -- and any stretch of whole groups
+    folds in closed form (:meth:`fold`).  :attr:`n_groups` counts the
+    groups without walking them.
     """
 
     __slots__ = (
@@ -312,11 +333,9 @@ class PackedIteration:
         "totals",
         "units",
         "slots",
-        "run_kernel",
-        "run_length",
-        "run_index",
         "before_first",
         "through_last",
+        "_n_groups",
     )
 
     def __init__(self, iteration: BlockIteration):
@@ -327,30 +346,14 @@ class PackedIteration:
         n_slots = len(by_name)
         lcm = math.lcm(*(kit.executions for kit in by_name))
         units = [lcm // kit.executions * n_slots for kit in by_name]
-        keys: List[int] = []
-        for slot, (kit, unit) in enumerate(zip(by_name, units)):
-            keys += range(unit + slot, 2 * kit.executions * unit, 2 * unit)
-        keys.sort()
-        steps = list(map(n_slots.__rmod__, keys))
-        starts = [0] if steps else []
-        starts += compress(range(1, len(steps)), map(ne, steps, islice(steps, 1, None)))
-        run_slots = list(map(steps.__getitem__, starts))
-        order = list(dict.fromkeys(run_slots))  # slots by first appearance
-        kid_of = {slot: kid for kid, slot in enumerate(order)}
+        # First appearance is the order of first keys, units[s] + s.
+        order = sorted(range(n_slots), key=lambda slot: units[slot] + slot)
         self.kernels: Tuple[str, ...] = tuple(by_name[slot].kernel for slot in order)
-        self.gaps = _compact([by_name[slot].gap for slot in order])
-        self.totals = _compact([by_name[slot].executions for slot in order])
+        self.gaps: Tuple[int, ...] = tuple(by_name[slot].gap for slot in order)
+        self.totals: Tuple[int, ...] = tuple(by_name[slot].executions for slot in order)
         self.units: Tuple[int, ...] = tuple(units[slot] for slot in order)
-        self.slots = _compact(order)
-        self.run_kernel = _compact(list(map(kid_of.__getitem__, run_slots)))
-        self.run_length = _compact(list(map(sub, starts[1:] + [len(steps)], starts)))
-        # (2j + 1) * unit + slot floor-divided by 2 * unit is j: slot < unit.
-        self.run_index = _compact(list(map(
-            floordiv,
-            map(keys.__getitem__, starts),
-            map([2 * unit for unit in units].__getitem__, run_slots),
-        )))
-        kids = range(len(order))
+        self.slots: Tuple[int, ...] = tuple(order)
+        kids = range(n_slots)
         before_first: List[int] = []
         through_last: List[int] = []
         for kid in kids:
@@ -358,8 +361,9 @@ class PackedIteration:
             last = self.key(kid, self.totals[kid] - 1)
             before_first += [self.count_before(other, first) for other in kids]
             through_last += [self.count_before(other, last + 1) for other in kids]
-        self.before_first = _compact(before_first)
-        self.through_last = _compact(through_last)
+        self.before_first: Tuple[int, ...] = tuple(before_first)
+        self.through_last: Tuple[int, ...] = tuple(through_last)
+        self._n_groups: Optional[int] = None
 
     def key(self, kid: int, index: int) -> int:
         """The exact integer position of kernel ``kid``'s ``index``-th
@@ -372,71 +376,155 @@ class PackedIteration:
         ``(2c - 1) * unit + slot < key``, in exact integers."""
         return ((key - self.slots[kid] - 1) // self.units[kid] + 1) >> 1
 
+    def next_group(self, done: Sequence[int]) -> Tuple[int, int]:
+        """``(kernel id, length)`` of the group after ``done[i]`` executions
+        of each kernel i, which must sit on a group boundary with at least
+        one execution left: the kernel with the smallest next key, and how
+        many of its executions precede the second-smallest next key."""
+        units = self.units
+        slots = self.slots
+        first = second = None
+        kid = -1
+        for other, total in enumerate(self.totals):
+            index = done[other]
+            if index < total:
+                key = (2 * index + 1) * units[other] + slots[other]
+                if first is None or key < first:
+                    second = first
+                    first = key
+                    kid = other
+                elif second is None or key < second:
+                    second = key
+        if second is None:
+            return kid, self.totals[kid] - done[kid]
+        return kid, self.count_before(kid, second) - done[kid]
+
+    @property
+    def n_groups(self) -> int:
+        """How many groups the iteration has, in closed form (cached).
+
+        Keys of different kernels never coincide, so a kernel at least as
+        dense as kernel i puts one of its keys between any two of i's:
+        every execution of i starts a group.  Only a unique densest kernel
+        d runs groups longer than one.  Its first and last keys are the
+        iteration's first and last (its units are the smallest), so it has
+        one group plus one per gap between consecutive d keys that other
+        kernels' keys fall into.  Each sparser kernel has at most one key
+        per gap, so with two kernels every sparse key opens a gap of its
+        own (O(1)); otherwise the gaps are counted in one pass over the
+        sparser kernels' keys.
+        """
+        if self._n_groups is None:
+            totals = self.totals
+            densest = max(totals, default=0)
+            if totals.count(densest) != 1:
+                self._n_groups = sum(totals)
+            else:
+                d = totals.index(densest)
+                sparse = [kid for kid in range(len(totals)) if kid != d]
+                if len(sparse) == 1:
+                    gaps_hit = totals[sparse[0]]
+                else:
+                    # Key K falls into the gap after d's first
+                    # count_before(d, K) = (K + unit_d - slot_d - 1) // (2 unit_d)
+                    # keys.
+                    step = 2 * self.units[d]
+                    shift = self.units[d] - self.slots[d] - 1
+                    hit = set()
+                    for kid in sparse:
+                        hit.update(map(step.__rfloordiv__, range(
+                            self.key(kid, 0) + shift,
+                            self.key(kid, totals[kid]) + shift,
+                            2 * self.units[kid],
+                        )))
+                    gaps_hit = len(hit)
+                self._n_groups = sum(totals) - densest + 1 + gaps_hit
+        return self._n_groups
+
     def fold(
         self,
-        j: int,
         done: Sequence[int],
         periods: Sequence[int],
         limit: float,
-    ) -> Tuple[int, int, List[int], List[int]]:
-        """Fold whole groups from group ``j`` in closed form.
+    ) -> Tuple[int, List[int], List[int]]:
+        """Fold whole groups from the group boundary ``done`` in closed form.
 
-        ``done[i]`` executions of kernel i precede group ``j``, which begins
-        at offset 0, and every execution of kernel i takes ``periods[i]``
-        cycles (gap + latency).  The stretch ends before the first group
-        whose last execution starts at or after offset ``limit`` (binary
-        search: start offsets only grow along the groups); an infinite
-        ``limit`` folds to the end of the iteration.
+        ``done[i]`` executions of kernel i precede the stretch, which
+        begins at offset 0, and every execution of kernel i takes
+        ``periods[i]`` cycles (gap + latency).  The stretch ends before the
+        first group whose last execution starts at or after offset
+        ``limit``; an infinite ``limit`` folds to the end of the iteration.
+        Start offsets only grow in key order, so that group is the one
+        holding X, the first execution starting at or after ``limit``: per
+        owed kernel, the first such execution is found by a linear estimate
+        corrected by a galloping search, and X is the earliest of them.
 
-        Returns ``(stop, advance, counts, ends)``: groups ``j .. stop - 1``
-        hold ``counts[i]`` executions of kernel i and take ``advance``
-        cycles, and kernel i's last execution among them ends at offset
-        ``ends[i]`` (0 where ``counts[i]`` is 0).
+        Returns ``(advance, counts, ends)``: the stretch holds ``counts[i]``
+        executions of kernel i (all zero if the current group already
+        reaches ``limit``) and takes ``advance`` cycles, and kernel i's last
+        execution in it ends at offset ``ends[i]`` (0 where ``counts[i]``
+        is 0).
         """
         units = self.units
         slots = self.slots
         gaps = self.gaps
-        run_kernel = self.run_kernel
-        owed = [kid for kid, total in enumerate(self.totals) if done[kid] < total]
+        totals = self.totals
+        owed = [kid for kid, total in enumerate(totals) if done[kid] < total]
 
         def offset(key: int) -> int:
             # Cycles the stretch spends on executions keyed below ``key``
-            # (count_before inlined: this is the binary search's probe).
+            # (count_before inlined: this is the searches' probe).
             return sum(
                 ((((key - slots[kid] - 1) // units[kid] + 1) >> 1) - done[kid])
                 * periods[kid]
                 for kid in owed
             )
 
-        run_index = self.run_index
-        stop = len(run_kernel)
-        if limit != float("inf"):
-            run_length = self.run_length
-            lo = j
-            while lo < stop:
-                mid = (lo + stop) >> 1
-                kid = run_kernel[mid]
-                last = self.key(kid, run_index[mid] + run_length[mid] - 1)
-                if offset(last) + gaps[kid] < limit:
-                    lo = mid + 1
-                else:
-                    stop = mid
         n = len(self.kernels)
         counts = [0] * n
         ends = [0] * n
-        if stop == j:
-            return j, 0, counts, ends
-        if stop == len(run_kernel):
+        x_kid = -1
+        if limit != float("inf"):
+            # Each kernel's executions spread evenly over the keys, so
+            # offset(key(i, c)) is about (c + 1/2) * whole / totals[i] - behind.
+            whole = sum(totals[kid] * periods[kid] for kid in owed)
+            behind = sum(done[kid] * periods[kid] for kid in owed)
+            x_key = 0
             for kid in owed:
-                counts[kid] = self.totals[kid] - done[kid]
+                lo = done[kid]
+                hi = totals[kid] if x_kid < 0 else self.count_before(kid, x_key)
+                unit = units[kid]
+                slot = slots[kid]
+                threshold = limit - gaps[kid]
+                guess = (
+                    int((threshold + behind) * totals[kid] / whole) if whole else lo
+                )
+                index = _first_true(
+                    lo, hi, guess,
+                    lambda c: offset((2 * c + 1) * unit + slot) >= threshold,
+                )
+                if index < hi:
+                    x_kid = kid
+                    x_key = (2 * index + 1) * unit + slot
+        if x_kid < 0:
+            for kid in owed:
+                counts[kid] = totals[kid] - done[kid]
         else:
-            end_key = self.key(run_kernel[stop], run_index[stop])
+            # X's group starts at X's kernel's first key after the last
+            # other key below X (key 0: there is none).
+            before = 0
+            for kid in range(n):
+                if kid != x_kid:
+                    below = self.count_before(kid, x_key)
+                    if below:
+                        before = max(before, self.key(kid, below - 1))
+            end_key = self.key(x_kid, self.count_before(x_kid, before))
             for kid in owed:
                 counts[kid] = self.count_before(kid, end_key) - done[kid]
         for kid in owed:
             if counts[kid]:
                 ends[kid] = offset(self.key(kid, done[kid] + counts[kid] - 1) + 1)
-        return stop, sum(map(mul, counts, periods)), counts, ends
+        return sum(map(mul, counts, periods)), counts, ends
 
     def timeline(self, period_of: Callable[[int, int], int]) -> Tuple[List[int], List[int], int]:
         """``(first starts, last ends, length)`` as offsets from the

@@ -71,6 +71,98 @@ class ProfitBreakdown:
         return sum(self.per_improvement) + self.final_improvement
 
 
+def _check_forecast(
+    latencies: Sequence[int],
+    rec_schedule: Sequence[float],
+    e: float,
+    tf: float,
+    tb: float,
+) -> None:
+    """The argument checks of :func:`expected_executions`."""
+    check_non_negative("e", e)
+    check_non_negative("tf", tf)
+    check_non_negative("tb", tb)
+    n = len(rec_schedule)
+    if n == 0:
+        raise ValidationError("rec_schedule must have at least one level")
+    if len(latencies) != n + 1:
+        raise ValidationError(
+            f"latencies must have {n + 1} entries (RISC + {n} levels), got {len(latencies)}"
+        )
+    for a, b in zip(rec_schedule, rec_schedule[1:]):
+        if b < a:
+            raise ValidationError(f"rec_schedule must be non-decreasing: {rec_schedule}")
+
+
+def _phases(
+    latencies: Sequence[int],
+    rec_schedule: Sequence[float],
+    e: float,
+    tf: float,
+    tb: float,
+) -> Tuple[float, List[float], float]:
+    """Eq. 3 without argument checks: the one copy of its arithmetic."""
+    remaining = float(e)
+
+    # RISC-mode phase: executions before level 1 is ready (Fig. 5's NoE_RM).
+    if rec_schedule[0] > tf:
+        noe_risc = (rec_schedule[0] - tf) / (latencies[0] + tb)
+    else:
+        noe_risc = 0.0
+    noe_risc = min(noe_risc, remaining)
+    remaining -= noe_risc
+
+    # Intermediate phases 1..n-1 (Eq. 3): level i is used from the moment it
+    # is ready (or from tf, if it is ready before the first execution) until
+    # level i+1 completes.
+    noe_levels: List[float] = []
+    for i in range(1, len(rec_schedule)):
+        rec_i, rec_next = rec_schedule[i - 1], rec_schedule[i]
+        period_latency = latencies[i] + tb
+        if rec_i >= tf:
+            raw = (rec_next - rec_i) / period_latency
+        elif rec_next >= tf:
+            raw = (rec_next - tf) / period_latency
+        else:
+            raw = 0.0
+        noe_i = min(max(0.0, raw), remaining)
+        remaining -= noe_i
+        noe_levels.append(noe_i)
+
+    return noe_risc, noe_levels, remaining
+
+
+def _improvement(noe_i: float, latency_rm: int, latency_i: int) -> float:
+    """Eq. 2 without argument checks: the one copy of its arithmetic."""
+    return noe_i * (latency_rm - latency_i)
+
+
+def profit_kernel(
+    latencies: Sequence[int],
+    rec_schedule: Sequence[float],
+    e: float,
+    tf: float,
+    tb: float,
+) -> float:
+    """Eq. 4's total profit, unchecked: the hot-path selector ``profit``.
+
+    The arguments must satisfy :func:`expected_executions`' checks (the
+    trigger instructions and latency staircases the selector hands over
+    already do); :func:`profit_value` is the checked entry point.  Every
+    phase comes from the same Eq. 3 arithmetic and every term from the
+    same Eq. 2 arithmetic as :func:`expected_executions` and
+    :func:`per_improvement`, summed in :attr:`ProfitBreakdown.profit`'s
+    order, so the result is bit-identical to ``ise_profit(...).profit``.
+    """
+    noe_risc, noe_levels, final_count = _phases(latencies, rec_schedule, e, tf, tb)
+    latency_rm = latencies[0]
+    improvements = tuple(
+        _improvement(noe, latency_rm, latencies[i])
+        for i, noe in enumerate(noe_levels, start=1)
+    )
+    return sum(improvements) + _improvement(final_count, latency_rm, latencies[-1])
+
+
 def expected_executions(
     latencies: Sequence[int],
     rec_schedule: Sequence[float],
@@ -100,55 +192,15 @@ def expected_executions(
         never exceeds ``e`` (a forecast of few executions cannot produce
         profit from levels that would only become ready afterwards).
     """
-    check_non_negative("e", e)
-    check_non_negative("tf", tf)
-    check_non_negative("tb", tb)
-    n = len(rec_schedule)
-    if n == 0:
-        raise ValidationError("rec_schedule must have at least one level")
-    if len(latencies) != n + 1:
-        raise ValidationError(
-            f"latencies must have {n + 1} entries (RISC + {n} levels), got {len(latencies)}"
-        )
-    for a, b in zip(rec_schedule, rec_schedule[1:]):
-        if b < a:
-            raise ValidationError(f"rec_schedule must be non-decreasing: {rec_schedule}")
-
-    remaining = float(e)
-
-    # RISC-mode phase: executions before level 1 is ready (Fig. 5's NoE_RM).
-    if rec_schedule[0] > tf:
-        noe_risc = (rec_schedule[0] - tf) / (latencies[0] + tb)
-    else:
-        noe_risc = 0.0
-    noe_risc = min(noe_risc, remaining)
-    remaining -= noe_risc
-
-    # Intermediate phases 1..n-1 (Eq. 3): level i is used from the moment it
-    # is ready (or from tf, if it is ready before the first execution) until
-    # level i+1 completes.
-    noe_levels: List[float] = []
-    for i in range(1, n):
-        rec_i, rec_next = rec_schedule[i - 1], rec_schedule[i]
-        period_latency = latencies[i] + tb
-        if rec_i >= tf:
-            raw = (rec_next - rec_i) / period_latency
-        elif rec_next >= tf:
-            raw = (rec_next - tf) / period_latency
-        else:
-            raw = 0.0
-        noe_i = min(max(0.0, raw), remaining)
-        remaining -= noe_i
-        noe_levels.append(noe_i)
-
-    return noe_risc, noe_levels, remaining
+    _check_forecast(latencies, rec_schedule, e, tf, tb)
+    return _phases(latencies, rec_schedule, e, tf, tb)
 
 
 def per_improvement(noe_i: float, latency_rm: int, latency_i: int) -> float:
     """Performance improvement of one intermediate ISE (Eq. 2):
     ``NoE(i) * (latency_RM - latency(ISE_i))``."""
     check_non_negative("noe_i", noe_i)
-    return noe_i * (latency_rm - latency_i)
+    return _improvement(noe_i, latency_rm, latency_i)
 
 
 def profit_value(
@@ -160,23 +212,14 @@ def profit_value(
 ) -> float:
     """Eq. 4's total profit without the :class:`ProfitBreakdown` object.
 
-    Operates on the raw latency staircase instead of an :class:`ISE`, which
-    is what the packed selector has at hand.  The arithmetic is the exact
-    expression :attr:`ProfitBreakdown.profit` evaluates -- the same
-    :func:`expected_executions` phases, the same :func:`per_improvement`
-    terms, summed in the same order -- so both selector families compute
-    bit-identical profits (the byte-identity contract of
+    Operates on the raw latency staircase instead of an :class:`ISE`.  It
+    checks its arguments as :func:`expected_executions` does and returns
+    :func:`profit_kernel`'s value, bit-identical to
+    :attr:`ProfitBreakdown.profit` (the byte-identity contract of
     ``docs/selector.md``).
     """
-    noe_risc, noe_levels, final_count = expected_executions(
-        latencies, rec_schedule, e, tf, tb
-    )
-    latency_rm = latencies[0]
-    improvements = tuple(
-        per_improvement(noe, latency_rm, latencies[i])
-        for i, noe in enumerate(noe_levels, start=1)
-    )
-    return sum(improvements) + per_improvement(final_count, latency_rm, latencies[-1])
+    _check_forecast(latencies, rec_schedule, e, tf, tb)
+    return profit_kernel(latencies, rec_schedule, e, tf, tb)
 
 
 def ise_profit(
@@ -217,6 +260,7 @@ __all__ = [
     "ProfitBreakdown",
     "expected_executions",
     "per_improvement",
+    "profit_kernel",
     "profit_value",
     "ise_profit",
 ]

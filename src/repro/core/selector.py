@@ -36,9 +36,9 @@ feeds the overhead model); the packed one additionally splits it into
 ``evaluations_pruned``.
 
 Only the profit function varies between run-time systems: it is a
-constructor argument (default :func:`~repro.core.profit.profit_value`,
-Eqs. 2-4), which RISPP replaces with its FG-quantised cost function
-(:func:`repro.baselines.rispp.quantized_profit`).
+constructor argument (default :func:`~repro.core.profit.profit_kernel`,
+Eqs. 2-4 without argument checks), which RISPP replaces with its
+FG-quantised cost function (:func:`repro.baselines.rispp.quantized_profit`).
 
 Ties between equal-profit candidates resolve deterministically by
 ``(profit, kernel name, candidate index)``: the lexicographically smallest
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.packed import PackedLibrary, pack_library
-from repro.core.profit import profit_value
+from repro.core.profit import profit_kernel
 from repro.fabric.datapath import FabricType
 from repro.fabric.reconfig import ReconfigurationController
 from repro.ise.ise import ISE
@@ -76,7 +76,7 @@ ProfitFunction = Callable[
 #: Relative slack applied to the static profit upper bound before pruning.
 #: ``e * profit_bound_per_execution`` dominates the profit in real
 #: arithmetic for any schedule and any ``tb >= 0`` (RISPP's quantised
-#: profit included), but ``profit_value`` sums a handful of non-negative
+#: profit included), but ``profit_kernel`` sums a handful of non-negative
 #: float terms, so its computed value can exceed the bound by a few ulps of
 #: accumulated rounding.  Pruning therefore requires the bound to lose to
 #: the running argmax by more than this relative margin -- orders of
@@ -253,7 +253,7 @@ class ISESelector:
         self,
         library: ISELibrary,
         mode: Optional[str] = None,
-        profit: ProfitFunction = profit_value,
+        profit: ProfitFunction = profit_kernel,
     ):
         self.library = library
         self.mode = resolve_selector_mode(mode)

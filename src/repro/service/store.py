@@ -51,6 +51,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 import warnings
 from contextlib import closing, contextmanager
 from pathlib import Path
@@ -64,6 +65,9 @@ from repro.util.validation import ReproError
 
 #: The store's file name inside a cache dir.
 STORE_NAME = "cells.sqlite"
+
+#: Seconds a connection waits out another connection's lock.
+OPEN_TIMEOUT = 60.0
 
 #: Keys per ``WHERE key IN (...)`` statement, under SQLite's historical
 #: limit of 999 bound parameters per statement.
@@ -117,10 +121,31 @@ class RecordStore:
             self.root.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(
                 str(self.path),
-                timeout=60.0,
+                timeout=OPEN_TIMEOUT,
                 isolation_level=None,
                 check_same_thread=False,
             )
+            try:
+                self._set_up(conn)
+            except BaseException:
+                conn.close()
+                raise
+            self._conn = conn
+        return self._conn
+
+    @staticmethod
+    def _set_up(conn: sqlite3.Connection) -> None:
+        """Switch a new connection to WAL and create the table.
+
+        Switching a fresh file to WAL fails at once with "database is
+        locked" while another connection holds a write lock on it: SQLite
+        skips the busy handler there, so the connection's ``timeout`` does
+        not apply.  Retry with bounded backoff, sleeping at most that same
+        timeout in total.
+        """
+        slept = 0.0
+        delay = 0.001
+        while True:
             try:
                 # NORMAL: commits append to the WAL without an fsync; only
                 # checkpoints sync.  A crash loses at most the newest rows.
@@ -128,11 +153,13 @@ class RecordStore:
                 conn.execute("PRAGMA journal_mode=WAL")
                 for statement in _SCHEMA_SQL:
                     conn.execute(statement)
-            except BaseException:
-                conn.close()
-                raise
-            self._conn = conn
-        return self._conn
+                return
+            except sqlite3.OperationalError as error:
+                if "database is locked" not in str(error) or slept + delay > OPEN_TIMEOUT:
+                    raise
+            time.sleep(delay)
+            slept += delay
+            delay = min(2 * delay, 0.1)
 
     def _run(self, work: Callable[[sqlite3.Connection], _T]) -> _T:
         """``work(connection)`` under the lock; on a corrupt file, set it

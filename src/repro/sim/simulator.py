@@ -18,8 +18,8 @@ Two interchangeable execution engines drive the kernel loop:
 * ``packed`` (default) -- the production engine.  Between availability
   events the ECU cascade's verdict is piecewise-constant, so each group of
   back-to-back executions of one kernel is advanced with O(1) arithmetic:
-  the ECU regime cache-hit path is transcribed inline over the compact
-  run-length arrays of :mod:`repro.core.packed` (LRU touches deferred),
+  the ECU regime cache-hit path is transcribed inline over the group
+  cursor of :mod:`repro.core.packed` (LRU touches deferred),
   misses go through :meth:`~repro.sim.policy.RuntimePolicy.execute_run`,
   and a stretch of cache hits up to the next availability event -- or a
   whole iteration of a time-invariant policy -- folds in closed form.
@@ -250,9 +250,11 @@ class Simulator:
         counts: Dict[str, int],
         latency_sums: Dict[str, int],
     ) -> int:
-        """The production loop over the compact run-length arrays.
+        """The production loop over the closed-form group cursor.
 
-        Each group of back-to-back executions of one kernel is one batch.
+        Each group of back-to-back executions of one kernel is one batch;
+        :meth:`~repro.core.packed.PackedIteration.next_group` reads it off
+        the per-kernel ``done`` counts.
         Byte-identical to :meth:`_run_kernels_stepped` (see
         docs/simulator.md for the full argument):
 
@@ -302,19 +304,18 @@ class Simulator:
         kernels = packed.kernels
         gaps = packed.gaps
         totals = packed.totals
-        run_kernel = packed.run_kernel
-        run_length = packed.run_length
-        n_runs = len(run_kernel)
+        next_group = packed.next_group
+        # The cursor: executions per kernel id through the current group.
+        done = [0] * len(kernels)
+        left = sum(totals)
         fold_ok = trace is None and regimes is not None
         try_fold = fold_ok
 
-        j = 0
-        while j < n_runs:
+        while left:
             if try_fold:
                 try_fold = False
                 version = resources.version
                 horizon = inf
-                done = [counts.get(k, 0) for k in kernels]
                 periods = [0] * len(kernels)
                 owed = []  # (kernel id, name, regime)
                 for kid, k in enumerate(kernels):
@@ -334,10 +335,10 @@ class Simulator:
                     # cache hit: fold the whole groups ahead of the first
                     # group that reaches it (Fig. 7 is piecewise-constant
                     # between availability events).
-                    stop, advance, folded, ends = packed.fold(
-                        j, done, periods, horizon - t
+                    advance, folded, ends = packed.fold(
+                        done, periods, horizon - t
                     )
-                    if stop > j:
+                    if any(folded):
                         for kid, k, regime in owed:
                             cnt = folded[kid]
                             if not cnt:
@@ -347,7 +348,8 @@ class Simulator:
                             end = t + ends[kid]
                             last[k] = end
                             pending_touch[k] = (regime.touch_impls, end - latency)
-                            counts[k] = done[kid] + cnt
+                            done[kid] += cnt
+                            left -= cnt
                             latency_sums[k] = latency_sums.get(k, 0) + cnt * latency
                             key = decision.mode.value
                             exec_by_mode[key] = exec_by_mode.get(key, 0) + cnt
@@ -358,13 +360,12 @@ class Simulator:
                             gap_cycles += cnt * gaps[kid]
                             fastforwarded += cnt
                         t += advance
-                        j = stop
                         continue
-            kid = run_kernel[j]
+            kid, remaining = next_group(done)
             kernel_name = kernels[kid]
             gap = gaps[kid]
-            remaining = run_length[j]
-            j += 1
+            done[kid] += remaining
+            left -= remaining
             while remaining > 0:
                 start = t + gap
                 regime = (
@@ -400,7 +401,6 @@ class Simulator:
                         # the stretch fold's preconditions: retry at the
                         # next group boundary.
                         try_fold = fold_ok
-                    counts[kernel_name] = counts.get(kernel_name, 0) + count
                     latency_sums[kernel_name] = (
                         latency_sums.get(kernel_name, 0) + count * latency
                     )
@@ -448,7 +448,6 @@ class Simulator:
                     gap_cycles += count * gap
                     if kernel_name not in first:
                         first[kernel_name] = start
-                    counts[kernel_name] = counts.get(kernel_name, 0) + count
                     latency_sums[kernel_name] = (
                         latency_sums.get(kernel_name, 0) + count * latency
                     )
@@ -480,6 +479,7 @@ class Simulator:
                     try_fold = fold_ok
         if pending_touch:
             self._flush_touches(ecu, pending_touch)
+        counts.update(zip(kernels, done))
         stats.ecu_calls += ecu_calls
         stats.executions_fastforwarded += fastforwarded
         stats.events_processed += events
@@ -533,7 +533,7 @@ class Simulator:
         _, ends, length = packed.timeline(period_of)
         for kernel_name, end in zip(kernels, ends):
             last[kernel_name] = t + end
-        groups = len(packed.run_kernel)
+        groups = packed.n_groups
         stats.ecu_calls += groups
         stats.executions_fastforwarded += sum(totals) - groups
         return t + length

@@ -12,6 +12,7 @@ import os
 import signal
 import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -188,6 +189,27 @@ class TestAtomicPublish:
         warm = make_engine(tmp_path)
         assert json.dumps(warm.run(cells)) == json.dumps(results["a"])
         assert warm.stats.cache_hits == len(cells)
+
+
+class TestFirstOpen:
+    def test_first_open_waits_out_a_write_lock(self, tmp_path):
+        """Switching a fresh file to WAL skips SQLite's busy handler: a
+        store opened while another connection holds a write lock on the
+        fresh file must wait for it, not fail with "database is locked"."""
+        conn = sqlite3.connect(
+            str(tmp_path / STORE_NAME), isolation_level=None, check_same_thread=False
+        )
+        conn.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.5, conn.execute, ("COMMIT",))
+        release.start()
+        try:
+            started = time.monotonic()
+            assert RecordStore(tmp_path).get_many(["a" * 64]) == {}
+            assert time.monotonic() - started >= 0.4
+        finally:
+            release.join(30)
+            conn.close()
+        assert not release.is_alive()
 
 
 class TestCrashMidWrite:

@@ -64,7 +64,7 @@ class TestEviction:
             "evicted": 0, "freed_bytes": 0,
         }
 
-    def test_mtime_ties_break_deterministically(self, tmp_path):
+    def test_use_generation_ties_break_by_key(self, tmp_path):
         """Equal use generations break ties by key."""
         _plant(tmp_path, "bb2", 100, used=7)
         _plant(tmp_path, "aa1", 100, used=7)
@@ -82,7 +82,7 @@ class TestEviction:
         assert clear_cache(ghost) == 0
         assert not ghost.exists()
 
-    def test_cache_hit_refreshes_mtime(self, tmp_path):
+    def test_cache_hit_takes_a_new_use_generation(self, tmp_path):
         """Reads count as use: a record served from cache must not be the
         next eviction victim."""
         old, new = (

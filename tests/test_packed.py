@@ -9,7 +9,13 @@ creeps in), and :func:`repro.core.profit.profit_value` must be bit-equal
 to the :func:`~repro.core.profit.ise_profit` breakdown it shortcuts.
 """
 
+import heapq
 import math
+import random
+import tracemalloc
+from array import array
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,30 +267,40 @@ def _application(shapes, demand_cycles):
     return Application("rand", [block], iterations)
 
 
+def _groups(iteration):
+    """The reference group walk: :func:`interleave`'s steps cut into
+    maximal runs of one kernel, as ``(kernel name, length)``."""
+    steps = (name for name, _ in interleave(iteration.kernels))
+    return [(name, sum(1 for _ in run)) for name, run in groupby(steps)]
+
+
+def _cursor_walk(packed):
+    """Every group the cursor yields, ``(kernel id, length)``, driving
+    :meth:`PackedIteration.next_group` from its own ``done`` counts."""
+    done = [0] * len(packed.kernels)
+    walked = []
+    while done != list(packed.totals):
+        kid, length = packed.next_group(done)
+        walked.append((kid, length))
+        done[kid] += length
+    return walked
+
+
 def _assert_iteration_round_trip(iteration):
     packed = PackedIteration(iteration)
     steps = interleave(iteration.kernels)
+    runs = _groups(iteration)
     kernels = packed.kernels
     n = len(kernels)
-    runs = [
-        (kernels[kid], length)
-        for kid, length in zip(packed.run_kernel, packed.run_length)
-    ]
 
     # Kernel ids number the kernels in order of first appearance, each
     # with the one gap it has in the iteration.
     assert list(kernels) == list(dict.fromkeys(k for k, _ in steps))
     assert len(packed.gaps) == len(packed.totals) == n
-    # RLE is lossless: expanding the groups reproduces the interleaving.
-    expanded = [
-        (kernel_name, packed.gaps[kernels.index(kernel_name)])
-        for kernel_name, length in runs
-        for _ in range(length)
-    ]
-    assert expanded == steps
-    # ... and maximal: adjacent groups never share a kernel.
-    for (k1, _), (k2, _) in zip(runs, runs[1:]):
-        assert k1 != k2
+    assert list(packed.gaps) == [dict(steps)[name] for name in kernels]
+    # The cursor walks exactly the reference groups, and counts them.
+    assert [(kernels[kid], length) for kid, length in _cursor_walk(packed)] == runs
+    assert packed.n_groups == len(runs)
 
     # The pair tables agree with direct summation over the groups.
     for kid, kernel_name in enumerate(kernels):
@@ -457,7 +473,8 @@ class TestProgramRoundTrip:
         packed = PackedIteration(iteration)
         # Positions 1/6 (k10, k2), 1/2 (k1, k10, k2), 5/6 (k10, k2).
         assert packed.kernels == ("k10", "k2", "k1")
-        assert list(packed.run_kernel) == [0, 1, 2, 0, 1, 0, 1]
+        assert [kid for kid, _ in _cursor_walk(packed)] == [0, 1, 2, 0, 1, 0, 1]
+        assert packed.n_groups == 7
 
     @pytest.mark.parametrize(
         "workload, seed",
@@ -573,13 +590,12 @@ class TestIntegerPositions:
         packed = PackedIteration(iteration)
         steps = [name for name, _ in interleave(iteration.kernels)]
         kernels = packed.kernels
-        # The run-length expansion is interleave()'s order, and each group
-        # knows the kernel-local index of its first execution.
+        # The cursor's groups expand to interleave()'s order, and each
+        # group's first key is its kernel's next key.
         expanded = []
-        for kid, length, index in zip(
-            packed.run_kernel, packed.run_length, packed.run_index
-        ):
-            assert index == expanded.count(kernels[kid])
+        for kid, length in _cursor_walk(packed):
+            index = expanded.count(kernels[kid])
+            assert packed.count_before(kid, packed.key(kid, index)) == index
             expanded += [kernels[kid]] * length
         # Report the first divergence, not a diff of two long sequences.
         assert len(expanded) == len(steps)
@@ -624,25 +640,26 @@ class TestIntegerPositions:
 # ---------------------------------------------------------- stretch fold
 
 
-def _walk_fold(packed, j, periods, limit):
+def _walk_fold(packed, runs, j, periods, limit):
     """The literal walk :meth:`PackedIteration.fold` shortcuts: expand
-    the groups from ``j`` one execution at a time and stop before the
-    first group with an execution starting at or after ``limit``."""
+    the reference groups ``runs`` (kernel id, length) from group ``j`` one
+    execution at a time and stop before the first group with an execution
+    starting at or after ``limit``; ``(advance, counts, ends)``."""
     n = len(packed.kernels)
     counts = [0] * n
     ends = [0] * n
     t = 0
-    for g in range(j, len(packed.run_kernel)):
-        kid = packed.run_kernel[g]
+    for g in range(j, len(runs)):
+        kid, length = runs[g]
         starts = []
-        for _ in range(packed.run_length[g]):
+        for _ in range(length):
             starts.append(t + packed.gaps[kid])
             t = starts[-1] + periods[kid] - packed.gaps[kid]
         if max(starts) >= limit:
-            return g, sum(c * p for c, p in zip(counts, periods)), counts, ends
+            return sum(c * p for c, p in zip(counts, periods)), counts, ends
         counts[kid] += len(starts)
         ends[kid] = t
-    return len(packed.run_kernel), t, counts, ends
+    return t, counts, ends
 
 
 class TestStretchFold:
@@ -651,23 +668,26 @@ class TestStretchFold:
     def test_fold_matches_the_walk(self, application, data):
         for iteration in application.iterations:
             packed = PackedIteration(iteration)
-            n_runs = len(packed.run_kernel)
-            j = data.draw(st.integers(min_value=0, max_value=n_runs))
+            runs = [
+                (packed.kernels.index(name), length)
+                for name, length in _groups(iteration)
+            ]
+            j = data.draw(st.integers(min_value=0, max_value=len(runs)))
             done = [0] * len(packed.kernels)
-            for kid, length in zip(packed.run_kernel[:j], packed.run_length[:j]):
+            for kid, length in runs[:j]:
                 done[kid] += length
             periods = [
                 gap + data.draw(st.integers(min_value=1, max_value=40))
                 for gap in packed.gaps
             ]
             # Aim the limit at execution starts: equality is the edge.
-            _, span, _, _ = _walk_fold(packed, j, periods, float("inf"))
+            span, _, _ = _walk_fold(packed, runs, j, periods, float("inf"))
             limit = data.draw(
                 st.just(float("inf"))
                 | st.integers(min_value=-1, max_value=span + 1).map(float)
             )
-            assert packed.fold(j, done, periods, limit) == _walk_fold(
-                packed, j, periods, limit
+            assert packed.fold(done, periods, limit) == _walk_fold(
+                packed, runs, j, periods, limit
             )
 
     def test_start_on_the_limit_is_not_folded(self):
@@ -677,8 +697,97 @@ class TestStretchFold:
             "B", [KernelIteration("k0", 3, 0), KernelIteration("k1", 3, 0)]
         )
         packed = PackedIteration(iteration)
-        assert list(packed.run_length) == [1] * 6
+        assert [length for _, length in _cursor_walk(packed)] == [1] * 6
         periods = [10, 10]
-        assert packed.fold(0, [0, 0], periods, 30.0)[0] == 3
-        assert packed.fold(0, [0, 0], periods, 31.0)[0] == 4
-        assert packed.fold(2, [1, 1], periods, 10.0) == (3, 10, [1, 0], [10, 0])
+        assert packed.fold([0, 0], periods, 30.0)[1] == [2, 1]
+        assert packed.fold([0, 0], periods, 31.0)[1] == [2, 2]
+        assert packed.fold([1, 1], periods, 10.0) == (10, [1, 0], [10, 0])
+
+
+# ------------------------------------------------ no per-execution work
+
+
+def _positions(kit):
+    """One kernel's :func:`interleave` sort keys, ``(position, name)``."""
+    e = kit.executions
+    return (((j + 0.5) / e, kit.kernel) for j in range(e))
+
+
+def _streamed_groups(packed, iteration):
+    """The reference group walk of a huge iteration in compact arrays:
+    every kernel's :func:`interleave` sort keys merged lazily (the same
+    order as its one sort, in O(kernels) memory), cut into maximal runs."""
+    kid_of = {name: kid for kid, name in enumerate(packed.kernels)}
+    kids = array("B")
+    lengths = array("I")
+    merged = heapq.merge(*(_positions(kit) for kit in iteration.kernels))
+    for name, run in groupby(merged, key=itemgetter(1)):
+        kids.append(kid_of[name])
+        lengths.append(sum(1 for _ in run))
+    return kids, lengths
+
+
+#: ~1.5M executions in two kernels, and ~10^6 in seven whose lcm is
+#: above 2**40 (distinct primes); the densest kernel is unique in both,
+#: so ``n_groups`` takes its counting path.
+HUGE_ITERATIONS = {
+    "two-kernels": ((999_983, 3), (499_979, 11)),
+    "seven-kernels": (
+        (400_009, 2), (200_003, 5), (150_001, 0), (100_003, 7),
+        (80_021, 1), (50_021, 4), (20_011, 9),
+    ),
+}
+
+
+class TestNoPerExecutionWork:
+    @pytest.mark.parametrize("case", sorted(HUGE_ITERATIONS))
+    def test_huge_iterations_pack_in_fixed_memory(self, case):
+        iteration = BlockIteration(
+            "B",
+            [
+                KernelIteration(f"k{index}", e, gap)
+                for index, (e, gap) in enumerate(HUGE_ITERATIONS[case])
+            ],
+        )
+        tracemalloc.start()
+        try:
+            packed = PackedIteration(iteration)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**10, f"packing peaked at {peak} bytes"
+        if case == "seven-kernels":
+            assert math.lcm(*packed.totals) > 2**40
+
+        kids, lengths = _streamed_groups(packed, iteration)
+        assert packed.n_groups == len(kids)
+        rng = random.Random(case)
+        n = len(packed.kernels)
+        periods = [gap + rng.randint(1, 40) for gap in packed.gaps]
+        samples = set(rng.sample(range(len(kids)), 40)) | {0, len(kids) - 1}
+        done = [0] * n
+        for j, (kid, length) in enumerate(zip(kids, lengths)):
+            if j in samples:
+                assert packed.next_group(done) == (kid, length), j
+                # A limit no later than the last group of a 100-group
+                # window starts, so the fold stops inside the window.
+                window = [
+                    (kids[g], lengths[g]) for g in range(j, min(j + 100, len(kids)))
+                ]
+                span, _, _ = _walk_fold(packed, window[:-1], 0, periods, float("inf"))
+                limit = float(rng.randint(-1, span))
+                assert packed.fold(done, periods, limit) == _walk_fold(
+                    packed, window, 0, periods, limit
+                ), j
+            done[kid] += length
+        assert done == list(packed.totals)
+        # An infinite limit folds the rest of the iteration.
+        start = len(kids) - 500
+        done = [
+            total - sum(length for k, length in zip(kids[start:], lengths[start:]) if k == kid)
+            for kid, total in enumerate(packed.totals)
+        ]
+        tail = list(zip(kids[start:], lengths[start:]))
+        assert packed.fold(done, periods, float("inf")) == _walk_fold(
+            packed, tail, 0, periods, float("inf")
+        )

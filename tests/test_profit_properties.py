@@ -10,7 +10,9 @@ correctness rests on:
   never sum to more than ``e`` (the clamping the paper leaves implicit);
 * profit is monotone non-decreasing in the forecast ``e``;
 * a per-level improvement is positive/zero/negative exactly as the
-  hardware latency is below/at/above the RISC latency.
+  hardware latency is below/at/above the RISC latency;
+* the unchecked Eq. 3/4 kernel the selectors call is bit-for-bit the
+  checked public functions' profit, and only the public functions check.
 """
 
 import math
@@ -18,12 +20,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.rispp import FG_RECONFIG_SLOT_CYCLES, quantized_profit
 from repro.core.profit import (
     expected_executions,
     ise_profit,
     per_improvement,
     pif,
+    profit_kernel,
+    profit_value,
 )
+from repro.util.validation import ValidationError
 from repro.verification.equations import eq1_pif, eq2_per_imp
 from repro.workloads.h264 import deblocking_case_study
 
@@ -143,3 +149,75 @@ class TestEq2PerImprovementSign:
         assert per_improvement(noe, latency_rm, latency_i) == eq2_per_imp(
             noe, latency_rm, latency_i
         )
+
+
+def _public_profit(latencies, schedule, e, tf, tb):
+    """Eq. 4 composed from the checked public functions, summed in
+    :attr:`ProfitBreakdown.profit`'s order."""
+    _, noe_levels, final = expected_executions(latencies, schedule, e, tf, tb)
+    improvements = tuple(
+        per_improvement(noe, latencies[0], latencies[i])
+        for i, noe in enumerate(noe_levels, start=1)
+    )
+    return sum(improvements) + per_improvement(final, latencies[0], latencies[-1])
+
+
+class TestUncheckedKernel:
+    """``profit_kernel`` is the one copy of the Eq. 3/4 arithmetic: the
+    packed selector and RISPP's ``quantized_profit`` call it directly,
+    the public functions check their arguments and then call it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=noe_inputs())
+    def test_kernel_bit_equals_public_functions(self, inputs):
+        latencies, schedule, e, tf, tb = inputs
+        kernel = profit_kernel(latencies, schedule, e, tf, tb)
+        assert kernel.hex() == profit_value(latencies, schedule, e, tf, tb).hex()
+        assert kernel.hex() == _public_profit(latencies, schedule, e, tf, tb).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ise_index=st.integers(min_value=0, max_value=len(ISES) - 1),
+        e=counts,
+        tf=times,
+        tb=st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+    )
+    def test_kernel_bit_equals_ise_profit(self, ise_index, e, tf, tb):
+        ise = ISES[ise_index]
+        schedule = ise.reconfig_schedule()
+        expected = ise_profit(ise, e, tf, tb, schedule).profit
+        assert profit_kernel(ise.latencies, schedule, e, tf, tb).hex() == expected.hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=noe_inputs())
+    def test_quantized_profit_is_the_kernel_on_fg_slots(self, inputs):
+        latencies, schedule, e, tf, tb = inputs
+        slot = float(FG_RECONFIG_SLOT_CYCLES)
+        quantized = []
+        for t in schedule:
+            level = max(t, math.ceil(t / slot) * slot if t > 0 else 0.0)
+            quantized.append(max(level, quantized[-1]) if quantized else level)
+        assert quantized_profit(latencies, schedule, e, tf, tb).hex() == (
+            _public_profit(latencies, quantized, e, tf, 0.0).hex()
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([10, 5], [100.0], -1.0, 0.0, 0.0),
+            ([10, 5], [100.0], 1.0, -1.0, 0.0),
+            ([10, 5], [100.0], 1.0, 0.0, -1.0),
+            ([10, 5], [], 1.0, 0.0, 0.0),
+            ([10], [100.0], 1.0, 0.0, 0.0),
+            ([10, 5, 2], [100.0, 50.0], 1.0, 0.0, 0.0),
+        ],
+    )
+    def test_public_functions_keep_their_checks(self, args):
+        with pytest.raises(ValidationError):
+            profit_value(*args)
+        with pytest.raises(ValidationError):
+            expected_executions(*args)
+
+    def test_per_improvement_keeps_its_check(self):
+        with pytest.raises(ValidationError):
+            per_improvement(-1.0, 10, 5)
