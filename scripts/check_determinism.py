@@ -37,7 +37,9 @@ when PATH is ``-``), shape-aligned with ``repro lint --format json``::
     {"gate": "determinism", "ok": true, "checks": [
         {"name": "serial-parallel", "ok": true, "details": [...]}, ...]}
 
-After an *intentional* simulation-behaviour change, refresh the snapshot::
+After an *intentional* simulation-behaviour change, refresh the snapshots
+(the golden traces and ``tests/golden/fig8_records.json``, which
+``tests/test_golden_records.py`` checks)::
 
     PYTHONPATH=src python scripts/check_determinism.py --update-golden
 """

@@ -12,10 +12,11 @@
 # >= 1.5x throughput over one-shot fleets (tests/test_service.py) and the
 # result store's >= 2x peak-memory cut (tests/test_results.py::
 # TestStreamedMemory).  The sweep benchmark's own tests (bench/tests) run
-# after tier-1.  Tier-1 runs the default packed engine; the stepped oracle
-# gate re-runs the engine identity and golden suites with REPRO_SIM=stepped,
-# so every run the suites leave to the default also goes through the
-# literal Fig. 7 loop.
+# after tier-1.  Tier-1 runs the default packed engine and selector; the
+# stepped oracle gate re-runs the engine identity and golden suites with
+# REPRO_SIM=stepped, so every run the suites leave to the default also goes
+# through the literal Fig. 7 loop, and the naive oracle gate re-runs the
+# golden traces and records with REPRO_SELECTOR=naive (the Fig. 6 rescan).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,7 +56,16 @@ python -m pytest -q bench/tests
 
 echo "== stepped oracle gate =="
 REPRO_SIM=stepped python -m pytest -q \
-    tests/test_sim_packed.py tests/test_sim_event.py tests/test_golden_trace.py
+    tests/test_sim_packed.py tests/test_sim_event.py tests/test_golden_trace.py \
+    tests/test_golden_records.py
+
+echo "== naive selector oracle gate =="
+# The golden traces and the golden Fig. 8 records again under the Fig. 6
+# rescan selector: both selectors read the same fabric state, so the
+# records must not depend on which one decided.  (The packed selector's
+# counter pins stay out: they pin how the packed one computes.)
+REPRO_SELECTOR=naive python -m pytest -q \
+    tests/test_golden_trace.py tests/test_golden_records.py
 
 echo "== determinism gate =="
 python scripts/check_determinism.py --jobs "$JOBS" --workers 2 \

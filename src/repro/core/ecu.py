@@ -21,18 +21,24 @@ and caches the regime per kernel, tagged with
 :attr:`repro.fabric.resources.ResourceState.version`, so the event-driven
 simulator fast-forwards whole runs of executions with a single cascade
 evaluation (see docs/simulator.md for the equivalence argument).
+
+The cascade runs on precomputed per-kernel rows (RISC latency, the
+monoCG-Extension's interned implementation id and latency) and reads the
+fabric state by implementation id; the LRU touches a regime replays are id
+tuples.  Names and :class:`ExecutionMode` members appear only in the
+:class:`ExecutionDecision` handed to records and traces.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.fabric.datapath import FabricType
 from repro.fabric.reconfig import ReconfigurationController
 from repro.ise.ise import ISE
 from repro.ise.library import ISELibrary
+from repro.ise.monocg import MonoCGExtension
 from repro.util.validation import check_non_negative
 
 
@@ -43,6 +49,20 @@ class ExecutionMode(enum.Enum):
     INTERMEDIATE = "intermediate"  #: a proper prefix of the selected ISE
     MONOCG = "monocg"              #: monoCG-Extension on one CG fabric
     RISC = "risc"                  #: plain core-processor execution
+
+
+#: The execution modes by int code, the form the cascade and the packed
+#: engine's per-mode counters carry (``MODE_KEYS[code]`` is the counter
+#: key, ``MODE_CODES[mode]`` the code of a member).
+EXECUTION_MODES: Tuple[ExecutionMode, ...] = tuple(ExecutionMode)
+MODE_KEYS: Tuple[str, ...] = tuple(mode.value for mode in EXECUTION_MODES)
+MODE_CODES: Dict[ExecutionMode, int] = {
+    mode: code for code, mode in enumerate(EXECUTION_MODES)
+}
+_SELECTED = MODE_CODES[ExecutionMode.SELECTED]
+_INTERMEDIATE = MODE_CODES[ExecutionMode.INTERMEDIATE]
+_MONOCG = MODE_CODES[ExecutionMode.MONOCG]
+_RISC = MODE_CODES[ExecutionMode.RISC]
 
 
 @dataclass(frozen=True)
@@ -78,21 +98,39 @@ class ExecutionRun:
 
 
 class _Regime:
-    """One kernel's cached piecewise-constant execution regime."""
+    """One kernel's cached piecewise-constant execution regime: the
+    decision, its mode code, the implementation ids one execution touches,
+    and the horizon and fabric version it is valid for."""
 
-    __slots__ = ("decision", "horizon", "version", "touch_impls")
+    __slots__ = ("decision", "code", "horizon", "version", "touch_ids")
 
     def __init__(
         self,
         decision: ExecutionDecision,
+        code: int,
         horizon: float,
         version: int,
-        touch_impls: Tuple[str, ...],
+        touch_ids: Tuple[int, ...],
     ):
         self.decision = decision
+        self.code = code
         self.horizon = horizon
         self.version = version
-        self.touch_impls = touch_impls
+        self.touch_ids = touch_ids
+
+
+class _KernelRow:
+    """The static cascade inputs of one kernel, precomputed once."""
+
+    __slots__ = ("risc_latency", "monocg", "monocg_uid", "monocg_latency", "owner")
+
+    def __init__(self, kernel_name: str, risc_latency: int, monocg: MonoCGExtension):
+        self.risc_latency = risc_latency
+        self.monocg = monocg
+        self.monocg_uid = monocg.instance.impl.uid
+        self.monocg_latency = monocg.latency
+        #: pin owner of the kernel's monoCG-Extension
+        self.owner = f"monocg:{kernel_name}"
 
 
 class ExecutionControlUnit:
@@ -116,6 +154,10 @@ class ExecutionControlUnit:
         self.enable_monocg = enable_monocg
         self.enable_intermediate = enable_intermediate
         self.monocg_breakeven_cycles = monocg_breakeven_cycles
+        self._rows: Dict[str, _KernelRow] = {
+            name: _KernelRow(name, kernel.risc_latency, library.monocg(name))
+            for name, kernel in library.kernels.items()
+        }
         self._selection: Dict[str, Optional[ISE]] = {}
         self.monocg_configured_count = 0
         #: kernels whose monoCG-Extension this ECU configured (and therefore
@@ -150,15 +192,16 @@ class ExecutionControlUnit:
         mapping; everyone else should go through :meth:`execute_run`."""
         return self._regimes
 
-    def apply_touches(self, impl_names: Tuple[str, ...], now: int) -> None:
-        """Apply the LRU ``touch`` bookkeeping of one (batched) execution.
+    def apply_touches(self, impl_ids: Tuple[int, ...], now: int) -> None:
+        """Apply the LRU ``touch`` bookkeeping of one (batched) execution:
+        mark the implementation ids a regime touches as used at ``now``.
 
-        Public counterpart of the internal touch helper for engines that
-        *defer* touches: ``touch`` keeps the maximum timestamp and
-        ``last_used`` is only read at configuration points, so flushing a
-        deferred touch before the next cascade evaluation leaves the fabric
-        state byte-identical to applying it eagerly (docs/simulator.md)."""
-        self._apply_touches(impl_names, now)
+        For engines that *defer* touches: ``touch`` keeps the maximum
+        timestamp and ``last_used`` is only read at configuration points,
+        so flushing a deferred touch before the next cascade evaluation
+        leaves the fabric state byte-identical to applying it eagerly
+        (docs/simulator.md)."""
+        self.controller.resources.touch_ids(impl_ids, now)
 
     def release_monocg_pins(self) -> None:
         """Unpin every monoCG-Extension this ECU configured (called at
@@ -166,18 +209,16 @@ class ExecutionControlUnit:
         actually brought onto the fabric are visited -- not the whole
         library; releasing a never-configured owner would be a no-op."""
         for kernel_name in self._monocg_pinned:
-            self.controller.release_owner(self._monocg_owner(kernel_name))
+            self.controller.release_owner(self._rows[kernel_name].owner)
         self._monocg_pinned.clear()
-
-    @staticmethod
-    def _monocg_owner(kernel_name: str) -> str:
-        return f"monocg:{kernel_name}"
 
     # ---------------------------------------------------------- execution
     def execute(self, kernel_name: str, now: int) -> ExecutionDecision:
         """Decide how the execution of ``kernel_name`` at ``now`` is served."""
-        decision, ise, _, _ = self._cascade(kernel_name, now)
-        self._apply_touches(self._touch_impls(decision, ise), now)
+        decision, code, ise, _, _ = self._cascade(kernel_name, now)
+        self.controller.resources.touch_ids(
+            self._touch_ids(kernel_name, code, decision.level, ise), now
+        )
         return decision
 
     def execute_run(
@@ -210,7 +251,8 @@ class ExecutionControlUnit:
             return self._batched(regime, now, max_executions, gap, False, False)
 
         event_crossed = regime is not None
-        decision, ise, raw_level, configured = self._cascade(kernel_name, now)
+        decision, code, ise, raw_level, configured = self._cascade(kernel_name, now)
+        touch_ids = self._touch_ids(kernel_name, code, decision.level, ise)
         if configured:
             # The cascade just scheduled a monoCG-Extension: the fabric
             # mutated under the decision (context load in flight, possible
@@ -218,7 +260,7 @@ class ExecutionControlUnit:
             # the fresh state on the next call rather than reasoning about
             # the post-eviction regime.
             self._regimes.pop(kernel_name, None)
-            self._apply_touches(self._touch_impls(decision, ise), now)
+            resources.touch_ids(touch_ids, now)
             return ExecutionRun(
                 decision=decision,
                 count=1,
@@ -229,9 +271,10 @@ class ExecutionControlUnit:
 
         regime = _Regime(
             decision=decision,
+            code=code,
             horizon=self._regime_horizon(kernel_name, ise, raw_level, now),
             version=resources.version,
-            touch_impls=self._touch_impls(decision, ise),
+            touch_ids=touch_ids,
         )
         self._regimes[kernel_name] = regime
         return self._batched(regime, now, max_executions, gap, True, event_crossed)
@@ -250,7 +293,7 @@ class ExecutionControlUnit:
             now, regime.horizon, gap, regime.decision.latency, max_executions
         )
         run_end = now + (count - 1) * (gap + regime.decision.latency)
-        self._apply_touches(regime.touch_impls, run_end)
+        self.controller.resources.touch_ids(regime.touch_ids, run_end)
         return ExecutionRun(
             decision=regime.decision,
             count=count,
@@ -279,46 +322,44 @@ class ExecutionControlUnit:
     # ------------------------------------------------------------ cascade
     def _cascade(
         self, kernel_name: str, now: int
-    ) -> Tuple[ExecutionDecision, Optional[ISE], int, bool]:
+    ) -> Tuple[ExecutionDecision, int, Optional[ISE], int, bool]:
         """One Fig. 7 cascade evaluation.
 
-        Returns the decision, the selected ISE, the *raw* ready prefix
-        level (before the ``enable_intermediate`` adjustment -- the horizon
-        computation needs it) and whether a monoCG-Extension was configured
-        as a side effect.
+        Returns the decision, its mode code, the selected ISE, the *raw*
+        ready prefix level (before the ``enable_intermediate`` adjustment
+        -- the horizon computation needs it) and whether a
+        monoCG-Extension was configured as a side effect.
         """
-        kernel = self.library.kernel(kernel_name)
+        row = self._rows.get(kernel_name)
+        if row is None:
+            raise KeyError(f"unknown kernel {kernel_name!r}")
         resources = self.controller.resources
         ise = self._selection.get(kernel_name)
 
         raw_level = 0
         level = 0
         if ise is not None:
-            raw_level = self._ready_level(ise, now)
+            raw_level = resources.ready_level(ise.instances, now)
             level = raw_level
-            if not self.enable_intermediate and level < ise.n_levels:
+            if not self.enable_intermediate and level < len(ise.instances):
                 level = 0
 
-        best_latency = kernel.risc_latency
-        mode = ExecutionMode.RISC
+        best_latency = row.risc_latency
+        code = _RISC
         ise_name: Optional[str] = None
         if ise is not None and level > 0:
-            best_latency = ise.latency(level)
-            mode = (
-                ExecutionMode.SELECTED
-                if level == ise.n_levels
-                else ExecutionMode.INTERMEDIATE
-            )
+            best_latency = ise.latencies[level]
+            code = _SELECTED if level == len(ise.instances) else _INTERMEDIATE
             ise_name = ise.name
 
         configured = False
         if self.enable_monocg:
-            monocg = self.library.monocg(kernel_name)
-            monocg_ready = resources.ready_quantity(monocg.impl_name, now) >= 1
-            if monocg_ready and monocg.latency < best_latency:
-                best_latency = monocg.latency
-                mode = ExecutionMode.MONOCG
-                ise_name = monocg.impl_name
+            first_ready = resources.ready_time(row.monocg_uid, 1)
+            monocg_ready = first_ready is not None and first_ready <= now
+            if monocg_ready and row.monocg_latency < best_latency:
+                best_latency = row.monocg_latency
+                code = _MONOCG
+                ise_name = row.monocg.impl_name
                 level = 0
             elif not monocg_ready:
                 configured = self._maybe_configure_monocg(
@@ -327,30 +368,24 @@ class ExecutionControlUnit:
 
         decision = ExecutionDecision(
             kernel=kernel_name,
-            mode=mode,
+            mode=EXECUTION_MODES[code],
             latency=best_latency,
             level=level,
             ise_name=ise_name,
         )
-        return decision, ise, raw_level, configured
+        return decision, code, ise, raw_level, configured
 
-    def _touch_impls(
-        self, decision: ExecutionDecision, ise: Optional[ISE]
-    ) -> Tuple[str, ...]:
-        """The implementations one execution marks used (LRU bookkeeping)."""
-        if decision.mode in (ExecutionMode.SELECTED, ExecutionMode.INTERMEDIATE):
+    def _touch_ids(
+        self, kernel_name: str, code: int, level: int, ise: Optional[ISE]
+    ) -> Tuple[int, ...]:
+        """The implementation ids one execution marks used (LRU
+        bookkeeping)."""
+        if code == _SELECTED or code == _INTERMEDIATE:
             assert ise is not None
-            return tuple(
-                instance.impl.name for instance in ise.instances[: decision.level]
-            )
-        if decision.mode is ExecutionMode.MONOCG:
-            return (self.library.monocg(decision.kernel).impl_name,)
+            return tuple(instance.impl.uid for instance in ise.instances[:level])
+        if code == _MONOCG:
+            return (self._rows[kernel_name].monocg_uid,)
         return ()
-
-    def _apply_touches(self, impl_names: Tuple[str, ...], now: int) -> None:
-        resources = self.controller.resources
-        for impl_name in impl_names:
-            resources.touch(impl_name, now)
 
     def _regime_horizon(
         self,
@@ -375,27 +410,18 @@ class ExecutionControlUnit:
         """
         horizon = self._next_improvement_at(ise, raw_level)
         if self.enable_monocg:
-            resources = self.controller.resources
-            monocg = self.library.monocg(kernel_name)
-            if (
-                resources.ready_quantity(monocg.impl_name, now) < 1
-                and resources.configured_quantity(monocg.impl_name) > 0
-            ):
-                ready = resources.ready_at(monocg.impl_name, 1)
-                if ready is not None and ready > now:
-                    horizon = min(horizon, float(ready))
+            # The first monoCG copy to become ready, if it is still loading.
+            ready = self.controller.resources.ready_time(
+                self._rows[kernel_name].monocg_uid, 1
+            )
+            if ready is not None and ready > now:
+                horizon = min(horizon, float(ready))
         return horizon
 
     # ------------------------------------------------------------ helpers
     def _ready_level(self, ise: ISE, now: int) -> int:
         """Deepest prefix of ``ise`` whose data paths are all ready."""
-        resources = self.controller.resources
-        level = 0
-        for instance in ise.instances:
-            if resources.ready_quantity(instance.impl.name, now) < instance.quantity:
-                break
-            level += 1
-        return level
+        return self.controller.resources.ready_level(ise.instances, now)
 
     def _maybe_configure_monocg(
         self,
@@ -407,14 +433,13 @@ class ExecutionControlUnit:
         """Configure a monoCG-Extension if it would bridge a real gap.
 
         Returns whether a configuration was actually scheduled."""
-        monocg = self.library.monocg(kernel_name)
-        if self.controller.resources.configured_quantity(monocg.impl_name) > 0:
+        row = self._rows[kernel_name]
+        if self.controller.resources.count(row.monocg_uid) > 0:
             return False  # already in flight
-        kernel = self.library.kernel(kernel_name)
         current_latency = (
-            ise.latency(level) if (ise is not None and level > 0) else kernel.risc_latency
+            ise.latencies[level] if (ise is not None and level > 0) else row.risc_latency
         )
-        if monocg.latency >= current_latency:
+        if row.monocg_latency >= current_latency:
             return False
         next_improvement_at = self._next_improvement_at(ise, level)
         if next_improvement_at - now <= self.monocg_breakeven_cycles:
@@ -422,7 +447,7 @@ class ExecutionControlUnit:
         if not self.controller.free_cg_fabric_available(now):
             return False
         self.controller.ensure_configured(
-            [monocg.instance], owner=self._monocg_owner(kernel_name), now=now
+            [row.monocg.instance], owner=row.owner, now=now
         )
         self._monocg_pinned[kernel_name] = None
         self.monocg_configured_count += 1
@@ -430,18 +455,21 @@ class ExecutionControlUnit:
 
     def _next_improvement_at(self, ise: Optional[ISE], level: int) -> float:
         """Absolute cycle at which the next deeper level becomes ready."""
-        if ise is None or level >= ise.n_levels:
+        if ise is None or level >= len(ise.instances):
             return float("inf")
         next_instance = ise.instances[level]
-        ready = self.controller.resources.ready_at(
-            next_instance.impl.name, next_instance.quantity
+        ready = self.controller.resources.ready_time(
+            next_instance.impl.uid, next_instance.quantity
         )
         return float("inf") if ready is None else float(ready)
 
 
 __all__ = [
+    "EXECUTION_MODES",
     "ExecutionControlUnit",
     "ExecutionDecision",
     "ExecutionMode",
     "ExecutionRun",
+    "MODE_CODES",
+    "MODE_KEYS",
 ]

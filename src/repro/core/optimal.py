@@ -21,22 +21,16 @@ optionally be accounted as free and immediately available
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.profit import ise_profit
-from repro.core.selector import (
-    ISESelector,
-    SelectionResult,
-    exempt_copies,
-    predict_recT,
-    reservation_charge,
-)
-from repro.fabric.datapath import FabricType
+from repro.core.packed import pack_library
+from repro.core.profit import profit_kernel
+from repro.core.selector import ISESelector, SelectionResult, packed_recT
 from repro.fabric.reconfig import ReconfigurationController
 from repro.ise.ise import ISE
 from repro.ise.library import ISELibrary
 from repro.sim.trigger import TriggerInstruction
-from repro.util.validation import ReproError
+from repro.util.validation import ReproError, check_non_negative
 
 
 class OptimalSelector:
@@ -64,41 +58,43 @@ class OptimalSelector:
         self.candidate_filter = candidate_filter
         self.consider_greedy_plan = consider_greedy_plan
 
-    def _candidates(self, kernel: str) -> List[ISE]:
-        candidates = self.library.candidates(kernel)
-        if self.candidate_filter is not None:
-            candidates = [ise for ise in candidates if self.candidate_filter(ise)]
-        return candidates
-
     def select(
         self,
         triggers: Sequence[TriggerInstruction],
         controller: ReconfigurationController,
         now: int,
     ) -> SelectionResult:
-        """Optimal counterpart of :meth:`repro.core.selector.ISESelector.select`."""
-        result = SelectionResult()
+        """Optimal counterpart of :meth:`repro.core.selector.ISESelector.select`.
+
+        Runs over the library's packing (:mod:`repro.core.packed`): the
+        fabric state is read into id arrays once, candidates are packed
+        rows, and each profit is the unchecked Eq. 2-4 kernel
+        (:func:`~repro.core.profit.profit_kernel`, bit-identical to
+        :func:`~repro.core.profit.ise_profit`'s total) after each trigger
+        has been validated once.  The result is labelled ``"optimal"``,
+        also when the greedy plan wins.
+        """
+        result = SelectionResult(mode="optimal")
         triggers_by_kernel: Dict[str, TriggerInstruction] = {}
         for trig in triggers:
             if trig.kernel in triggers_by_kernel:
                 raise ReproError(f"duplicate trigger for kernel {trig.kernel!r}")
+            check_non_negative("e", trig.executions)
+            check_non_negative("tf", trig.time_to_first)
+            check_non_negative("tb", trig.time_between)
             triggers_by_kernel[trig.kernel] = trig
 
-        coverage: Mapping[str, int]
-        existing_ready: Dict[str, float] = {}
-        exempt: Dict[str, int] = {}
-        if self.respect_existing:
-            coverage = controller.resources.snapshot()
-            for name, qty in coverage.items():
-                ready_at = controller.resources.ready_at(name, qty)
-                if ready_at is not None:
-                    existing_ready[name] = float(ready_at)
-            exempt = exempt_copies(controller.resources, now)
-        else:
-            coverage = {}
-
-        budget_fg = controller.resources.allocatable_area(FabricType.FG, now)
-        budget_cg = controller.resources.allocatable_area(FabricType.CG, now)
+        packed = pack_library(self.library)
+        n_impls = packed.n_impls
+        coverage = [0] * n_impls
+        ready = [0.0] * n_impls
+        exempt = [0] * n_impls
+        budget_fg, budget_cg = controller.resources.selection_view(
+            now, coverage, ready, exempt
+        )
+        if not self.respect_existing:
+            coverage = [0] * n_impls
+            exempt = [0] * n_impls
 
         kernels = sorted(triggers_by_kernel)
         # Pre-compute the profit of every candidate of every kernel for every
@@ -113,36 +109,45 @@ class OptimalSelector:
         # options[k][j] = (profits_by_backlog, fg, cg, ise)
         options: List[List[Tuple[List[float], int, int, Optional[ISE]]]] = []
         fg_unit_cycles = self._fg_unit_cycles()
+        now_f = float(now)
         for kernel in kernels:
             trig = triggers_by_kernel[kernel]
             kernel_options: List[Tuple[List[float], int, int, Optional[ISE]]] = [
                 ([0.0] * (budget_fg + 1), 0, 0, None)
             ]
-            for ise in self._candidates(kernel):
-                charge = reservation_charge(ise, {}, exempt)
-                fg = charge[FabricType.FG]
-                cg = charge[FabricType.CG]
+            for cid in packed.kernel_cids[kernel]:
+                ise = packed.cand_ise[cid]
+                if self.candidate_filter is not None and not self.candidate_filter(ise):
+                    continue
+                rows = packed.cand_rows[cid]
+                latencies = packed.cand_latencies[cid]
+                # reservation_charge with nothing reserved yet.
+                fg = cg = 0
+                for impl, quantity, is_fg, _, area in rows:
+                    units = quantity - exempt[impl]
+                    if units > 0:
+                        if is_fg:
+                            fg += area * units
+                        else:
+                            cg += area * units
                 profits_by_backlog: List[float] = []
                 for backlog in range(budget_fg + 1):
                     if backlog + fg > budget_fg:
                         profits_by_backlog.append(float("-inf"))
                         continue
                     result.profit_evaluations += 1
-                    schedule, _ = predict_recT(
-                        ise,
-                        coverage,
-                        existing_ready,
-                        now,
-                        float(now) + backlog * fg_unit_cycles,
+                    port = now_f + backlog * fg_unit_cycles
+                    schedule, _ = packed_recT(
+                        rows, coverage, ready, now, port if port > now_f else now_f
                     )
                     profits_by_backlog.append(
-                        ise_profit(
-                            ise,
-                            e=trig.executions,
-                            tf=trig.time_to_first,
-                            tb=trig.time_between,
-                            rec_schedule=schedule,
-                        ).profit
+                        profit_kernel(
+                            latencies,
+                            schedule,
+                            trig.executions,
+                            trig.time_to_first,
+                            trig.time_between,
+                        )
                     )
                 kernel_options.append((profits_by_backlog, fg, cg, ise))
             result.candidates_considered += len(kernel_options) - 1
@@ -205,6 +210,7 @@ class OptimalSelector:
             if greedy.total_profit > result.total_profit:
                 greedy.profit_evaluations = result.profit_evaluations
                 greedy.candidates_considered = result.candidates_considered
+                greedy.mode = result.mode
                 return greedy
         return result
 

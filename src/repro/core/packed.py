@@ -1,20 +1,20 @@
-"""Packed structure-of-arrays mirrors of the run-time hot paths.
+"""Packed mirrors of the run-time hot paths.
 
 The object-model selector and ECU walk per-candidate dicts and attribute
 chains on every greedy round and every kernel execution -- convenient, but
 the dominant cost of a fig8 sweep cell.  This module precompiles the static
-side of that work into flat parallel arrays (stdlib :mod:`array` -- numpy
-would silently promote indexed elements to ``numpy.int64``/``float64`` and
-break the byte-identity contract of the golden payloads):
+side of that work into plain Python ints and tuples (not numpy, which would
+silently promote indexed elements to ``numpy.int64``/``float64`` and break
+the byte-identity contract of the golden payloads):
 
 :class:`PackedLibrary`
     One immutable packing per :class:`~repro.ise.library.ISELibrary`: every
-    qualified implementation name interned to a dense integer id, every
-    candidate ISE flattened into ``(row_impl, row_qty, row_fg, row_reconfig,
-    row_area)`` slices of shared arrays, plus the latency staircases, FG
-    requirements, footprints and profit bounds, the per-kernel scan order
-    and the inverted footprint index that drives the packed selector's
-    cache invalidation.  Packings are cached per library in a
+    implementation keyed by its interned id (``DataPathImpl.uid``, the id
+    the fabric state is keyed by), every candidate ISE flattened into a
+    tuple of ``(impl id, quantity, is FG, reconfiguration cycles, area)``
+    rows, plus the latency staircases, FG rows and profit bounds, the
+    per-kernel scan order and the inverted footprint index that drives the
+    packed selector's cache invalidation.  Packings are cached per library in a
     :class:`weakref.WeakKeyDictionary`, so a sweep that reuses one library
     across budgets packs once.
 
@@ -40,18 +40,19 @@ and :meth:`repro.sim.simulator.Simulator._run_kernels_packed`; both are
 locked to their reference twins (the naive selector, the stepped
 simulator loop) by the ``dual-impl-signature`` lint invariant,
 the hypothesis identity suites and the golden traces (see
-``docs/simulator.md`` for the equivalence argument).
+``docs/simulator.md`` for the equivalence argument).  The offline DP
+(:class:`repro.core.optimal.OptimalSelector`) reads the same candidate
+rows.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from array import array
 from operator import attrgetter, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fabric.datapath import FabricType
+from repro.fabric.datapath import IMPL_NAMES, FabricType
 from repro.ise.library import ISELibrary
 from repro.sim.program import Application, BlockIteration, FunctionalBlock
 from repro.sim.trigger import TriggerInstruction
@@ -62,29 +63,32 @@ from repro.sim.trigger import TriggerInstruction
 
 
 class PackedLibrary:
-    """Structure-of-arrays view of one ISE library (see module docstring).
+    """Packed view of one ISE library (see module docstring).
 
     Candidates are numbered globally (``cid``) in kernel-name iteration
     order of the library, each kernel's block in library candidate order,
     so ``cand_local[cid]`` is exactly the candidate index the object-model
     selector uses for tie-breaking and the inverted index.
 
-    Array schema (``n`` candidates, ``R`` total instance rows)::
+    Per candidate ``c``::
 
-        row_start[c] .. row_start[c+1]   candidate c's slice of the row arrays
-        row_impl[r]                      interned implementation id
-        row_qty[r]                       required quantity
-        row_fg[r]                        1 = FG fabric, 0 = CG
-        row_reconfig[r]                  reconfiguration cycles per copy
-        row_area[r]                      area units per copy
+        cand_rows[c]      instance rows in reconfiguration order, each
+                          (impl id, quantity, is FG, reconfiguration
+                          cycles per copy, area units per copy)
+        cand_fg_rows[c]   (impl id, quantity) of the FG rows only
+        cand_latencies[c] latency staircase (``[0]`` = RISC mode)
+        cand_bound[c]     profit bound per execution
+        cand_local[c]     candidate index within its kernel
 
-    and analogously ``fgr_*`` (FG requirements), ``lat_*`` (latency
-    staircases, ``latencies[0]`` = RISC mode) and ``foot_*`` (footprints,
-    impl ids sorted by interned id).
+    Implementations are keyed by their interned id
+    (``DataPathImpl.uid``, the key of the fabric state).  Ids are
+    process-wide, so a library's ids need not be contiguous: ``n_impls``
+    bounds them, ``impl_names[i]`` is id i's name and ``users_cids[i]``
+    -- the candidates whose footprint holds id i -- is empty for ids of
+    other libraries.
     """
 
     __slots__ = (
-        "impl_ids",
         "impl_names",
         "n_impls",
         "n_candidates",
@@ -95,34 +99,12 @@ class PackedLibrary:
         "cand_bound",
         "cand_latencies",
         "cand_ise",
-        "row_start",
-        "row_impl",
-        "row_qty",
-        "row_fg",
-        "row_reconfig",
-        "row_area",
-        "fgr_start",
-        "fgr_impl",
-        "fgr_qty",
-        "lat_start",
-        "lat_flat",
-        "foot_start",
-        "foot_impl",
+        "cand_rows",
+        "cand_fg_rows",
         "users_cids",
     )
 
     def __init__(self, library: ISELibrary):
-        self.impl_ids: Dict[str, int] = {}
-        self.impl_names: List[str] = []
-
-        def intern(name: str) -> int:
-            impl_id = self.impl_ids.get(name)
-            if impl_id is None:
-                impl_id = len(self.impl_names)
-                self.impl_ids[name] = impl_id
-                self.impl_names.append(name)
-            return impl_id
-
         self.kernel_cids: Dict[str, Tuple[int, ...]] = {}
         self.scan_cids: Dict[str, Tuple[int, ...]] = {}
         self.cand_kernel: List[str] = []
@@ -130,49 +112,32 @@ class PackedLibrary:
         self.cand_bound: List[int] = []
         self.cand_latencies: List[Tuple[int, ...]] = []
         self.cand_ise: List[object] = []
-        self.row_start = array("q", [0])
-        self.row_impl = array("q")
-        self.row_qty = array("q")
-        self.row_fg = bytearray()
-        self.row_reconfig = array("q")
-        self.row_area = array("q")
-        self.fgr_start = array("q", [0])
-        self.fgr_impl = array("q")
-        self.fgr_qty = array("q")
-        self.lat_start = array("q", [0])
-        self.lat_flat = array("q")
-        self.foot_start = array("q", [0])
-        self.foot_impl = array("q")
+        self.cand_rows: List[Tuple[Tuple[int, int, bool, int, int], ...]] = []
+        self.cand_fg_rows: List[Tuple[Tuple[int, int], ...]] = []
 
         for kernel_name in library.kernel_names():
             cids: List[int] = []
             for local, ise in enumerate(library.candidate_tuple(kernel_name)):
-                cid = len(self.cand_kernel)
-                cids.append(cid)
+                cids.append(len(self.cand_kernel))
                 self.cand_kernel.append(kernel_name)
                 self.cand_local.append(local)
                 self.cand_bound.append(ise.profit_bound_per_execution)
                 self.cand_latencies.append(ise.latencies)
                 self.cand_ise.append(ise)
-                for name, qty, fabric, reconfig in ise.instance_rows:
-                    self.row_impl.append(intern(name))
-                    self.row_qty.append(qty)
-                    self.row_fg.append(1 if fabric is FabricType.FG else 0)
-                    self.row_reconfig.append(reconfig)
-                self.row_area.extend(
-                    inst.impl.area for inst in ise.instances
+                rows = []
+                for inst in ise.instances:
+                    impl = inst.impl
+                    rows.append((
+                        impl.uid,
+                        inst.quantity,
+                        impl.fabric is FabricType.FG,
+                        impl.reconfig_cycles,
+                        impl.area,
+                    ))
+                self.cand_rows.append(tuple(rows))
+                self.cand_fg_rows.append(
+                    tuple((uid, qty) for uid, qty, fg, _, _ in rows if fg)
                 )
-                self.row_start.append(len(self.row_impl))
-                for name, qty in ise.fg_requirements:
-                    self.fgr_impl.append(self.impl_ids[name])
-                    self.fgr_qty.append(qty)
-                self.fgr_start.append(len(self.fgr_impl))
-                self.lat_flat.extend(ise.latencies)
-                self.lat_start.append(len(self.lat_flat))
-                self.foot_impl.extend(
-                    sorted(self.impl_ids[name] for name in ise.footprint)
-                )
-                self.foot_start.append(len(self.foot_impl))
             self.kernel_cids[kernel_name] = tuple(cids)
             # The packed selector scans each kernel's candidates by
             # (-profit bound, candidate index); the ordering is static, so
@@ -181,14 +146,17 @@ class PackedLibrary:
                 sorted(cids, key=lambda c: (-self.cand_bound[c], self.cand_local[c]))
             )
 
-        self.n_impls = len(self.impl_names)
+        self.n_impls = 1 + max(
+            (row[0] for rows in self.cand_rows for row in rows), default=-1
+        )
+        self.impl_names: List[str] = IMPL_NAMES[:self.n_impls]
         self.n_candidates = len(self.cand_kernel)
         # Inverted index: impl id -> every cid whose footprint contains it
         # (the candidates a commit touching that data path can perturb).
         users: List[List[int]] = [[] for _ in range(self.n_impls)]
-        for cid in range(self.n_candidates):
-            for position in range(self.foot_start[cid], self.foot_start[cid + 1]):
-                users[self.foot_impl[position]].append(cid)
+        for cid, rows in enumerate(self.cand_rows):
+            for row in rows:
+                users[row[0]].append(cid)
         self.users_cids: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(cids) for cids in users
         )
@@ -202,34 +170,30 @@ class PackedLibrary:
         """Candidate ``cid``'s instance rows -- mirrors ``ISE.instance_rows``."""
         return [
             (
-                self.impl_names[self.row_impl[r]],
-                self.row_qty[r],
-                FabricType.FG if self.row_fg[r] else FabricType.CG,
-                self.row_reconfig[r],
+                self.impl_names[uid],
+                qty,
+                FabricType.FG if fg else FabricType.CG,
+                reconfig,
             )
-            for r in range(self.row_start[cid], self.row_start[cid + 1])
+            for uid, qty, fg, reconfig, _ in self.cand_rows[cid]
         ]
 
     def unpack_areas(self, cid: int) -> List[int]:
         """Per-row implementation areas, in reconfiguration order."""
-        return list(self.row_area[self.row_start[cid]:self.row_start[cid + 1]])
+        return [row[4] for row in self.cand_rows[cid]]
 
     def unpack_footprint(self, cid: int) -> frozenset:
         """Candidate ``cid``'s footprint -- mirrors ``ISE.footprint``."""
-        return frozenset(
-            self.impl_names[self.foot_impl[p]]
-            for p in range(self.foot_start[cid], self.foot_start[cid + 1])
-        )
+        return frozenset(self.impl_names[row[0]] for row in self.cand_rows[cid])
 
     def unpack_latencies(self, cid: int) -> Tuple[int, ...]:
         """Candidate ``cid``'s latency staircase -- mirrors ``ISE.latencies``."""
-        return tuple(self.lat_flat[self.lat_start[cid]:self.lat_start[cid + 1]])
+        return self.cand_latencies[cid]
 
     def unpack_fg_requirements(self, cid: int) -> Tuple[Tuple[str, int], ...]:
         """Candidate ``cid``'s FG rows -- mirrors ``ISE.fg_requirements``."""
         return tuple(
-            (self.impl_names[self.fgr_impl[p]], self.fgr_qty[p])
-            for p in range(self.fgr_start[cid], self.fgr_start[cid + 1])
+            (self.impl_names[uid], qty) for uid, qty in self.cand_fg_rows[cid]
         )
 
 

@@ -101,7 +101,8 @@ def _phases(
     tf: float,
     tb: float,
 ) -> Tuple[float, List[float], float]:
-    """Eq. 3 without argument checks: the one copy of its arithmetic."""
+    """Eq. 3 without argument checks, for the checked public functions
+    (:func:`profit_kernel` carries the same operations fused with Eq. 2)."""
     remaining = float(e)
 
     # RISC-mode phase: executions before level 1 is ready (Fig. 5's NoE_RM).
@@ -133,7 +134,8 @@ def _phases(
 
 
 def _improvement(noe_i: float, latency_rm: int, latency_i: int) -> float:
-    """Eq. 2 without argument checks: the one copy of its arithmetic."""
+    """Eq. 2 without argument checks, for the checked public functions
+    (:func:`profit_kernel` carries the same expression inline)."""
     return noe_i * (latency_rm - latency_i)
 
 
@@ -148,19 +150,39 @@ def profit_kernel(
 
     The arguments must satisfy :func:`expected_executions`' checks (the
     trigger instructions and latency staircases the selector hands over
-    already do); :func:`profit_value` is the checked entry point.  Every
-    phase comes from the same Eq. 3 arithmetic and every term from the
-    same Eq. 2 arithmetic as :func:`expected_executions` and
-    :func:`per_improvement`, summed in :attr:`ProfitBreakdown.profit`'s
-    order, so the result is bit-identical to ``ise_profit(...).profit``.
+    already do); :func:`profit_value` is the checked entry point.  The
+    selectors call this once per candidate evaluation, so Eq. 3's phases
+    and Eq. 2's terms are fused into one loop here: the same operations
+    as :func:`_phases` and :func:`_improvement` in the same order
+    (``max``/``min`` spelled as the comparisons they make, a skipped RISC
+    phase subtracting nothing), summed in :attr:`ProfitBreakdown.profit`'s
+    order, so the result is bit-identical to ``ise_profit(...).profit``
+    (``tests/test_profit_properties.py`` proves it on generated inputs).
     """
-    noe_risc, noe_levels, final_count = _phases(latencies, rec_schedule, e, tf, tb)
+    remaining = float(e)
     latency_rm = latencies[0]
-    improvements = tuple(
-        _improvement(noe, latency_rm, latencies[i])
-        for i, noe in enumerate(noe_levels, start=1)
-    )
-    return sum(improvements) + _improvement(final_count, latency_rm, latencies[-1])
+    rec_i = rec_schedule[0]
+    if rec_i > tf:
+        noe = (rec_i - tf) / (latency_rm + tb)
+        if remaining < noe:
+            noe = remaining
+        remaining -= noe
+    improvements: List[float] = []
+    for i in range(1, len(rec_schedule)):
+        rec_next = rec_schedule[i]
+        if rec_i >= tf:
+            raw = (rec_next - rec_i) / (latencies[i] + tb)
+        elif rec_next >= tf:
+            raw = (rec_next - tf) / (latencies[i] + tb)
+        else:
+            raw = 0.0
+        noe = raw if raw > 0.0 else 0.0
+        if remaining < noe:
+            noe = remaining
+        remaining -= noe
+        improvements.append(noe * (latency_rm - latencies[i]))
+        rec_i = rec_next
+    return sum(improvements) + remaining * (latency_rm - latencies[-1])
 
 
 def expected_executions(

@@ -19,9 +19,10 @@ Two implementations produce byte-identical results (``docs/selector.md``):
 * the **naive** selector recomputes every candidate's profit each round --
   a direct transcription of Fig. 6, kept as the reference oracle;
 * the **packed** selector (the default) runs the same rounds over the
-  structure-of-arrays packing of :mod:`repro.core.packed`: implementation
-  names interned to dense ids, candidate rows / latency staircases / FG
-  requirements flattened into parallel arrays at library-build time.  It
+  packing of :mod:`repro.core.packed`: implementations keyed by their
+  interned ids, each candidate's instance rows, latency staircase and FG
+  rows flattened into plain tuples at library-build time, and the fabric
+  state read into id-indexed arrays in one pass.  It
   keeps each candidate's last ``(charge, schedule, profit)`` across rounds
   and, after committing a winner, invalidates only the candidates the
   commit can actually perturb: those whose data-path footprint intersects
@@ -129,6 +130,52 @@ def predict_recT(
     return schedule, port
 
 
+def packed_recT(
+    rows: Sequence[Tuple[int, int, bool, int, int]],
+    coverage: Sequence[int],
+    ready: Sequence[float],
+    now: int,
+    port: float,
+) -> Tuple[List[float], float]:
+    """:func:`predict_recT` over a candidate's packed rows
+    (:attr:`repro.core.packed.PackedLibrary.cand_rows`) and id-indexed
+    ``coverage``/``ready`` arrays, the fold into the non-decreasing
+    schedule fused in.  ``port`` is the effective port start,
+    ``max(now, fg_port_free_at)``.  An id without copies has ready time
+    0.0, which reads as "ready now" for every ``now >= 0``.
+
+    ``max``/``min`` are spelled as comparisons -- ``max(a, b)`` is ``b if
+    b > a else a`` and ``min(a, b)`` is ``b if b < a else a``, object for
+    object -- so the schedule is :func:`predict_recT`'s, bit for bit.
+    """
+    now_f = float(now)
+    schedule: List[float] = []
+    completed = 0.0
+    for impl, quantity, fg, reconfig, _ in rows:
+        covered_qty = coverage[impl]
+        if quantity < covered_qty:
+            covered_qty = quantity
+        level_ready = now_f
+        if covered_qty > 0:
+            existing = ready[impl]
+            if existing > level_ready:
+                level_ready = existing
+        if covered_qty < quantity:
+            if fg:
+                port += reconfig * (quantity - covered_qty)
+                if port > level_ready:
+                    level_ready = port
+            else:
+                loaded = now + reconfig
+                if loaded > level_ready:
+                    level_ready = loaded
+        level_ready -= now
+        if level_ready > completed:
+            completed = level_ready
+        schedule.append(completed)
+    return schedule, port
+
+
 def exempt_copies(resources, now: int) -> Dict[str, int]:
     """Copies whose area is *not* part of the allocatable pool: pinned by an
     owner, or mid-transfer on the bitstream port (a streaming partial
@@ -200,7 +247,9 @@ class SelectionResult:
     (profits actually recomputed), ``evaluations_skipped`` (served from
     the round-to-round cache) and ``evaluations_pruned`` (discarded by the
     static profit upper bound without computing Eqs. 2-4); the naive
-    selector recomputes everything.
+    selector recomputes everything.  ``mode`` names the selector that
+    decided: ``"naive"`` or ``"packed"`` here, ``"optimal"`` for
+    :class:`~repro.core.optimal.OptimalSelector`.
     """
 
     selected: Dict[str, Optional[ISE]] = field(default_factory=dict)
@@ -258,7 +307,7 @@ class ISESelector:
         self.library = library
         self.mode = resolve_selector_mode(mode)
         self.profit = profit
-        #: structure-of-arrays view of the library (cached per library in
+        #: packed view of the library (cached per library in
         #: :mod:`repro.core.packed`); only materialised for the packed mode.
         self._packed: Optional[PackedLibrary] = (
             pack_library(library) if self.mode == "packed" else None
@@ -294,13 +343,15 @@ class ISESelector:
         controller: ReconfigurationController,
         now: int,
     ):
-        """The working state both implementations start from.
+        """The naive selector's working state, keyed by name.
 
         ``free`` is the fabric the selection may claim (free plus
         evictable-unpinned area), ``exempt`` the copies whose area is not
         charged (pinned or in flight), ``coverage``/``existing_ready`` the
         data paths usable without new reconfigurations, and
-        ``fg_port_free_at`` the bitstream-port backlog.
+        ``fg_port_free_at`` the bitstream-port backlog.  The packed
+        selector reads the same state into id arrays
+        (:meth:`~repro.fabric.resources.ResourceState.selection_view`).
         """
         free = {
             fabric: controller.resources.allocatable_area(fabric, now)
@@ -427,17 +478,21 @@ class ISESelector:
         controller: ReconfigurationController,
         now: int,
     ) -> SelectionResult:
-        """The Fig. 6 rounds with round-to-round caching, over the
-        structure-of-arrays packing.
+        """The Fig. 6 rounds with round-to-round caching, over the library's
+        packing.
 
-        Implementation names are interned ids, candidates are global
-        ``cid`` indices into the library's packed arrays, and the working
-        state lives in flat arrays:
+        Implementations are interned ids, candidates are global ``cid``
+        indices into the packed library, and the working state lives in
+        flat arrays:
 
-        * ``coverage`` / ``ready_has``+``ready_val`` / ``reserved`` /
-          ``exempt`` -- per implementation id (``ready_has`` models dict
-          *presence*: ``predict_recT`` defaults a missing ready time to
-          ``float(now)``, the commit defaults it to ``0.0``);
+        * ``coverage`` / ``ready_val`` / ``reserved`` / ``exempt`` -- per
+          implementation id, the first, second and fourth filled from the
+          fabric state by one
+          :meth:`~repro.fabric.resources.ResourceState.selection_view`
+          pass.  An id without copies keeps ``ready_val`` 0.0: the naive
+          selector's missing ready time reads as ``float(now)`` in the
+          schedule and as ``0.0`` in the commit, and ``max(now, 0.0)`` is
+          ``now`` for every ``now >= 0``, so one default serves both;
         * charge / profit / schedule / validity caches -- per ``cid``.
 
         A cached charge stays valid until a committed winner raises the
@@ -450,72 +505,44 @@ class ISESelector:
         pruned unevaluated; the explicit tie-break makes the argmax
         independent of that order.
 
-        Names configured on the fabric but absent from every candidate row
-        (e.g. monoCG context loads) are not interned; dropping them is
-        safe because coverage, reservations and exemptions are only ever
-        read for candidate instance rows.  An invalidation loop may visit
-        a candidate once per shared data path, but the validity flag is
-        cleared on the first visit, so ``invalidations`` counts each
-        invalidated cache entry once.
+        Implementations on the fabric that no candidate row uses (e.g.
+        monoCG context loads) may fall outside the arrays or land in
+        entries nothing reads: coverage, reservations and exemptions are
+        only ever read for candidate instance rows.  An invalidation loop
+        may visit a candidate once per shared data path, but the validity
+        flag is cleared on the first visit, so ``invalidations`` counts
+        each invalidated cache entry once.
         """
         result = SelectionResult(mode="packed")
         packed = self._packed
         if packed is None:
             packed = self._packed = pack_library(self.library)
 
-        impl_ids = packed.impl_ids
         kernel_cids = packed.kernel_cids
         scan_cids = packed.scan_cids
         users_cids = packed.users_cids
         cand_bound = packed.cand_bound
         cand_latencies = packed.cand_latencies
         cand_local = packed.cand_local
-        cand_ise = packed.cand_ise
-        row_start = packed.row_start
-        row_impl = packed.row_impl
-        row_qty = packed.row_qty
-        row_fg = packed.row_fg
-        row_reconfig = packed.row_reconfig
-        row_area = packed.row_area
-        fgr_start = packed.fgr_start
-        fgr_impl = packed.fgr_impl
-        fgr_qty = packed.fgr_qty
+        cand_rows = packed.cand_rows
+        cand_fg_rows = packed.cand_fg_rows
         profit_of = self.profit
 
         result.candidates_considered = sum(
             len(kernel_cids[kernel]) for kernel in triggers_by_kernel
         )
 
-        (
-            free,
-            exempt,
-            snapshot,
-            coverage_map,
-            existing_ready,
-            fg_port_free_at,
-        ) = self._setup(triggers_by_kernel, controller, now)
-
         n_impls = packed.n_impls
         coverage = [0] * n_impls
-        ready_has = bytearray(n_impls)
         ready_val: List[float] = [0.0] * n_impls
         reserved = [0] * n_impls
-        exempt_arr = [0] * n_impls
-        for name, quantity in coverage_map.items():
-            impl = impl_ids.get(name)
-            if impl is not None:
-                coverage[impl] = quantity
-        for name, quantity in exempt.items():
-            impl = impl_ids.get(name)
-            if impl is not None:
-                exempt_arr[impl] = quantity
-        for name, ready in existing_ready.items():
-            impl = impl_ids.get(name)
-            if impl is not None:
-                ready_has[impl] = 1
-                ready_val[impl] = ready
-        free_fg = free[FabricType.FG]
-        free_cg = free[FabricType.CG]
+        exempt = [0] * n_impls
+        free_fg, free_cg = controller.resources.selection_view(
+            now, coverage, ready_val, exempt
+        )
+        fg_port_free_at = float(controller.fg.port_available_at)
+        # Step 2b's "covered by what is configured" test, for covered_free.
+        initial_coverage = coverage[:]
 
         n_cands = packed.n_candidates
         alive = bytearray(n_cands)
@@ -531,74 +558,58 @@ class ISESelector:
         fg_sensitive = bytearray(n_cands)
         profit_valid = bytearray(n_cands)
 
+        # The counters live in locals until the end (attribute updates per
+        # candidate are measurable).  ``max``/``min`` calls are spelled as
+        # comparisons, as in packed_recT.
+        evaluations = recomputed = skipped = pruned = invalidations = rounds = 0
         now_f = float(now)
         pending = set(triggers_by_kernel)
         while pending:
-            result.rounds += 1
+            rounds += 1
             best_cid = -1
             best_profit = 0.0
             best_kernel = ""
             best_index = 0
+            port_start = fg_port_free_at if fg_port_free_at > now_f else now_f
             for kernel in sorted(pending):
                 trig = triggers_by_kernel[kernel]
                 executions = trig.executions
                 for cid in scan_cids[kernel]:
-                    start = row_start[cid]
-                    stop = row_start[cid + 1]
                     if not charge_valid[cid]:
                         fg_units = 0
                         cg_units = 0
-                        for r in range(start, stop):
-                            impl = row_impl[r]
-                            quantity = row_qty[r]
+                        for impl, quantity, fg, _, area in cand_rows[cid]:
                             r_old = reserved[impl]
                             if quantity <= r_old:
                                 continue
-                            ex = exempt_arr[impl]
-                            delta_units = max(0, quantity - ex) - max(0, r_old - ex)
-                            if row_fg[r]:
-                                fg_units += row_area[r] * delta_units
+                            ex = exempt[impl]
+                            delta_units = (quantity - ex if quantity > ex else 0) - (
+                                r_old - ex if r_old > ex else 0
+                            )
+                            if fg:
+                                fg_units += area * delta_units
                             else:
-                                cg_units += row_area[r] * delta_units
+                                cg_units += area * delta_units
                         charge_fg[cid] = fg_units
                         charge_cg[cid] = cg_units
                         charge_valid[cid] = 1
                     if charge_fg[cid] > free_fg or charge_cg[cid] > free_cg:
                         continue
-                    result.profit_evaluations += 1
+                    evaluations += 1
                     if profit_valid[cid]:
-                        result.evaluations_skipped += 1
+                        skipped += 1
                     else:
                         bound = executions * cand_bound[cid]
                         if best_cid < 0:
                             if bound <= 0.0:
-                                result.evaluations_pruned += 1
+                                pruned += 1
                                 continue
                         elif bound + bound * BOUND_PRUNE_SLACK < best_profit:
-                            result.evaluations_pruned += 1
+                            pruned += 1
                             continue
-                        # predict_recT over the packed rows, with the fold
-                        # into the non-decreasing schedule fused in (the
-                        # per-row ready values never depend on it).
-                        port = max(now_f, fg_port_free_at)
-                        schedule: List[float] = []
-                        completed = 0.0
-                        for r in range(start, stop):
-                            impl = row_impl[r]
-                            quantity = row_qty[r]
-                            covered_qty = min(coverage[impl], quantity)
-                            missing = quantity - covered_qty
-                            ready = now_f
-                            if covered_qty > 0 and ready_has[impl]:
-                                ready = max(ready, ready_val[impl])
-                            if missing > 0:
-                                if row_fg[r]:
-                                    port += row_reconfig[r] * missing
-                                    ready = max(ready, port)
-                                else:
-                                    ready = max(ready, now + row_reconfig[r])
-                            completed = max(completed, ready - now)
-                            schedule.append(completed)
+                        schedule, port = packed_recT(
+                            cand_rows[cid], coverage, ready_val, now, port_start
+                        )
                         profit_arr[cid] = profit_of(
                             cand_latencies[cid],
                             schedule,
@@ -609,23 +620,25 @@ class ISESelector:
                         schedule_arr[cid] = schedule
                         port_after_arr[cid] = port
                         sensitive = 0
-                        for p in range(fgr_start[cid], fgr_start[cid + 1]):
-                            if coverage[fgr_impl[p]] < fgr_qty[p]:
+                        for impl, quantity in cand_fg_rows[cid]:
+                            if coverage[impl] < quantity:
                                 sensitive = 1
                                 break
                         fg_sensitive[cid] = sensitive
                         profit_valid[cid] = 1
-                        result.evaluations_recomputed += 1
-                    if best_cid < 0 or _beats(
-                        profit_arr[cid],
-                        kernel,
-                        cand_local[cid],
-                        best_profit,
-                        best_kernel,
-                        best_index,
+                        recomputed += 1
+                    # The _beats order, inlined.
+                    profit = profit_arr[cid]
+                    if (
+                        best_cid < 0
+                        or profit > best_profit
+                        or (
+                            not profit < best_profit
+                            and (kernel, cand_local[cid]) < (best_kernel, best_index)
+                        )
                     ):
                         best_cid = cid
-                        best_profit = profit_arr[cid]
+                        best_profit = profit
                         best_kernel = kernel
                         best_index = cand_local[cid]
 
@@ -637,60 +650,56 @@ class ISESelector:
 
             kernel = best_kernel
             cid = best_cid
-            ise = cand_ise[cid]
-            result.selected[kernel] = ise
+            rows = cand_rows[cid]
+            result.selected[kernel] = packed.cand_ise[cid]
             result.profits[kernel] = best_profit
-            if ise.covered_by(snapshot):
+            for impl, quantity, _, _, _ in rows:
+                if initial_coverage[impl] < quantity:
+                    break
+            else:
                 result.covered_free.append(kernel)
-            start = row_start[cid]
-            stop = row_start[cid + 1]
-            # Fresh commit charge plus raised reservations in one pass: both
-            # read the pre-commit reservations, and the "raised" condition
-            # (quantity > reserved) is exactly the charge loop's skip test.
+            # Fresh commit charge and raised reservations in one pass: rows
+            # list each implementation once, so every row reads its own
+            # pre-commit reservation, and "raised" (quantity > reserved) is
+            # exactly the charge loop's skip test.
             raised_reservations: List[int] = []
-            for r in range(start, stop):
-                impl = row_impl[r]
-                quantity = row_qty[r]
+            for impl, quantity, fg, _, area in rows:
                 r_old = reserved[impl]
                 if quantity <= r_old:
                     continue
                 raised_reservations.append(impl)
-                ex = exempt_arr[impl]
-                delta_units = max(0, quantity - ex) - max(0, r_old - ex)
-                if row_fg[r]:
-                    free_fg -= row_area[r] * delta_units
+                reserved[impl] = quantity
+                ex = exempt[impl]
+                delta_units = (quantity - ex if quantity > ex else 0) - (
+                    r_old - ex if r_old > ex else 0
+                )
+                if fg:
+                    free_fg -= area * delta_units
                 else:
-                    free_cg -= row_area[r] * delta_units
-            for r in range(start, stop):
-                impl = row_impl[r]
-                if row_qty[r] > reserved[impl]:
-                    reserved[impl] = row_qty[r]
+                    free_cg -= area * delta_units
             # _commit_coverage over the arrays; rows list each impl once, so
             # a per-row changed flag reproduces the changed-name set.
             winner_schedule = schedule_arr[cid]
             assert winner_schedule is not None
             changed_coverage: List[int] = []
-            for level_index, r in enumerate(range(start, stop)):
-                impl = row_impl[r]
-                quantity = row_qty[r]
+            for level_index, row in enumerate(rows):
+                impl = row[0]
                 changed = False
-                if quantity > coverage[impl]:
-                    coverage[impl] = quantity
+                if row[1] > coverage[impl]:
+                    coverage[impl] = row[1]
                     changed = True
                 ready_abs = now + winner_schedule[level_index]
-                if ready_abs > (ready_val[impl] if ready_has[impl] else 0.0):
+                if ready_abs > ready_val[impl]:
                     ready_val[impl] = ready_abs
-                    ready_has[impl] = 1
                     changed = True
                 if changed:
                     changed_coverage.append(impl)
 
-            effective_before = max(now_f, fg_port_free_at)
             if fg_sensitive[cid]:
                 fg_port_free_at = port_after_arr[cid]
             else:
-                fg_port_free_at = effective_before
-            port_moved = fg_port_free_at > effective_before
+                fg_port_free_at = port_start
+            port_moved = fg_port_free_at > port_start
 
             pending.discard(kernel)
             for dead in kernel_cids[kernel]:
@@ -700,19 +709,25 @@ class ISESelector:
                 for other in users_cids[impl]:
                     if alive[other] and charge_valid[other]:
                         charge_valid[other] = 0
-                        result.invalidations += 1
+                        invalidations += 1
             for impl in changed_coverage:
                 for other in users_cids[impl]:
                     if alive[other] and profit_valid[other]:
                         profit_valid[other] = 0
-                        result.invalidations += 1
+                        invalidations += 1
             if port_moved:
                 for other_kernel in pending:
                     for other in kernel_cids[other_kernel]:
                         if profit_valid[other] and fg_sensitive[other]:
                             profit_valid[other] = 0
-                            result.invalidations += 1
+                            invalidations += 1
 
+        result.rounds = rounds
+        result.profit_evaluations = evaluations
+        result.evaluations_recomputed = recomputed
+        result.evaluations_skipped = skipped
+        result.evaluations_pruned = pruned
+        result.invalidations = invalidations
         return result
 
 
@@ -747,6 +762,7 @@ __all__ = [
     "SELECTOR_MODES",
     "SELECTOR_MODE_ENV",
     "SelectionResult",
+    "packed_recT",
     "predict_recT",
     "resolve_selector_mode",
 ]

@@ -20,7 +20,9 @@ flow.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
+from typing import Dict, List
 
 from repro.util.validation import ValidationError, check_non_negative, check_positive
 
@@ -33,6 +35,35 @@ class FabricType(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: Interned data-path ids: qualified implementation name -> dense int, in
+#: order of first construction.  The decision path (fabric state,
+#: reconfiguration commit, ECU cascade, selectors) keys its arrays by these
+#: ids.  The table is process-wide because libraries, fabric states and
+#: ECUs built apart must agree on them; it only grows and an id never
+#: changes, so which caller interned a name first changes no result.  Ids
+#: do depend on what the process built before, so they never leave it --
+#: records, traces and cache keys carry names.
+IMPL_IDS: Dict[str, int] = {}
+#: id -> qualified implementation name (the inverse of :data:`IMPL_IDS`).
+IMPL_NAMES: List[str] = []
+#: Serialises first sightings: threads that build libraries at once (the
+#: service daemon's intake) must not give one name two ids.
+_INTERN_LOCK = threading.Lock()
+
+
+def intern_impl(name: str) -> int:
+    """The interned id of the qualified implementation name ``name``."""
+    impl_id = IMPL_IDS.get(name)
+    if impl_id is None:
+        with _INTERN_LOCK:
+            impl_id = IMPL_IDS.get(name)
+            if impl_id is None:
+                impl_id = len(IMPL_NAMES)
+                IMPL_NAMES.append(name)
+                IMPL_IDS[name] = impl_id
+    return impl_id
 
 
 @dataclass(frozen=True)
@@ -111,6 +142,10 @@ class DataPathImpl:
     which is how the fine-grained fabric wins asymptotically despite its 4x
     slower clock; CG data paths execute their instruction sequence per
     invocation, so their ``ii_cycles`` equals ``hw_cycles``.
+
+    Construction also sets two derived attributes (not fields, so outside
+    equality, hashing and ``repr``): ``name``, the qualified name, e.g.
+    ``deblock.cond@fg``, and ``uid``, its interned id (:func:`intern_impl`).
     """
 
     spec: DataPathSpec
@@ -127,11 +162,18 @@ class DataPathImpl:
         check_non_negative("DataPathImpl.ii_cycles", self.ii_cycles)
         if self.ii_cycles == 0:
             object.__setattr__(self, "ii_cycles", self.hw_cycles)
+        name = f"{self.spec.name}@{self.fabric.value}"
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "uid", intern_impl(name))
 
-    @property
-    def name(self) -> str:
-        """Qualified name, e.g. ``deblock.cond@fg``."""
-        return f"{self.spec.name}@{self.fabric.value}"
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled copy carries the
+        # id its own process interns for the name.
+        return (
+            type(self),
+            (self.spec, self.fabric, self.hw_cycles, self.reconfig_cycles,
+             self.area, self.ii_cycles),
+        )
 
     def burst_cycles(self, invocations: int) -> int:
         """Core cycles for ``invocations`` back-to-back invocations."""

@@ -9,6 +9,10 @@ needs their fabric.
 The controller also offers a *preview* mode used by the profit function: it
 predicts the completion time ``recT`` of every data-path instance of a
 candidate ISE given the current port backlog, without committing anything.
+
+Commit, pinning and eviction address the fabric state by interned
+implementation id (``DataPathImpl.uid``); names appear only in the
+:class:`ReconfigRequest` log and the returned ready map.
 """
 
 from __future__ import annotations
@@ -89,16 +93,16 @@ class ReconfigurationController:
         # Copies of the same implementation may be shared between instances
         # (e.g. the same data path in several candidate ISEs of one kernel),
         # so track how many existing copies each implementation contributes.
-        consumed: Dict[str, int] = {}
+        consumed: Dict[int, int] = {}
         for instance in instances:
-            name = instance.impl.name
-            have = self.resources.configured_quantity(name) - consumed.get(name, 0)
+            uid = instance.impl.uid
+            have = self.resources.count(uid) - consumed.get(uid, 0)
             use_existing = min(max(have, 0), instance.quantity)
-            consumed[name] = consumed.get(name, 0) + use_existing
+            consumed[uid] = consumed.get(uid, 0) + use_existing
             missing = instance.quantity - use_existing
             ready = now
             if use_existing:
-                existing_ready = self.resources.ready_at(name, use_existing)
+                existing_ready = self.resources.ready_time(uid, use_existing)
                 if existing_ready is not None:
                     ready = max(ready, existing_ready)
             for _ in range(missing):
@@ -124,51 +128,47 @@ class ReconfigurationController:
         occupied.  Raises :class:`ReproError` if pinned configurations leave
         insufficient fabric (the selector must have checked fit beforehand).
         """
+        resources = self.resources
         ready: Dict[str, int] = {}
         for instance in instances:
-            name = instance.impl.name
-            already = self.resources.configured_quantity(name)
-            pinned = self.resources.pin(name, instance.quantity, owner)
-            missing = instance.quantity - min(already, instance.quantity)
-            for _ in range(missing):
-                area_free = self.resources.evict(
-                    instance.fabric, instance.impl.area, now
-                )
-                if area_free < instance.impl.area:
+            impl = instance.impl
+            uid = impl.uid
+            quantity = instance.quantity
+            already = resources.count(uid)
+            pinned = resources.pin_id(uid, quantity, owner)
+            for _ in range(quantity - min(already, quantity)):
+                area_free = resources.evict(impl.fabric, impl.area, now)
+                if area_free < impl.area:
                     raise ReproError(
-                        f"no fabric for {name}: {instance.impl.area} units of "
-                        f"{instance.fabric} needed, {area_free} free after eviction"
+                        f"no fabric for {impl.name}: {impl.area} units of "
+                        f"{impl.fabric} needed, {area_free} free after eviction"
                     )
                 token = None
-                if instance.fabric is FabricType.FG:
+                if impl.fabric is FabricType.FG:
                     start, done, token = self.fg.schedule_reconfig(
-                        now, instance.impl.reconfig_cycles
+                        now, impl.reconfig_cycles
                     )
                 else:
-                    start, done = self.cg.schedule_reconfig(
-                        now, instance.impl.reconfig_cycles
-                    )
-                copy = self.resources.add_copy(
-                    instance.impl, ready_at=done, pinned_by=owner
-                )
+                    start, done = self.cg.schedule_reconfig(now, impl.reconfig_cycles)
+                copy = resources.add_copy(impl, ready_at=done, pinned_by=owner)
                 if token is not None:
                     copy.transfer_start = start
                     copy.port_token = token
                     self._token_copies[token] = copy
                 self.requests.append(
                     ReconfigRequest(
-                        impl_name=name,
-                        fabric=instance.fabric,
+                        impl_name=impl.name,
+                        fabric=impl.fabric,
                         start=start,
                         done=done,
                         owner=owner,
                         requested_at=now,
                     )
                 )
-            if pinned < instance.quantity:
-                self.resources.pin(name, instance.quantity, owner)
-            ready_at = self.resources.ready_at(name, instance.quantity)
-            ready[name] = now if ready_at is None else ready_at
+            if pinned < quantity:
+                resources.pin_id(uid, quantity, owner)
+            ready_at = resources.ready_time(uid, quantity)
+            ready[impl.name] = now if ready_at is None else ready_at
         return ready
 
     def release_owner(self, owner: str) -> None:
@@ -195,10 +195,11 @@ class ReconfigurationController:
         of raising; its kernel falls back to RISC mode / the ECU cascade.
         Returns the kernels whose ISEs were skipped.
         """
-        ises = [ise for ise in selection.values() if ise is not None]
-        for ise in ises:
-            for instance in ise.instances:
-                self.resources.pin(instance.impl.name, instance.quantity, owner)
+        pin_id = self.resources.pin_id
+        for ise in selection.values():
+            if ise is not None:
+                for instance in ise.instances:
+                    pin_id(instance.impl.uid, instance.quantity, owner)
         skipped: List[str] = []
         for kernel, ise in selection.items():
             if ise is None:
@@ -219,11 +220,10 @@ class ReconfigurationController:
         return self.resources.next_event_after(now)
 
     def free_cg_fabric_available(self, now: int) -> bool:
-        """Whether a CG context slot is free (or evictable) for a
-        monoCG-Extension."""
-        if self.resources.free_area(FabricType.CG) >= 1:
-            return True
-        return self.resources.unpinned_area(FabricType.CG) >= 1
+        """Whether a CG context slot is free, or held by a copy eviction
+        can remove at ``now``, for a monoCG-Extension.  An unpinned copy
+        that is still loading is neither: eviction cannot abort it."""
+        return self.resources.allocatable_area(FabricType.CG, now) >= 1
 
     def reset(self) -> None:
         """Drop all configuration state (simulation reset)."""

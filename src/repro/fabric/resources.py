@@ -5,15 +5,25 @@ and functional blocks.  :class:`ResourceState` tracks every configured data
 path copy, which selection currently *pins* it, and when it becomes ready;
 it also implements the least-recently-used replacement the selector relies
 on when a new selection needs fabric that stale configurations occupy.
+
+The state is keyed by interned implementation id
+(:func:`repro.fabric.datapath.intern_impl`).  The decision path -- the
+reconfiguration commit, the ECU cascade and the packed selector -- queries
+it by id; the name-keyed methods translate at the API boundary.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.fabric.datapath import DataPathImpl, FabricType
+from repro.fabric.datapath import (
+    IMPL_IDS,
+    IMPL_NAMES,
+    DataPathImpl,
+    DataPathInstance,
+    FabricType,
+)
 from repro.util.validation import ValidationError, check_non_negative
 
 _CG = FabricType.CG
@@ -59,7 +69,7 @@ class ResourceBudget:
         return f"{self.n_cg_fabrics}{self.n_prcs}"
 
 
-@dataclass
+@dataclass(eq=False)
 class ConfiguredCopy:
     """One configured (or in-flight) copy of a data-path implementation.
 
@@ -68,6 +78,10 @@ class ConfiguredCopy:
     transfer has not started yet is *cancellable* -- evicting it aborts the
     pending transfer (and the port queue reflows); once streaming, the
     transfer is committed and the copy cannot be evicted until ready.
+
+    ``uid``, ``area`` and ``cg`` (the fabric is CG) are read off the
+    implementation once, for the occupancy loops.  Copies compare by
+    identity: two copies of one implementation are two configurations.
     """
 
     impl: DataPathImpl
@@ -76,10 +90,14 @@ class ConfiguredCopy:
     last_used: int = 0
     transfer_start: Optional[int] = None
     port_token: Optional[int] = None
+    uid: int = field(init=False, repr=False)
+    area: int = field(init=False, repr=False)
+    cg: bool = field(init=False, repr=False)
 
-    @property
-    def area(self) -> int:
-        return self.impl.area
+    def __post_init__(self) -> None:
+        self.uid = self.impl.uid
+        self.area = self.impl.area
+        self.cg = self.impl.fabric is _CG
 
     @property
     def fabric(self) -> FabricType:
@@ -91,7 +109,7 @@ class ConfiguredCopy:
     def is_cancellable(self, now: int) -> bool:
         """In flight, but its port transfer has not started streaming."""
         return (
-            not self.is_ready(now)
+            self.ready_at > now
             and self.transfer_start is not None
             and self.transfer_start > now
         )
@@ -99,28 +117,29 @@ class ConfiguredCopy:
     def is_evictable(self, now: int) -> bool:
         """Unpinned and either fully configured or still cancellable."""
         return self.pinned_by is None and (
-            self.is_ready(now) or self.is_cancellable(now)
+            self.ready_at <= now or self.is_cancellable(now)
         )
 
 
 class ResourceState:
     """Occupancy of the reconfigurable fabrics.
 
-    Copies are keyed by the qualified implementation name
-    (``"<datapath>@<fabric>"``); several copies of the same implementation
-    may coexist (parallelised data paths).
+    Copies are keyed by interned implementation id; several copies of the
+    same implementation may coexist (parallelised data paths).
     """
 
     def __init__(self, budget: ResourceBudget):
         self.budget = budget
-        #: per implementation, kept sorted by ``ready_at`` at insertion so
-        #: :meth:`ready_at` and :meth:`next_event_after` never re-sort.  The
-        #: order survives every mutation: new copies of one implementation
-        #: are never scheduled to finish before existing ones (the FG
-        #: bitstream port is FIFO, CG context loads take a fixed time), and
-        #: port-cancellation reflows shift only *later* transfers earlier,
-        #: which preserves per-implementation finish order.
-        self._copies: Dict[str, List[ConfiguredCopy]] = {}
+        #: per implementation id, kept in ``ready_at`` order at insertion,
+        #: so the k-th copy is the k-th to become ready and no query
+        #: re-sorts.  The order survives every mutation: new copies of one
+        #: implementation are never scheduled to finish before existing
+        #: ones (the FG bitstream port is FIFO, CG context loads take a
+        #: fixed time), and port-cancellation reflows shift only *later*
+        #: transfers earlier, which preserves per-implementation finish
+        #: order.  Dict order is first-insertion order, which is the
+        #: eviction tie-break.
+        self._copies: Dict[int, List[ConfiguredCopy]] = {}
         #: monotonic counter bumped by every mutation that can change an
         #: execution decision (copies added/removed, pins changed, reset).
         #: ``touch`` does NOT bump it: ``last_used`` is only read at
@@ -134,62 +153,132 @@ class ResourceState:
         #: cancellable copy being evicted, so its pending port transfer is
         #: aborted and the queue reflows (None = no port to notify).
         self.canceller = None
-        #: running area totals of every copy (``_used``) and of the pinned
-        #: ones (``_pinned``), indexed by ``fabric is CG`` (FG 0, CG 1) --
-        #: enum members hash in Python, a bool indexes in C.  Every
-        #: mutation below keeps them, so occupancy queries never re-sum.
+        #: area of each fabric (``_total``), and running area totals of
+        #: every copy (``_used``) and of the pinned ones (``_pinned``), all
+        #: indexed by ``fabric is CG`` (FG 0, CG 1) -- enum members hash in
+        #: Python, a bool indexes in C.  Every mutation below keeps the
+        #: totals, so occupancy queries never re-sum.
+        self._total = (budget.n_prcs, budget.n_cg_slots)
         self._used = [0, 0]
         self._pinned = [0, 0]
 
-    # ------------------------------------------------------------ queries
+    # ------------------------------------------------- queries by name
     def copies(self, impl_name: str) -> List[ConfiguredCopy]:
         """All configured or in-flight copies of ``impl_name``."""
-        return list(self._copies.get(impl_name, ()))
+        return list(self._copies.get(IMPL_IDS.get(impl_name), ()))
 
     def iter_copies(self) -> Iterable[ConfiguredCopy]:
         for copies in self._copies.values():
             yield from copies
 
+    def configured_quantity(self, impl_name: str) -> int:
+        """Number of copies of ``impl_name`` configured or in flight."""
+        return len(self._copies.get(IMPL_IDS.get(impl_name), ()))
+
+    def ready_quantity(self, impl_name: str, now: int) -> int:
+        """Number of copies of ``impl_name`` ready at cycle ``now``."""
+        ready = 0
+        for copy in self._copies.get(IMPL_IDS.get(impl_name), ()):
+            if copy.ready_at > now:
+                break
+            ready += 1
+        return ready
+
+    def ready_at(self, impl_name: str, quantity: int) -> Optional[int]:
+        """Cycle at which ``quantity`` copies of ``impl_name`` are ready,
+        or ``None`` if fewer copies exist."""
+        return self.ready_time(IMPL_IDS.get(impl_name, -1), quantity)
+
+    def snapshot(self) -> Dict[str, int]:
+        """Qualified implementation name -> configured quantity."""
+        return {IMPL_NAMES[uid]: len(copies) for uid, copies in self._copies.items()}
+
+    # --------------------------------------------------- queries by id
+    def count(self, uid: int) -> int:
+        """Number of copies of implementation ``uid`` configured or in flight."""
+        return len(self._copies.get(uid, ()))
+
+    def ready_time(self, uid: int, quantity: int) -> Optional[int]:
+        """Cycle at which ``quantity`` copies of implementation ``uid`` are
+        ready, or ``None`` if fewer copies exist.  O(1): the copies are
+        kept in ``ready_at`` order."""
+        copies = self._copies.get(uid, ())
+        if len(copies) < quantity:
+            return None
+        return copies[quantity - 1].ready_at
+
+    def ready_level(self, instances: Sequence[DataPathInstance], now: int) -> int:
+        """How many leading ``instances`` have their full quantity ready at
+        ``now`` (the deepest ready intermediate-ISE level)."""
+        level = 0
+        get = self._copies.get
+        for instance in instances:
+            copies = get(instance.impl.uid)
+            quantity = instance.quantity
+            if (
+                copies is None
+                or len(copies) < quantity
+                or copies[quantity - 1].ready_at > now
+            ):
+                break
+            level += 1
+        return level
+
+    def selection_view(
+        self,
+        now: int,
+        coverage: List[int],
+        ready: List[float],
+        exempt: List[int],
+    ) -> Tuple[int, int]:
+        """The fabric as a selection at ``now`` sees it, in one pass.
+
+        Returns the allocatable FG and CG area (:meth:`allocatable_area`).
+        For every implementation id below ``len(coverage)`` that has
+        copies, fills ``coverage`` (configured quantity), ``ready`` (cycle
+        at which all of them are ready) and ``exempt`` (copies outside the
+        allocatable pool: pinned, or mid-transfer on the bitstream port);
+        entries of ids without copies are left as they are.
+        """
+        n = len(coverage)
+        free = [self._total[0] - self._used[0], self._total[1] - self._used[1]]
+        for uid, copies in self._copies.items():
+            held = 0
+            for copy in copies:
+                if copy.pinned_by is None and (
+                    copy.ready_at <= now
+                    or (copy.transfer_start is not None and copy.transfer_start > now)
+                ):
+                    free[copy.cg] += copy.area
+                else:
+                    held += 1
+            if uid < n:
+                coverage[uid] = len(copies)
+                ready[uid] = float(copies[-1].ready_at)
+                exempt[uid] = held
+        return free[0], free[1]
+
+    # ------------------------------------------------------- occupancy
     def used_area(self, fabric: FabricType) -> int:
         """Area units of ``fabric`` occupied (ready or in-flight)."""
         return self._used[fabric is _CG]
 
     def free_area(self, fabric: FabricType) -> int:
         """Unoccupied area units of ``fabric``."""
-        return self.budget.total(fabric) - self._used[fabric is _CG]
+        cg = fabric is _CG
+        return self._total[cg] - self._used[cg]
 
     def unpinned_area(self, fabric: FabricType) -> int:
         """Area that is free or occupied by evictable (unpinned) copies."""
-        return self.budget.total(fabric) - self._pinned[fabric is _CG]
+        cg = fabric is _CG
+        return self._total[cg] - self._pinned[cg]
 
     def allocatable_area(self, fabric: FabricType, now: int) -> int:
         """Area a new selection can claim at ``now``: free area plus the
         area of unpinned copies that are fully configured or whose pending
         port transfer can still be cancelled.  Copies whose bitstream is
         already streaming are untouchable until they complete."""
-        evictable = sum(
-            c.area
-            for c in self.iter_copies()
-            if c.fabric is fabric and c.is_evictable(now)
-        )
-        return self.free_area(fabric) + evictable
-
-    def configured_quantity(self, impl_name: str) -> int:
-        """Number of copies of ``impl_name`` configured or in flight."""
-        return len(self._copies.get(impl_name, ()))
-
-    def ready_quantity(self, impl_name: str, now: int) -> int:
-        """Number of copies of ``impl_name`` ready at cycle ``now``."""
-        return sum(1 for c in self._copies.get(impl_name, ()) if c.is_ready(now))
-
-    def ready_at(self, impl_name: str, quantity: int) -> Optional[int]:
-        """Cycle at which ``quantity`` copies of ``impl_name`` are ready,
-        or ``None`` if fewer copies exist.  O(1): copies are maintained in
-        ``ready_at`` order (see ``__init__``), so no per-call sort."""
-        copies = self._copies.get(impl_name, ())
-        if len(copies) < quantity:
-            return None
-        return copies[quantity - 1].ready_at
+        return self.selection_view(now, [], [], [])[fabric is _CG]
 
     def next_event_after(self, now: int) -> Optional[int]:
         """The earliest ``ready_at`` strictly after ``now`` across every
@@ -198,11 +287,11 @@ class ResourceState:
         flight beyond ``now``.  Uses the per-implementation sorted order."""
         best: Optional[int] = None
         for copies in self._copies.values():
-            index = bisect.bisect_right(copies, now, key=lambda c: c.ready_at)
-            if index < len(copies):
-                candidate = copies[index].ready_at
-                if best is None or candidate < best:
-                    best = candidate
+            for copy in copies:
+                if copy.ready_at > now:
+                    if best is None or copy.ready_at < best:
+                        best = copy.ready_at
+                    break
         return best
 
     # ---------------------------------------------------------- mutation
@@ -218,38 +307,54 @@ class ResourceState:
                 f"cannot configure {impl.name}: needs {impl.area} units of "
                 f"{impl.fabric}, only {self.free_area(impl.fabric)} free"
             )
-        copy = ConfiguredCopy(impl=impl, ready_at=ready_at, pinned_by=pinned_by, last_used=ready_at)
-        bisect.insort_right(
-            self._copies.setdefault(impl.name, []), copy, key=lambda c: c.ready_at
-        )
-        cg = impl.fabric is _CG
-        self._used[cg] += impl.area
+        copy = ConfiguredCopy(impl, ready_at, pinned_by, last_used=ready_at)
+        copies = self._copies.setdefault(copy.uid, [])
+        # After every copy ready no later (new copies usually finish last).
+        index = len(copies)
+        while index and copies[index - 1].ready_at > ready_at:
+            index -= 1
+        copies.insert(index, copy)
+        self._used[copy.cg] += copy.area
         if pinned_by is not None:
-            self._pinned[cg] += impl.area
+            self._pinned[copy.cg] += copy.area
         self.version += 1
         return copy
 
     def touch(self, impl_name: str, now: int) -> None:
         """Mark ``impl_name`` as used at ``now`` (for LRU replacement)."""
-        for copy in self._copies.get(impl_name, ()):
-            copy.last_used = max(copy.last_used, now)
+        self.touch_ids((IMPL_IDS.get(impl_name, -1),), now)
+
+    def touch_ids(self, uids: Iterable[int], now: int) -> None:
+        """Mark every copy of each implementation id in ``uids`` as used at
+        ``now`` (``last_used`` keeps the maximum)."""
+        get = self._copies.get
+        for uid in uids:
+            for copy in get(uid, ()):
+                if copy.last_used < now:
+                    copy.last_used = now
 
     def pin(self, impl_name: str, quantity: int, owner: str) -> int:
-        """Pin up to ``quantity`` copies of ``impl_name`` for ``owner``.
+        """Pin up to ``quantity`` copies of ``impl_name`` for ``owner``
+        (:meth:`pin_id`)."""
+        return self.pin_id(IMPL_IDS.get(impl_name, -1), quantity, owner)
+
+    def pin_id(self, uid: int, quantity: int, owner: str) -> int:
+        """Pin up to ``quantity`` copies of implementation ``uid`` for
+        ``owner``.
 
         Copies already pinned by ``owner`` count toward ``quantity``.
         Returns the number of copies pinned for the owner after the call.
         """
         pinned = 0
         changed = False
-        for copy in self._copies.get(impl_name, ()):
+        for copy in self._copies.get(uid, ()):
             if pinned >= quantity:
                 break
             if copy.pinned_by == owner:
                 pinned += 1
             elif copy.pinned_by is None:
                 copy.pinned_by = owner
-                self._pinned[copy.fabric is _CG] += copy.area
+                self._pinned[copy.cg] += copy.area
                 pinned += 1
                 changed = True
         if changed:
@@ -259,11 +364,12 @@ class ResourceState:
     def unpin_owner(self, owner: str) -> None:
         """Release every pin held by ``owner`` (e.g. at functional-block exit)."""
         changed = False
-        for copy in self.iter_copies():
-            if copy.pinned_by == owner:
-                copy.pinned_by = None
-                self._pinned[copy.fabric is _CG] -= copy.area
-                changed = True
+        for copies in self._copies.values():
+            for copy in copies:
+                if copy.pinned_by == owner:
+                    copy.pinned_by = None
+                    self._pinned[copy.cg] -= copy.area
+                    changed = True
         if changed:
             self.version += 1
 
@@ -290,37 +396,45 @@ class ResourceState:
         aborting a streaming partial bitstream is not supported by the
         hardware.  Ready copies are preferred victims (cancelling a pending
         transfer wastes a decision, evicting a stale configuration wastes
-        nothing).  Returns the free area after eviction.
+        nothing), then the least recently used; equal keys go in copy
+        order.  Returns the free area after eviction.
         """
         check_non_negative("area_needed", area_needed)
-        if self.free_area(fabric) >= area_needed:
-            return self.free_area(fabric)
-        victims = sorted(
-            (
-                c
-                for c in self.iter_copies()
-                if c.fabric is fabric and c.is_evictable(now)
-            ),
-            key=lambda c: (0 if c.is_ready(now) else 1, c.last_used),
-        )
-        for victim in victims:
-            if self.free_area(fabric) >= area_needed:
+        cg = fabric is _CG
+        if self._total[cg] - self._used[cg] >= area_needed:
+            return self._total[cg] - self._used[cg]
+        # One pass collects the victims' sort keys; the position breaks
+        # ties, so the order is a stable sort's.
+        victims = []
+        for copies in self._copies.values():
+            for copy in copies:
+                if copy.cg is not cg or copy.pinned_by is not None:
+                    continue
+                if copy.ready_at <= now:
+                    victims.append((0, copy.last_used, len(victims), copy))
+                elif copy.transfer_start is not None and copy.transfer_start > now:
+                    victims.append((1, copy.last_used, len(victims), copy))
+        victims.sort()
+        for _, _, _, victim in victims:
+            if self._total[cg] - self._used[cg] >= area_needed:
                 break
             if victim.is_cancellable(now) and self.canceller is not None:
                 self.canceller(victim, now)
             self._remove(victim)
             self.eviction_log.append((now, victim.impl.name, victim.area))
-        return self.free_area(fabric)
+        return self._total[cg] - self._used[cg]
 
     def _remove(self, victim: ConfiguredCopy) -> None:
-        copies = self._copies.get(victim.impl.name, [])
-        copies.remove(victim)
+        copies = self._copies[victim.uid]
+        for index, copy in enumerate(copies):
+            if copy is victim:
+                del copies[index]
+                break
         if not copies:
-            self._copies.pop(victim.impl.name, None)
-        cg = victim.fabric is _CG
-        self._used[cg] -= victim.area
+            del self._copies[victim.uid]
+        self._used[victim.cg] -= victim.area
         if victim.pinned_by is not None:
-            self._pinned[cg] -= victim.area
+            self._pinned[victim.cg] -= victim.area
         self.version += 1
 
     def clear(self) -> None:
@@ -330,11 +444,6 @@ class ResourceState:
         self._used = [0, 0]
         self._pinned = [0, 0]
         self.version += 1
-
-    # --------------------------------------------------------- reporting
-    def snapshot(self) -> Dict[str, int]:
-        """Qualified implementation name -> configured quantity."""
-        return {name: len(copies) for name, copies in self._copies.items()}
 
 
 __all__ = ["ResourceBudget", "ConfiguredCopy", "ResourceState"]

@@ -547,7 +547,11 @@ class SweepService:
 
         if miss_cells:
             chunk = frame.get("chunk")
-            parts = max(1, len(self._live) or self.n_workers or 1)
+            # Plan for the whole local fleet even while some of it is
+            # still connecting (more when external workers joined): the
+            # batch plan, and with it frames_sent, must not depend on which
+            # workers happened to connect before this job arrived.
+            parts = max(1, len(self._live), self.n_workers)
             batches = plan_batches(
                 miss_cells,
                 int(chunk) if chunk else None,

@@ -94,11 +94,11 @@ class RuntimePolicy(abc.ABC):
         other policy falls back to one :meth:`execute` per call, which
         makes the packed engine behave exactly like the stepped loop.
         """
-        from repro.core.ecu import ExecutionRun
-
         ecu = getattr(self, "ecu", None)
         if ecu is not None:
             return ecu.execute_run(kernel_name, now, max_executions, gap)
+        from repro.core.ecu import ExecutionRun
+
         decision = self.execute(kernel_name, now)
         return ExecutionRun(
             decision=decision, count=1, horizon=float(now + 1)

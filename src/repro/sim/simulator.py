@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.packed import PackedIteration
 
+from repro.core.ecu import MODE_CODES, MODE_KEYS
 from repro.fabric.reconfig import ReconfigurationController
 from repro.fabric.resources import ResourceBudget
 from repro.ise.library import ISELibrary
@@ -290,16 +291,18 @@ class Simulator:
         inf = float("inf")
         block = iteration.block
 
-        # Local accumulators, merged into ``stats`` once at the end.
+        # Local accumulators, merged into ``stats`` once at the end; the
+        # per-mode ones are indexed by the ECU's int mode code.
         ecu_calls = 0
         fastforwarded = 0
         events = 0
         gap_cycles = 0
         kernel_cycles = 0
-        exec_by_mode: Dict[str, int] = {}
-        cycles_by_mode: Dict[str, int] = {}
-        # kernel -> (impl names, run-end timestamp): deferred LRU touches.
-        pending_touch: Dict[str, Tuple[Tuple[str, ...], int]] = {}
+        exec_by_mode = [0] * len(MODE_KEYS)
+        cycles_by_mode = [0] * len(MODE_KEYS)
+        # kernel -> (implementation ids, run-end timestamp): deferred LRU
+        # touches.
+        pending_touch: Dict[str, Tuple[Tuple[int, ...], int]] = {}
 
         kernels = packed.kernels
         gaps = packed.gaps
@@ -347,15 +350,12 @@ class Simulator:
                             latency = decision.latency
                             end = t + ends[kid]
                             last[k] = end
-                            pending_touch[k] = (regime.touch_impls, end - latency)
+                            pending_touch[k] = (regime.touch_ids, end - latency)
                             done[kid] += cnt
                             left -= cnt
                             latency_sums[k] = latency_sums.get(k, 0) + cnt * latency
-                            key = decision.mode.value
-                            exec_by_mode[key] = exec_by_mode.get(key, 0) + cnt
-                            cycles_by_mode[key] = (
-                                cycles_by_mode.get(key, 0) + cnt * latency
-                            )
+                            exec_by_mode[regime.code] += cnt
+                            cycles_by_mode[regime.code] += cnt * latency
                             kernel_cycles += cnt * latency
                             gap_cycles += cnt * gaps[kid]
                             fastforwarded += cnt
@@ -392,7 +392,7 @@ class Simulator:
                                 1, min(remaining, (span + period - 1) // period)
                             )
                     run_end = start + (count - 1) * period
-                    pending_touch[kernel_name] = (regime.touch_impls, run_end)
+                    pending_touch[kernel_name] = (regime.touch_ids, run_end)
                     fastforwarded += count
                     gap_cycles += count * gap
                     if kernel_name not in first:
@@ -404,11 +404,8 @@ class Simulator:
                     latency_sums[kernel_name] = (
                         latency_sums.get(kernel_name, 0) + count * latency
                     )
-                    key = decision.mode.value
-                    exec_by_mode[key] = exec_by_mode.get(key, 0) + count
-                    cycles_by_mode[key] = (
-                        cycles_by_mode.get(key, 0) + count * latency
-                    )
+                    exec_by_mode[regime.code] += count
+                    cycles_by_mode[regime.code] += count * latency
                     kernel_cycles += count * latency
                     if trace is not None:
                         trace.record_execution_run(
@@ -451,11 +448,9 @@ class Simulator:
                     latency_sums[kernel_name] = (
                         latency_sums.get(kernel_name, 0) + count * latency
                     )
-                    key = decision.mode.value
-                    exec_by_mode[key] = exec_by_mode.get(key, 0) + count
-                    cycles_by_mode[key] = (
-                        cycles_by_mode.get(key, 0) + count * latency
-                    )
+                    code = MODE_CODES[decision.mode]
+                    exec_by_mode[code] += count
+                    cycles_by_mode[code] += count * latency
                     kernel_cycles += count * latency
                     if trace is not None:
                         trace.record_execution_run(
@@ -485,12 +480,13 @@ class Simulator:
         stats.events_processed += events
         stats.gap_cycles += gap_cycles
         stats.kernel_cycles += kernel_cycles
-        by_mode = stats.executions_by_mode
-        for key, value in exec_by_mode.items():
-            by_mode[key] = by_mode.get(key, 0) + value
-        by_mode = stats.cycles_by_mode
-        for key, value in cycles_by_mode.items():
-            by_mode[key] = by_mode.get(key, 0) + value
+        # Fold the int mode counters into the name-keyed stats, once.
+        executions = stats.executions_by_mode
+        cycles = stats.cycles_by_mode
+        for key, count, mode_cycles in zip(MODE_KEYS, exec_by_mode, cycles_by_mode):
+            if count:
+                executions[key] = executions.get(key, 0) + count
+                cycles[key] = cycles.get(key, 0) + mode_cycles
         return t
 
     def _fold_time_invariant(
@@ -539,10 +535,10 @@ class Simulator:
         return t + length
 
     @staticmethod
-    def _flush_touches(ecu, pending_touch: Dict[str, Tuple[Tuple[str, ...], int]]) -> None:
+    def _flush_touches(ecu, pending_touch: Dict[str, Tuple[Tuple[int, ...], int]]) -> None:
         """Apply and clear the packed engine's deferred LRU touches."""
-        for impl_names, touch_time in pending_touch.values():
-            ecu.apply_touches(impl_names, touch_time)
+        for impl_ids, touch_time in pending_touch.values():
+            ecu.apply_touches(impl_ids, touch_time)
         pending_touch.clear()
 
     @staticmethod

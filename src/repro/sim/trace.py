@@ -77,7 +77,9 @@ class SelectionRecord:
 
     time: int            #: cycle of the block entry
     block: str
-    mode: str            #: selector implementation ("naive" | "packed")
+    mode: str            #: selector that decided: "naive" | "packed" (the
+                         #: greedy Fig. 6 selector) or "optimal" (the DP of
+                         #: repro.core.optimal, also when its greedy plan won)
     rounds: int
     profit_evaluations: int
     evaluations_recomputed: int

@@ -22,6 +22,11 @@ Every scenario replays byte-identically under both ``REPRO_SIM`` engines
 suite asserts the stepped oracle and the packed engine against the same
 snapshot).
 
+Beside the traces, ``tests/golden/fig8_records.json`` pins the plain
+sweep records of every Fig. 8 policy (:data:`FIG8_RECORDS_SPEC`): the
+traces lock mRTS execution by execution, the records lock the RISPP,
+offline-optimal and Morpheus/4S baselines as well, cell by cell.
+
 Regenerate the snapshots after an *intentional* behaviour change with::
 
     python scripts/check_determinism.py --update-golden
@@ -143,6 +148,56 @@ def golden_payload(
     return payload
 
 
+#: The Fig. 8 record snapshot: every budget of the grid (CG fabrics 0..4 x
+#: PRCs 0..3) under the five policies the figure compares, on one H.264
+#: application.
+FIG8_RECORDS_SPEC: Dict[str, object] = {
+    "workload": "h264",
+    "frames": 2,
+    "seed": 7,
+    "budgets": [[cg, prc] for cg in range(5) for prc in range(4)],
+    "policies": ["risc", "rispp", "offline-optimal", "morpheus4s", "mrts"],
+}
+
+#: Location of the Fig. 8 record snapshot.
+FIG8_RECORDS_PATH = GOLDEN_DIR / "fig8_records.json"
+
+
+def fig8_records_text() -> str:
+    """The canonical text of the Fig. 8 record snapshot: a JSON object
+    holding the spec and one ``[cell payload, execute_cell record]`` pair
+    per grid cell, keys sorted, one line per cell (a diff names the cells
+    that moved)."""
+    # Imported lazily: the engine imports half the package.
+    from repro.experiments.engine import SweepCell, execute_cell
+
+    spec = FIG8_RECORDS_SPEC
+    cells = [
+        SweepCell.make(
+            tuple(budget), spec["seed"], policy,
+            workload=spec["workload"],
+            workload_params={"frames": spec["frames"]},
+        )
+        for budget in spec["budgets"]
+        for policy in spec["policies"]
+    ]
+    lines = ",\n".join(
+        json.dumps([cell.payload(), execute_cell(cell)], sort_keys=True)
+        for cell in cells
+    )
+    return (
+        '{"cells": [\n' + lines + '\n], "spec": '
+        + json.dumps(spec, sort_keys=True) + "}\n"
+    )
+
+
+def write_fig8_records(path: Path = FIG8_RECORDS_PATH) -> Path:
+    """Regenerate the Fig. 8 record snapshot (intentional changes only)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(fig8_records_text(), encoding="utf-8")
+    return path
+
+
 def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, object]:
     """Read a committed golden snapshot from ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -163,8 +218,10 @@ def write_golden(
 
 
 def write_all_golden() -> List[Path]:
-    """Regenerate every scenario's snapshot (intentional changes only)."""
-    return [write_golden(scenario=name) for name in sorted(GOLDEN_SCENARIOS)]
+    """Regenerate every scenario's snapshot and the Fig. 8 record snapshot
+    (intentional changes only)."""
+    paths = [write_golden(scenario=name) for name in sorted(GOLDEN_SCENARIOS)]
+    return paths + [write_fig8_records()]
 
 
 def diff_golden(expected: Dict, actual: Dict) -> List[str]:
@@ -208,15 +265,19 @@ def diff_golden(expected: Dict, actual: Dict) -> List[str]:
 
 
 __all__ = [
+    "FIG8_RECORDS_PATH",
+    "FIG8_RECORDS_SPEC",
     "GOLDEN_DIR",
     "GOLDEN_PATH",
     "GOLDEN_SCENARIOS",
     "GOLDEN_SPEC",
     "REQUIRED_MODES",
     "diff_golden",
+    "fig8_records_text",
     "golden_path",
     "golden_payload",
     "load_golden",
     "write_all_golden",
+    "write_fig8_records",
     "write_golden",
 ]

@@ -158,3 +158,40 @@ class TestRespectExisting:
             len(library.candidates("k2")) + 1
         )
         assert selector.search_space_size(triggers) == expected
+
+
+class TestSelectionLabel:
+    """The optimal selector labels its results ``"optimal"``, whichever plan
+    won, so traces do not report a DP selection as the greedy selector's."""
+
+    def test_dp_result_is_labelled_optimal(self, two_kernels):
+        budget = ResourceBudget(n_prcs=2, n_cg_fabrics=1)
+        library = ISELibrary(two_kernels, budget)
+        result = OptimalSelector(library).select(
+            [trig("k1", e=800), trig("k2", e=1200)],
+            ReconfigurationController(budget),
+            now=0,
+        )
+        assert result.mode == "optimal"
+        assert result.rounds == 1
+
+    def test_online_optimal_selection_records(self):
+        """At this budget the greedy plan wins some block entries (its
+        ``rounds`` exceed the DP's single round); every record still says
+        ``optimal``."""
+        from repro.baselines.online_optimal import OnlineOptimalPolicy
+        from repro.experiments.engine import WORKLOADS
+        from repro.sim.simulator import Simulator
+
+        family = WORKLOADS["h264"]
+        budget = ResourceBudget(n_prcs=3, n_cg_fabrics=0)
+        result = Simulator(
+            family.application(7, {"frames": 2}),
+            family.library(budget, {"frames": 2}),
+            budget,
+            OnlineOptimalPolicy(),
+            collect_trace=True,
+        ).run()
+        selections = result.trace.selections
+        assert {record.mode for record in selections} == {"optimal"}
+        assert {record.rounds for record in selections} - {1}, "greedy plan never won"

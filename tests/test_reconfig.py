@@ -7,6 +7,7 @@ from repro.fabric.datapath import DataPathInstance, DataPathSpec, FabricType
 from repro.fabric.reconfig import ReconfigurationController
 from repro.fabric.resources import ResourceBudget
 from repro.ise.ise import ISE
+from repro.ise.monocg import build_monocg
 from repro.util.validation import ReproError
 
 
@@ -115,6 +116,25 @@ class TestMisc:
         assert not controller.free_cg_fabric_available(0)
         controller.release_owner("a")
         assert controller.free_cg_fabric_available(10**6), "evictable counts"
+
+    def test_loading_cg_copy_is_not_free_fabric(self, kernel, cg_inst):
+        """An unpinned monoCG context that is still loading holds its slot:
+        eviction cannot abort it, so offering the slot would make the
+        monoCG configuration raise ``no fabric ... 0 free after eviction``.
+        """
+        budget = ResourceBudget(n_prcs=0, n_cg_fabrics=1, contexts_per_cg_fabric=1)
+        controller = ReconfigurationController(budget)
+        monocg = build_monocg(kernel)
+        done = controller.ensure_configured([monocg.instance], "m", now=0)[
+            monocg.impl_name
+        ]
+        assert done > 1
+        controller.release_owner("m")
+        assert not controller.free_cg_fabric_available(1)
+        with pytest.raises(ReproError, match="0 free after eviction"):
+            controller.ensure_configured([cg_inst], "other", now=1)
+        # Once loaded, the unpinned copy is evictable again.
+        assert controller.free_cg_fabric_available(done)
 
     def test_reset(self, controller, fg_inst):
         controller.ensure_configured([fg_inst], "a", now=0)

@@ -355,6 +355,29 @@ class TestServiceEndToEnd:
         assert canonical(records) == canonical(ref)
         assert counters["worker_restarts"] >= 1
 
+    def test_batch_plan_ignores_workers_still_connecting(self):
+        """A job that arrives while one of two local workers has connected
+        is planned for both, as it is before either or after both connect:
+        its batches and ``frames_sent`` do not depend on the race."""
+        from repro.experiments.backends.base import plan_batches
+        from repro.service.daemon import SweepService, _Peer
+
+        class _Writer:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                pass
+
+        cells = fig8_cells(("risc", "mrts"), frames=3)
+        service = SweepService(workers=2)
+        service._live[1] = _Peer(1, "worker", None, None)
+        peer = _Peer(0, "client", None, _Writer())
+        asyncio.run(service._on_job(peer, {"cells": [c.payload() for c in cells]}))
+        job = service._jobs[0]
+        assert job.counters["frames_sent"] == len(plan_batches(cells, parts=2))
+        assert job.counters["frames_sent"] > len(plan_batches(cells, parts=1))
+
     @staticmethod
     def _fail_on_result(result):
         """Feed ``result`` for a 2-cell batch of one job to the daemon's
