@@ -12,7 +12,9 @@ Six checks, all byte-level:
    daemon with ``--workers`` local socket workers) must serialise
    identically, and the service leg's transport counters must show it
    compressed and coalesced at least one result block -- proof the
-   binary wire's block path ran.
+   binary wire's block path ran.  A second, different sweep then goes
+   through the same pool engine, whose warm workers must still match
+   serial.
 4. **Service golden cells**: the committed golden scenarios, expressed as
    sweep cells and routed through ``--backend service``, must serialise
    identically to the serial backend.
@@ -72,11 +74,20 @@ REFERENCE_CELLS = [
 ]
 WORKLOAD_PARAMS = {"frames": 3, "scale": 0.4}
 
+#: The second sweep of the warm-worker leg: two of the reference budgets
+#: (warm libraries) under new seeds and policies (new applications).
+WARM_CELLS = [
+    dict(budget=budget, seed=seed, policy=policy)
+    for budget in [(3, 3), (1, 1)]
+    for seed in range(4, 10)
+    for policy in ("rispp", "mrts")
+]
 
-def reference_cells():
+
+def reference_cells(specs=REFERENCE_CELLS):
     return [
         SweepCell.make(workload_params=WORKLOAD_PARAMS, **spec)
-        for spec in REFERENCE_CELLS
+        for spec in specs
     ]
 
 
@@ -123,11 +134,18 @@ def check_engine(jobs: int) -> List[Dict[str, object]]:
 
 
 def check_backends(jobs: int, workers: int) -> Dict[str, object]:
-    """Every registered executor backend must serialise identically."""
+    """Every registered executor backend must serialise identically.
+
+    The serial and pool engines then run a second, different sweep
+    (:data:`WARM_CELLS`): the pool engine's workers, forked for the first
+    sweep, serve it from warm memos, and must still match serial.
+    """
     from repro.experiments.backends import backend_names
 
     cells = reference_cells()
+    warm_cells = reference_cells(WARM_CELLS)
     serialised: Dict[str, str] = {}
+    warm: Dict[str, str] = {}
     stats: Dict[str, str] = {}
     failures: List[str] = []
     for name in backend_names():
@@ -137,12 +155,19 @@ def check_backends(jobs: int, workers: int) -> Dict[str, object]:
             backend=name,
             workers=workers if name == "service" else None,
         )
-        serialised[name] = json.dumps(engine.run(cells))
-        stats[name] = (
-            f"{name}: saved {engine.stats.builds_saved} builds, "
-            f"{engine.stats.frames_sent} frames, "
-            f"{engine.stats.worker_restarts} restarts"
-        )
+        with engine:
+            serialised[name] = json.dumps(engine.run(cells))
+            stats[name] = (
+                f"{name}: saved {engine.stats.builds_saved} builds, "
+                f"{engine.stats.frames_sent} frames, "
+                f"{engine.stats.worker_restarts} restarts"
+            )
+            if name in ("serial", "pool"):
+                warm[name] = json.dumps(engine.run(warm_cells))
+                stats[name] += (
+                    f"; then {len(warm_cells)} new cells, "
+                    f"{engine.stats.libraries_built} libraries built"
+                )
         if name == "service":
             counters = engine.stats
             stats[name] += (
@@ -162,6 +187,11 @@ def check_backends(jobs: int, workers: int) -> Dict[str, object]:
         for name in sorted(serialised)
         if serialised[name] != reference
     )
+    if warm["pool"] != warm["serial"]:
+        failures.append(
+            "backend 'pool' records differ from serial on the second sweep "
+            "(warm workers)"
+        )
     if failures:
         return _check("backends-agree", False, failures)
     return _check(

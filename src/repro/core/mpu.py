@@ -34,11 +34,14 @@ class KernelStats:
     recent_executions: list = field(default_factory=list)
 
     def as_trigger(self, kernel: str) -> TriggerInstruction:
-        return TriggerInstruction(
-            kernel=kernel,
-            executions=max(0.0, self.forecast_executions),
-            time_to_first=max(0.0, self.forecast_time_to_first),
-            time_between=max(0.0, self.forecast_time_between),
+        # ``kernel`` comes from a validated trigger and the clamped values
+        # are non-negative numbers: observe_iteration validates what feeds
+        # the forecasts, so the trigger skips a second check.
+        return TriggerInstruction.trusted(
+            kernel,
+            max(0.0, self.forecast_executions),
+            max(0.0, self.forecast_time_to_first),
+            max(0.0, self.forecast_time_between),
         )
 
 
@@ -95,6 +98,10 @@ class MonitoringPredictionUnit:
     ) -> None:
         """Back-propagate the prediction error of one finished iteration."""
         check_non_negative("actual_executions", actual_executions)
+        if actual_time_to_first is not None:
+            check_non_negative("actual_time_to_first", actual_time_to_first)
+        if actual_time_between is not None:
+            check_non_negative("actual_time_between", actual_time_between)
         key = (block_name, kernel)
         stats = self._stats.get(key)
         if stats is None:

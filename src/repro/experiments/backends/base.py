@@ -122,6 +122,10 @@ class ExecutorBackend:
         """
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release whatever the backend keeps between runs (the pool's
+        worker processes); nothing by default."""
+
 
 __all__ = [
     "COUNTER_NAMES",

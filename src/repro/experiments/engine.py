@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from collections import OrderedDict
 from contextlib import closing
 from dataclasses import dataclass
@@ -765,6 +766,11 @@ class SweepEngine:
         daemon spawns, and the ``host:port`` of a running ``repro serve``
         daemon to submit to instead (``None`` self-hosts).  Ignored by
         the other backends.
+
+    The engine resolves its backend once and keeps it, so the ``pool``
+    backend's worker processes (and their warm construction memos) serve
+    every run of the engine.  :meth:`close` -- or leaving a ``with``
+    block, or dropping the engine -- shuts them down.
     """
 
     def __init__(
@@ -788,27 +794,40 @@ class SweepEngine:
             # 0 is coordinator-only mode (external workers join); the
             # service backend validates it against the address.
             raise ReproError(f"workers must be >= 0, got {workers}")
-        if backend is not None:
-            from repro.experiments.backends import BACKENDS
+        from repro.experiments.backends import resolve_backend
 
-            if backend not in BACKENDS:
-                raise ReproError(
-                    f"unknown backend {backend!r}; "
-                    f"registered: {sorted(BACKENDS)}"
-                )
-        self.jobs = jobs
+        #: the executor backend every run of this engine goes through
+        self.backend = resolve_backend(
+            backend,
+            jobs=jobs,
+            chunk_size=chunk_size,
+            workers=workers,
+            coordinator=coordinator,
+        )
+        # Shuts the backend down when the engine is closed or collected;
+        # it holds the backend, never the engine, so dropping the last
+        # reference to an unclosed engine still releases its workers.
+        self._release = weakref.finalize(self, self.backend.close)
         self.cache_dir = Path(
             resolve_cache_dir(cache_dir if cache_dir is None else str(cache_dir))
         )
         self.use_cache = use_cache
-        self.chunk_size = chunk_size
         self.cache_max_bytes = cache_max_bytes
-        self.backend = backend
-        self.workers = workers
-        self.coordinator = coordinator
         self.stats = EngineStats()
         #: the cell store under ``cache_dir`` (opened on first use)
         self.store = _cell_store(self.cache_dir)
+
+    def close(self) -> None:
+        """Shut the backend's workers down and close the cell store's
+        connection.  Idempotent; a closed engine refuses to run."""
+        self._release()
+        self.store.close()
+
+    def __enter__(self) -> "SweepEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # --------------------------------------------------------------- run
     def run(self, cells: Sequence[SweepCell]) -> List[Dict[str, object]]:
@@ -840,6 +859,8 @@ class SweepEngine:
         backend completes them; the index is the caller's key back into
         submission order.  Returns the number of records delivered.
         """
+        if not self._release.alive:
+            raise ReproError("this SweepEngine is closed")
         self.stats.reset()
         self.stats.cells = len(cells)
         keys = [cell_key(cell) for cell in cells]
@@ -886,17 +907,13 @@ class SweepEngine:
     ) -> None:
         if not cells:
             return
-        from repro.experiments.backends import resolve_backend
-
-        backend = resolve_backend(
-            self.backend,
-            jobs=self.jobs,
-            chunk_size=self.chunk_size,
-            workers=self.workers,
-            coordinator=self.coordinator,
-        )
-        backend.run(cells, on_record=on_record)
-        counters = backend.counters
+        # The backend's counters run over its lifetime; stats are per run.
+        before = dict(self.backend.counters)
+        self.backend.run(cells, on_record=on_record)
+        counters = {
+            name: value - before[name]
+            for name, value in self.backend.counters.items()
+        }
         self.stats.applications_built += counters["applications_built"]
         self.stats.libraries_built += counters["libraries_built"]
         self.stats.builds_saved += (

@@ -28,6 +28,7 @@ from repro.experiments import (
     run_overhead,
     run_search_space,
 )
+from repro.experiments.engine import resolve_engine
 
 
 def run_all(
@@ -46,21 +47,23 @@ def run_all(
     ``backend``/``workers``/``coordinator``) route the cell-based
     experiments (Figs. 2, 5, 8-10 and the cost-model sensitivity table)
     through the parallel cached sweep engine; the remaining experiments
-    are trace- or structure-bound and run in-process.
+    are trace- or structure-bound and run in-process.  One engine serves
+    all of them, so a pool's workers (and their warm construction memos)
+    carry over from one figure to the next; it is closed on return.
     """
     stream = stream or sys.stdout
     frames = 6 if fast else 16
-    engine_kwargs = dict(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-                         backend=backend, workers=workers,
-                         coordinator=coordinator)
+    engine = resolve_engine(jobs=jobs, use_cache=use_cache,
+                            cache_dir=cache_dir, backend=backend,
+                            workers=workers, coordinator=coordinator)
     experiments = [
         ("Fig. 1", lambda: run_fig1(points=20 if fast else 50)),
-        ("Fig. 2", lambda: run_fig2(frames=frames, **engine_kwargs)),
-        ("Fig. 5 (measured)", lambda: run_fig5(frames=4, **engine_kwargs)),
-        ("Fig. 8", lambda: run_fig8(frames=frames, **engine_kwargs)),
+        ("Fig. 2", lambda: run_fig2(frames=frames, engine=engine)),
+        ("Fig. 5 (measured)", lambda: run_fig5(frames=4, engine=engine)),
+        ("Fig. 8", lambda: run_fig8(frames=frames, engine=engine)),
         ("Fig. 9", lambda: run_fig9(frames=frames, max_prc=4 if fast else 6,
-                                    **engine_kwargs)),
-        ("Fig. 10", lambda: run_fig10(frames=frames, **engine_kwargs)),
+                                    engine=engine)),
+        ("Fig. 10", lambda: run_fig10(frames=frames, engine=engine)),
         ("Overhead (5.4)", lambda: run_overhead(frames=frames)),
         ("Search space (4.1)", run_search_space),
         ("Ablations", lambda: run_ablations(frames=frames)),
@@ -69,14 +72,19 @@ def run_all(
         ("Multi-task sharing (Sec. 1, variation b)", lambda: run_multitask(frames=4 if fast else 6, images=4 if fast else 6)),
         ("Energy (extension)", lambda: run_energy(frames=6 if fast else 12)),
         ("Cost-model sensitivity (extension)",
-         lambda: run_sensitivity(frames=4 if fast else 8, **engine_kwargs)),
+         lambda: run_sensitivity(frames=4 if fast else 8, engine=engine)),
     ]
-    for name, fn in experiments:
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        print(f"\n{'=' * 72}\n{name}  [{elapsed:.1f}s]\n{'=' * 72}", file=stream)
-        print(result.render(), file=stream)
+    try:
+        for name, fn in experiments:
+            start = time.perf_counter()
+            result = fn()
+            elapsed = time.perf_counter() - start
+            print(f"\n{'=' * 72}\n{name}  [{elapsed:.1f}s]\n{'=' * 72}",
+                  file=stream)
+            print(result.render(), file=stream)
+    finally:
+        if engine is not None:
+            engine.close()
 
 
 def main(argv=None) -> int:

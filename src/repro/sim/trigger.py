@@ -32,6 +32,20 @@ class TriggerInstruction:
         check_non_negative("TriggerInstruction.time_to_first", self.time_to_first)
         check_non_negative("TriggerInstruction.time_between", self.time_between)
 
+    @classmethod
+    def trusted(
+        cls, kernel: str, executions: float, time_to_first: float,
+        time_between: float,
+    ) -> "TriggerInstruction":
+        """Build without re-validating, for callers whose values are
+        valid by construction (the MPU's clamped forecasts)."""
+        trigger = object.__new__(cls)
+        object.__setattr__(trigger, "kernel", kernel)
+        object.__setattr__(trigger, "executions", executions)
+        object.__setattr__(trigger, "time_to_first", time_to_first)
+        object.__setattr__(trigger, "time_between", time_between)
+        return trigger
+
     def with_forecast(
         self, executions: float, time_to_first: float, time_between: float
     ) -> "TriggerInstruction":

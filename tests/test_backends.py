@@ -2,11 +2,17 @@
 daemon handshake, worker retry, construction memoisation, and the
 cross-backend byte-identity contract (serial == pool == service)."""
 
+import gc
+import io
 import json
+import multiprocessing
+import os
+import signal
 import socket
 import struct
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -315,6 +321,193 @@ class TestBackendIdentity:
         payload = engine.stats.engine_payload()
         for key in ("builds_saved", "frames_sent", "worker_restarts"):
             assert key in payload
+
+
+def _children():
+    """Pids of this process's live ``multiprocessing`` children (reaping
+    any that have exited)."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _serial_blob(cells):
+    return json.dumps(SweepEngine(use_cache=False, backend="serial").run(cells))
+
+
+class TestPoolLifecycle:
+    """One executor per engine: its workers serve every run, ``close()``
+    (or dropping the engine) ends them, and the per-run stats stay per
+    run."""
+
+    @pytest.fixture
+    def pid_cells(self, monkeypatch):
+        """Cells whose records name the process that ran them (patched in
+        before the engine's first run, so its forked workers inherit it)."""
+        monkeypatch.setattr(
+            engine_module, "execute_cell",
+            lambda cell: {"pid": os.getpid(), "seed": cell.seed},
+        )
+        return make_cells(seeds=(0, 1, 2))
+
+    def test_runs_share_the_worker_pids(self, pid_cells):
+        before = _children()
+        engine = SweepEngine(jobs=2, use_cache=False)
+        first = engine.run(pid_cells)
+        workers = _children() - before
+        assert len(workers) == 2
+        second = engine.run(pid_cells[::-1])
+        assert _children() - before == workers
+        served = {record["pid"] for record in first + second}
+        assert served <= workers and os.getpid() not in served
+        engine.close()
+        assert _children() == before
+        engine.close()  # idempotent
+        with pytest.raises(ReproError, match="closed"):
+            engine.run(pid_cells)
+
+    def test_dropped_engine_releases_its_workers(self, pid_cells):
+        before = _children()
+        engine = SweepEngine(jobs=2, use_cache=False)
+        engine.run(pid_cells)
+        assert _children() - before
+        del engine
+        gc.collect()
+        assert _children() == before
+
+    def test_with_block_closes_the_engine(self, pid_cells):
+        before = _children()
+        with SweepEngine(jobs=2, use_cache=False) as engine:
+            engine.run(pid_cells)
+            assert _children() - before
+        assert _children() == before
+        with pytest.raises(ReproError, match="closed"):
+            engine.run(pid_cells)
+
+    def test_stats_are_per_run(self):
+        cells = make_cells()
+        with SweepEngine(jobs=2, use_cache=False) as engine:
+            engine.run(cells)
+            first = engine.stats.engine_payload()
+            engine.run(cells)
+            second = engine.stats.engine_payload()
+        assert first["frames_sent"] == second["frames_sent"] > 0
+        assert second["executed"] == len(cells)
+        # The warm workers build at most what the first run built.
+        assert second["libraries_built"] <= first["libraries_built"]
+
+    def test_pool_sized_to_the_run_that_forks_it(self):
+        """A run with fewer batches than ``jobs`` forks only what it can
+        use; a later, wider run replaces the pool with a larger one."""
+        narrow = make_cells(budgets=((1, 1),), seeds=(0,))
+        before = _children()
+        with SweepEngine(jobs=3, use_cache=False) as engine:
+            engine.run(narrow)
+            assert engine.stats.frames_sent == 2
+            small = _children() - before
+            assert len(small) == 2
+            engine.run(make_cells())
+            large = _children() - before
+            assert len(large) == 3 and not (large & small)
+            engine.run(narrow)
+            assert _children() - before == large
+        assert _children() == before
+
+    def test_run_all_shares_one_engine(self, monkeypatch):
+        """``run_all`` hands every cell-based figure the same engine and
+        closes it on return."""
+        from repro.experiments import runner
+
+        class Rendered:
+            def render(self):
+                return ""
+
+        handed = []
+
+        def stub(**kwargs):
+            handed.append(kwargs.get("engine"))
+            return Rendered()
+
+        for name in runner.__dict__:
+            if name.startswith("run_") and name != "run_all":
+                monkeypatch.setattr(runner, name, stub)
+        runner.run_all(fast=True, stream=io.StringIO(), jobs=2)
+        engines = [engine for engine in handed if engine is not None]
+        assert len(engines) == 6
+        assert all(engine is engines[0] for engine in engines)
+        with pytest.raises(ReproError, match="closed"):
+            engines[0].run(make_cells())
+
+    def test_warm_workers_serve_a_new_grid_byte_identically(self):
+        first = make_cells()
+        second = make_cells(budgets=((2, 1), (2, 2)), seeds=(1, 2),
+                            policies=("rispp", "mrts"))
+        with SweepEngine(jobs=2, use_cache=False) as engine:
+            assert json.dumps(engine.run(first)) == _serial_blob(first)
+            assert json.dumps(engine.run(second)) == _serial_blob(second)
+
+
+class TestBrokenPool:
+    """A pool a worker died in is never reused."""
+
+    def test_worker_killed_between_runs(self):
+        cells = make_cells()
+        before = _children()
+        with SweepEngine(jobs=2, use_cache=False) as engine:
+            engine.run(cells)
+            workers = _children() - before
+            os.kill(min(workers), signal.SIGKILL)
+            # The pool notices the death on its own and ends the other
+            # worker too; once both are gone it refuses new work.
+            _wait_until(lambda: not (_children() & workers))
+            again = engine.run(cells)
+            replacements = _children() - before
+            assert len(replacements) == 2 and not (replacements & workers)
+        assert json.dumps(again) == _serial_blob(cells)
+        assert _children() == before
+
+    def test_worker_killed_just_before_a_run(self):
+        """No wait for the pool to notice the death: the run that follows
+        it is retried on a fresh pool and still matches serial."""
+        cells = make_cells()
+        before = _children()
+        with SweepEngine(jobs=2, use_cache=False) as engine:
+            engine.run(cells)
+            workers = _children() - before
+            os.kill(min(workers), signal.SIGKILL)
+            again = engine.run(cells)
+            assert not ((_children() - before) & workers)
+        assert json.dumps(again) == _serial_blob(cells)
+        assert _children() == before
+
+    def test_worker_killed_during_a_run(self, monkeypatch):
+        cells = make_cells()
+        doomed = make_cells(seeds=(13,))
+        parent = os.getpid()
+        execute_cell = engine_module.execute_cell
+
+        def dying(cell):
+            if cell.seed == 13 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return execute_cell(cell)
+
+        monkeypatch.setattr(engine_module, "execute_cell", dying)
+        before = _children()
+        with SweepEngine(jobs=2, use_cache=False) as engine:
+            engine.run(cells)
+            workers = _children() - before
+            with pytest.raises(BrokenProcessPool):
+                engine.run(doomed)
+            assert not (_children() & workers)
+            after = engine.run(cells)
+            assert not ((_children() - before) & workers)
+        assert json.dumps(after) == _serial_blob(cells)
+        assert _children() == before
 
 
 def _wait_for_workers(handle, count, timeout=30.0):

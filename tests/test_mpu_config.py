@@ -68,6 +68,33 @@ class TestMPUForecast:
         with pytest.raises(ValidationError):
             MonitoringPredictionUnit(alpha=1.5)
 
+    def test_negative_observed_timing_rejected(self):
+        # The forecast trigger is built unchecked, so the observations
+        # feeding it are validated where they enter.
+        mpu = MonitoringPredictionUnit(alpha=1.0)
+        mpu.forecast("B", trig())
+        with pytest.raises(ValidationError, match="actual_time_between"):
+            mpu.observe_iteration(
+                "B", "k", actual_executions=10, actual_time_between=-1.0
+            )
+        with pytest.raises(ValidationError, match="actual_time_to_first"):
+            mpu.observe_iteration(
+                "B", "k", actual_executions=10, actual_time_to_first=-0.5
+            )
+        # Neither rejected observation touched the forecast.
+        assert mpu.forecast("B", trig()) == trig()
+
+    def test_forecast_equals_a_validated_trigger(self):
+        mpu = MonitoringPredictionUnit(alpha=0.5)
+        mpu.forecast("B", trig(e=100, tf=50, tb=20))
+        mpu.observe_iteration(
+            "B", "k", actual_executions=0, actual_time_to_first=0,
+            actual_time_between=4,
+        )
+        out = mpu.forecast("B", trig())
+        assert out == TriggerInstruction("k", 50.0, 25.0, 12.0)
+        assert hash(out) == hash(TriggerInstruction("k", 50.0, 25.0, 12.0))
+
     def test_mae_reporting(self):
         mpu = MonitoringPredictionUnit(alpha=0.5)
         assert mpu.mean_absolute_error() == 0.0
