@@ -12,10 +12,10 @@ Usage::
 
 import sys
 
-from repro import MRTS, ResourceBudget
+from repro import ResourceBudget
 from repro.experiments.sweep import run_sweep
 from repro.ise.pareto import dominated_fraction, render_front
-from repro.workloads.h264 import h264_application, h264_library
+from repro.workloads.h264 import h264_library
 
 
 def explore_deblocking_front() -> None:
@@ -36,8 +36,8 @@ def smallest_budget_for(target: float) -> None:
     sweep = run_sweep(
         budgets=budgets,
         seeds=[0, 7, 13],
-        policies={"mrts": MRTS},
-        application_factory=lambda seed: h264_application(frames=6, seed=seed),
+        policies=["mrts"],
+        workload_params={"frames": 6},
     )
     feasible = []
     for cg, prc in budgets:

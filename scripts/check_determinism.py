@@ -7,10 +7,11 @@ Six checks, all byte-level:
    and through a ``--jobs``-wide process pool must serialise identically.
 2. **Fresh == cached**: re-running the same sweep against the cache it
    just populated must serialise identically.
-3. **Backends agree**: the same sweep routed through every registered
-   executor backend (serial, pool, and a self-hosted sweep-service
-   daemon with ``--workers`` local socket workers) must serialise
-   identically, and the service leg's transport counters must show it
+3. **Backends agree**: the same sweep, plus one cell of each experiment
+   shape (policy params, a task-level period, the traced energy metric,
+   a contended run), routed through every registered executor backend
+   (serial, pool, and a self-hosted sweep-service daemon with
+   ``--workers`` local socket workers) must serialise identically, and the service leg's transport counters must show it
    compressed and coalesced at least one result block -- proof the
    binary wire's block path ran.  A second, different sweep then goes
    through the same pool engine, whose warm workers must still match
@@ -84,6 +85,21 @@ WARM_CELLS = [
 ]
 
 
+#: One cell of each shape the single-application experiments run as: an
+#: ablation (``MRTSConfig`` overrides as policy params), a task-level
+#: re-decision period, the traced ``energy`` metric and a contended run.
+EXPERIMENT_CELLS = [
+    dict(budget=(2, 2), seed=0, policy="mrts",
+         policy_params={"enable_monocg": False}),
+    dict(budget=(2, 2), seed=0, policy="task-level",
+         policy_params={"reselect_every_blocks": 3}),
+    dict(budget=(2, 2), seed=1, policy="mrts", metrics={"energy": {}}),
+    dict(budget=(2, 3), seed=1, policy="mrts",
+         contention={"period": 925_000, "duty_prcs": 2, "duty_cg_slots": 4,
+                     "until": 14_800_000}),
+]
+
+
 def reference_cells(specs=REFERENCE_CELLS):
     return [
         SweepCell.make(workload_params=WORKLOAD_PARAMS, **spec)
@@ -134,7 +150,9 @@ def check_engine(jobs: int) -> List[Dict[str, object]]:
 
 
 def check_backends(jobs: int, workers: int) -> Dict[str, object]:
-    """Every registered executor backend must serialise identically.
+    """Every registered executor backend must serialise identically, on
+    the reference sweep plus one cell of each experiment shape
+    (:data:`EXPERIMENT_CELLS`).
 
     The serial and pool engines then run a second, different sweep
     (:data:`WARM_CELLS`): the pool engine's workers, forked for the first
@@ -142,7 +160,7 @@ def check_backends(jobs: int, workers: int) -> Dict[str, object]:
     """
     from repro.experiments.backends import backend_names
 
-    cells = reference_cells()
+    cells = reference_cells() + reference_cells(EXPERIMENT_CELLS)
     warm_cells = reference_cells(WARM_CELLS)
     serialised: Dict[str, str] = {}
     warm: Dict[str, str] = {}

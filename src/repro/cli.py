@@ -87,18 +87,33 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _workload_params(args) -> dict:
+    """The cell ``workload_params`` of ``--workload``/``--frames``."""
+    return {"images" if args.workload == "jpeg" else "frames": args.frames}
+
+
 def cmd_compare(args) -> int:
-    app, library, budget = _workload(args)
-    rows = []
-    risc_cycles = None
-    for name, factory in POLICIES.items():
-        cycles = Simulator(app, library, budget, factory()).run().total_cycles
-        if name == "risc":
-            risc_cycles = cycles
-        rows.append([name, cycles, round(risc_cycles / cycles, 2)])
+    from repro.experiments.engine import SweepCell, resolve_engine
+
+    params = _workload_params(args)
+    cells = [
+        SweepCell.make((args.cg, args.prc), args.seed, name,
+                       workload=args.workload, workload_params=params)
+        for name in POLICIES
+    ]
+    with resolve_engine() as engine:
+        cycles = {
+            record["policy"]: record["total_cycles"]
+            for record in engine.run(cells)
+        }
+    rows = [
+        [name, cycles[name], round(cycles["risc"] / cycles[name], 2)]
+        for name in POLICIES
+    ]
+    app_name = WORKLOADS[args.workload].application(args.seed, params).name
     print(render_table(
         ["policy", "cycles", "speedup vs RISC"], rows,
-        title=f"{app.name} at ({args.cg} CG, {args.prc} PRC)",
+        title=f"{app_name} at ({args.cg} CG, {args.prc} PRC)",
     ))
     return 0
 
@@ -185,7 +200,7 @@ def cmd_experiments(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.experiments.engine import SweepEngine, resolve_engine
+    from repro.experiments.engine import resolve_engine
     from repro.experiments.sweep import run_sweep, run_sweep_stored
 
     try:
@@ -200,36 +215,22 @@ def cmd_sweep(args) -> int:
             budgets.append((int(label[0]), int(label[1])))
         seeds = [int(s) for s in args.seeds.split(",")]
         policies = [p.strip() for p in args.policies.split(",")]
-        engine_kwargs = _engine_kwargs(args)
-        engine = resolve_engine(
-            cache_max_bytes=args.cache_max_bytes, **engine_kwargs
-        )
-        if engine is None and args.verbose:
-            # The default serial path bypasses the engine; --verbose wants
-            # its counters, so build the equivalent explicit engine.
-            engine = SweepEngine(
-                jobs=engine_kwargs["jobs"],
-                use_cache=engine_kwargs["use_cache"],
-                cache_dir=engine_kwargs["cache_dir"],
+        with resolve_engine(cache_max_bytes=args.cache_max_bytes,
+                            **_engine_kwargs(args)) as engine:
+            kwargs = dict(
+                workload=args.workload,
+                workload_params=_workload_params(args),
+                engine=engine,
             )
-        kwargs = dict(
-            workload=args.workload,
-            workload_params={
-                "images" if args.workload == "jpeg" else "frames": args.frames
-            },
-            cache_max_bytes=args.cache_max_bytes,
-            engine=engine,
-            **engine_kwargs,
-        )
-        if args.store is not None:
-            result, stored_path = run_sweep_stored(
-                budgets, seeds, policies,
-                store=args.store, sweep=args.store_sweep,
-                shard_rows=args.store_shard_rows, **kwargs,
-            )
-        else:
-            stored_path = None
-            result = run_sweep(budgets, seeds, policies, **kwargs)
+            if args.store is not None:
+                result, stored_path = run_sweep_stored(
+                    budgets, seeds, policies,
+                    store=args.store, sweep=args.store_sweep,
+                    shard_rows=args.store_shard_rows, **kwargs,
+                )
+            else:
+                stored_path = None
+                result = run_sweep(budgets, seeds, policies, **kwargs)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -237,7 +238,7 @@ def cmd_sweep(args) -> int:
     if stored_path is not None:
         # On stderr so stored and plain sweeps stay stdout-comparable.
         print(f"stored: {stored_path}", file=sys.stderr)
-    if args.verbose and engine is not None:
+    if args.verbose:
         # Engine + wire counters go to stderr for the same reason: CI
         # byte-compares sweep stdout across backends and wire modes.
         payload = engine.stats.engine_payload()

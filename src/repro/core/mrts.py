@@ -15,6 +15,7 @@ Execution Control Unit into one :class:`~repro.sim.policy.RuntimePolicy`:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import MRTSConfig
@@ -37,9 +38,14 @@ class MRTS(RuntimePolicy):
     #: applications sharing one fabric must not release each other's pins)
     _instance_counter = 0
 
-    def __init__(self, config: Optional[MRTSConfig] = None):
+    def __init__(self, config: Optional[MRTSConfig] = None, **overrides):
+        """``overrides`` replace fields of ``config`` (e.g.
+        ``MRTS(enable_monocg=False)``), which is how a sweep cell's
+        ``policy_params`` configure an ablated mRTS."""
         super().__init__()
         self.config = config or MRTSConfig()
+        if overrides:
+            self.config = dataclasses.replace(self.config, **overrides)
         self.mpu = MonitoringPredictionUnit(
             alpha=self.config.mpu_alpha, window=self.config.mpu_window
         )

@@ -3,18 +3,27 @@
 Every experiment exposes a ``run_*`` function returning a structured result
 object with a ``render()`` method that prints the same rows/series the
 paper's figure shows.  ``repro.experiments.runner`` executes all of them
-(``python -m repro.experiments``).
+(``python -m repro.experiments``).  Each simulation of one application is
+a :class:`SweepCell` run through a :class:`SweepEngine` (the ``engine``
+argument of every simulating ``run_*``); the cells column names what an
+experiment varies.
 
-| Paper item | Module |
-|---|---|
-| Fig. 1 (pif of the case-study ISEs)        | ``fig1_pif`` |
-| Fig. 2 (executions per frame)              | ``fig2_executions`` |
-| Fig. 8 (comparison with the state of the art) | ``fig8_comparison`` |
-| Fig. 9 (heuristic vs. optimal)             | ``fig9_optimality`` |
-| Fig. 10 (speedup vs. RISC mode)            | ``fig10_speedup`` |
-| Section 5.4 (mRTS overhead)                | ``overhead`` |
-| Section 4.1 (search-space size)            | ``search_space`` |
-| DESIGN.md ablations                        | ``ablations`` |
+| Paper item | Module | Cells |
+|---|---|---|
+| Fig. 1 (pif of the case-study ISEs)        | ``fig1_pif`` | none (analytic) |
+| Fig. 2 (executions per frame)              | ``fig2_executions`` | ``deblock_frame_winners`` metric |
+| Fig. 5 (measured reconfiguration timeline) | ``fig5_timeline`` | traced ``kernel_timeline`` metric |
+| Fig. 8 (comparison with the state of the art) | ``fig8_comparison`` | budget x policy grid |
+| Fig. 9 (heuristic vs. optimal)             | ``fig9_optimality`` | budget x policy grid |
+| Fig. 10 (speedup vs. RISC mode)            | ``fig10_speedup`` | budget x policy grid |
+| Section 5.4 (mRTS overhead)                | ``overhead`` | one ``mrts`` cell, ``block_profile`` metric |
+| Section 4.1 (search-space size)            | ``search_space`` | none (counts) |
+| DESIGN.md ablations                        | ``ablations`` | ``mrts`` with ``MRTSConfig`` overrides as policy params |
+| Section 1, variation (b): contention       | ``contention`` | the cell's ``contention`` schedule |
+| Section 1, task-level manager [11]         | ``granularity`` | ``task-level`` re-decision periods |
+| Section 1, variation (b): multi-task       | ``multitask`` | each task alone; the co-run on ``MultiTaskSimulator`` |
+| Energy (extension)                         | ``energy`` | traced ``energy`` metric |
+| Cost-model sensitivity (extension)         | ``sensitivity`` | cost-model / context-count params |
 """
 
 from repro.experiments.engine import (

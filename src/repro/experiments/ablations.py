@@ -12,20 +12,20 @@ disabling it and re-running the encoder --
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Optional
 
-from repro.core.config import MRTSConfig
-from repro.core.mrts import MRTS
-from repro.experiments.common import MatrixRunner
-from repro.fabric.resources import ResourceBudget
+from repro.experiments.common import h264_cell
+from repro.experiments.engine import SweepEngine, resolve_engine
 from repro.util.tables import render_table
 
-VARIANTS: Dict[str, MRTSConfig] = {
-    "full mRTS": MRTSConfig(),
-    "no monoCG-Extension": MRTSConfig(enable_monocg=False),
-    "no intermediate ISEs": MRTSConfig(enable_intermediate=False),
-    "no MPU adaptation (alpha=0)": MRTSConfig(mpu_alpha=0.0),
-    "no overhead hiding": MRTSConfig(hide_selection_overhead=False),
+#: Variant name -> :class:`~repro.core.config.MRTSConfig` field overrides
+#: (the ``policy_params`` of its ``mrts`` cell).
+VARIANTS: Dict[str, Dict[str, object]] = {
+    "full mRTS": {},
+    "no monoCG-Extension": {"enable_monocg": False},
+    "no intermediate ISEs": {"enable_intermediate": False},
+    "no MPU adaptation (alpha=0)": {"mpu_alpha": 0.0},
+    "no overhead hiding": {"hide_selection_overhead": False},
 }
 
 
@@ -55,20 +55,22 @@ def run_ablations(
     seed: int = 7,
     n_cg: int = 2,
     n_prc: int = 2,
+    engine: Optional[SweepEngine] = None,
 ) -> AblationResult:
     """Run every ablation variant on the same workload and budget."""
-    runner = MatrixRunner(frames=frames, seed=seed)
-    budget = ResourceBudget(n_prcs=n_prc, n_cg_fabrics=n_cg)
-    cycles = {}
-    for name, config in VARIANTS.items():
-        cycles[name] = runner.run(budget, lambda c=config: _named_mrts(c, name)).total_cycles
-    return AblationResult(budget_label=budget.label, cycles=cycles)
-
-
-def _named_mrts(config: MRTSConfig, name: str) -> MRTS:
-    policy = MRTS(config)
-    policy.name = f"mrts[{name}]"
-    return policy
+    cells = [
+        h264_cell((n_cg, n_prc), seed, "mrts", frames, policy_params=overrides)
+        for overrides in VARIANTS.values()
+    ]
+    with resolve_engine(engine) as eng:
+        records = eng.run(cells)
+    return AblationResult(
+        budget_label=records[0]["budget_label"],
+        cycles={
+            name: record["total_cycles"]
+            for name, record in zip(VARIANTS, records)
+        },
+    )
 
 
 __all__ = ["run_ablations", "AblationResult", "VARIANTS"]

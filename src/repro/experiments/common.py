@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.engine import SweepCell, SweepEngine, policy_name_of
+from repro.experiments.engine import SweepCell, SweepEngine
 from repro.fabric.resources import ResourceBudget
-from repro.sim.policy import RuntimePolicy
-from repro.sim.program import Application
-from repro.sim.simulator import SimulationResult, Simulator
-from repro.workloads.h264 import h264_application, h264_library
 
 #: Canonical experiment workload parameters (chosen so FG reconfiguration
 #: amortisation and run-time variation both play out, cf. DESIGN.md).
@@ -17,83 +13,38 @@ DEFAULT_FRAMES = 16
 DEFAULT_SEED = 7
 
 
-class MatrixRunner:
-    """Runs (budget, policy) combinations on one application, with caching.
+def h264_cell(
+    budget: Tuple[int, int], seed: int, policy: str, frames: int, **fields
+) -> SweepCell:
+    """One cell of the canonical H.264 encoder at ``frames`` frames.
 
-    The comparison figures share many cells (e.g. the RISC reference), so
-    results are memoised per ``(budget.label, policy name)``.
-
-    With an ``engine`` attached (and no custom ``application``), grid
-    experiments can :meth:`prefetch` their cycle counts through the
-    parallel/cached sweep engine; :meth:`cycles` then serves from the
-    prefetched records and only falls back to in-process simulation for
-    cells the engine did not cover (e.g. trace collection).
+    ``budget`` is ``(n_cg_fabrics, n_prcs)``; ``fields`` are further
+    :meth:`SweepCell.make` arguments (policy params, metrics, contention).
     """
+    return SweepCell.make(
+        budget, seed, policy, workload="h264",
+        workload_params={"frames": frames}, **fields,
+    )
 
-    def __init__(self, application: Application = None, frames: int = DEFAULT_FRAMES,
-                 seed: int = DEFAULT_SEED, engine: Optional[SweepEngine] = None):
-        self.application = application or h264_application(frames=frames, seed=seed)
-        self.frames = frames
-        self.seed = seed
-        # Engine cells rebuild the canonical h264 application from
-        # (frames, seed); a hand-built application has no such recipe.
-        self.engine = engine if application is None else None
-        self._cache: Dict[Tuple[str, str], SimulationResult] = {}
-        self._prefetched_cycles: Dict[Tuple[str, str], int] = {}
 
-    def _cell(self, budget: ResourceBudget, policy_name: str) -> SweepCell:
-        return SweepCell.make(
-            (budget.n_cg_fabrics, budget.n_prcs),
-            self.seed,
-            policy_name,
-            workload="h264",
-            workload_params={"frames": self.frames},
-        )
-
-    def prefetch(
-        self,
-        budgets: Sequence[ResourceBudget],
-        policy_names: Sequence[str],
-    ) -> None:
-        """Run the (budget x policy) grid through the engine in one batch.
-
-        No-op without an engine, so grid experiments can call this
-        unconditionally and keep working serially in-process by default.
-        """
-        if self.engine is None:
-            return
-        cells = [
-            self._cell(budget, name)
-            for budget in budgets
-            for name in policy_names
-        ]
-        records = self.engine.run(cells)
-        for cell, record in zip(cells, records):
-            key = (record["budget_label"], cell.policy)
-            self._prefetched_cycles[key] = record["total_cycles"]
-
-    def run(
-        self,
-        budget: ResourceBudget,
-        policy_factory: Callable[[], RuntimePolicy],
-        collect_trace: bool = False,
-    ) -> SimulationResult:
-        probe = policy_factory()
-        key = (budget.label, probe.name, collect_trace)
-        if key not in self._cache:
-            library = h264_library(budget)
-            self._cache[key] = Simulator(
-                self.application, library, budget, probe, collect_trace=collect_trace
-            ).run()
-        return self._cache[key]
-
-    def cycles(self, budget: ResourceBudget, policy_factory) -> int:
-        name = policy_name_of(policy_factory)
-        if name is not None:
-            prefetched = self._prefetched_cycles.get((budget.label, name))
-            if prefetched is not None:
-                return prefetched
-        return self.run(budget, policy_factory).total_cycles
+def grid_cycles(
+    engine: SweepEngine,
+    budgets: Sequence[ResourceBudget],
+    policy_names: Sequence[str],
+    frames: int,
+    seed: int,
+) -> Dict[str, List[int]]:
+    """Total cycles of every policy on every budget, in one engine run:
+    ``policy -> [cycles per budget, in budgets order]``."""
+    cells = [
+        h264_cell((budget.n_cg_fabrics, budget.n_prcs), seed, name, frames)
+        for budget in budgets
+        for name in policy_names
+    ]
+    cycles: Dict[str, List[int]] = {name: [] for name in policy_names}
+    for cell, record in zip(cells, engine.run(cells)):
+        cycles[cell.policy].append(record["total_cycles"])
+    return cycles
 
 
 def budget_grid(max_cg: int, max_prc: int) -> List[ResourceBudget]:
@@ -117,9 +68,10 @@ def geometric_mean(values: List[float]) -> float:
 
 
 __all__ = [
-    "MatrixRunner",
     "budget_grid",
     "geometric_mean",
+    "grid_cycles",
+    "h264_cell",
     "DEFAULT_FRAMES",
     "DEFAULT_SEED",
 ]

@@ -16,22 +16,14 @@ PRCs and CG slots, and compares how each run-time system copes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Optional
 
-from repro.baselines import Morpheus4SPolicy, OfflineOptimalPolicy, RisppLikePolicy
-from repro.core.mrts import MRTS
-from repro.fabric.resources import ResourceBudget
-from repro.sim.contention import ContentionSchedule
-from repro.sim.simulator import Simulator
+from repro.experiments.common import h264_cell
+from repro.experiments.engine import SweepEngine, resolve_engine
 from repro.util.tables import render_table
-from repro.workloads.h264 import h264_application, h264_library
 
-POLICIES: List[Tuple[str, Callable]] = [
-    ("mrts", MRTS),
-    ("rispp", RisppLikePolicy),
-    ("offline-optimal", OfflineOptimalPolicy),
-    ("morpheus4s", Morpheus4SPolicy),
-]
+#: The compared run-time systems, by registered policy name.
+POLICIES = ("mrts", "rispp", "offline-optimal", "morpheus4s")
 
 
 @dataclass
@@ -55,7 +47,7 @@ class ContentionResult:
                 self.contended_cycles[name],
                 round(self.degradation(name), 2),
             ]
-            for name, _ in POLICIES
+            for name in POLICIES
         ]
         table = render_table(
             ["policy", "alone (cycles)", "contended (cycles)", "degradation"],
@@ -74,44 +66,45 @@ def run_contention(
     claimed_prcs: int = 2,
     claimed_cg_slots: int = 4,
     periods: int = 8,
+    engine: Optional[SweepEngine] = None,
 ) -> ContentionResult:
-    """Compare policies with and without a periodic background task."""
-    application = h264_application(frames=frames, seed=seed)
-    budget = ResourceBudget(n_prcs=n_prc, n_cg_fabrics=n_cg)
-    library = h264_library(budget)
+    """Compare policies with and without a periodic background task.
 
-    baseline: Dict[str, int] = {}
-    for name, factory in POLICIES:
-        baseline[name] = (
-            Simulator(application, library, budget, factory()).run().total_cycles
+    Two engine runs: the uncontended baseline, whose longest run sets the
+    background task's period, then the same cells under contention.
+    """
+    budget = (n_cg, n_prc)
+    with resolve_engine(engine) as eng:
+        alone = eng.run(
+            [h264_cell(budget, seed, name, frames) for name in POLICIES]
         )
-
-    horizon = max(baseline.values())
-    period = max(1, horizon // periods)
-    contended: Dict[str, int] = {}
-    for name, factory in POLICIES:
-        schedule = ContentionSchedule.periodic(
-            period=period,
-            duty_prcs=claimed_prcs,
-            duty_cg_slots=claimed_cg_slots,
-            until=2 * horizon,
-        )
-        contended[name] = (
-            Simulator(application, library, budget, factory(), contention=schedule)
-            .run()
-            .total_cycles
-        )
+        horizon = max(record["total_cycles"] for record in alone)
+        period = max(1, horizon // periods)
+        contention = {
+            "period": period,
+            "duty_prcs": claimed_prcs,
+            "duty_cg_slots": claimed_cg_slots,
+            "until": 2 * horizon,
+        }
+        contended = eng.run([
+            h264_cell(budget, seed, name, frames, contention=contention)
+            for name in POLICIES
+        ])
 
     description = (
         f"background task holds {claimed_prcs} PRCs + {claimed_cg_slots} CG slots "
         f"every other ~{period:,} cycles"
     )
     return ContentionResult(
-        budget_label=budget.label,
-        baseline_cycles=baseline,
-        contended_cycles=contended,
+        budget_label=alone[0]["budget_label"],
+        baseline_cycles=_cycles(alone),
+        contended_cycles=_cycles(contended),
         contention_description=description,
     )
+
+
+def _cycles(records) -> Dict[str, int]:
+    return {record["policy"]: record["total_cycles"] for record in records}
 
 
 __all__ = ["run_contention", "ContentionResult", "POLICIES"]

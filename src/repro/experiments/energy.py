@@ -11,24 +11,15 @@ minor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Optional
 
-from repro.baselines import Morpheus4SPolicy, OfflineOptimalPolicy, RisppLikePolicy
-from repro.baselines.riscmode import RiscModePolicy
-from repro.core.mrts import MRTS
-from repro.fabric.energy import EnergyBreakdown, estimate_energy
-from repro.fabric.resources import ResourceBudget
-from repro.sim.simulator import Simulator
+from repro.experiments.common import h264_cell
+from repro.experiments.engine import SweepEngine, resolve_engine
+from repro.fabric.energy import EnergyBreakdown
 from repro.util.tables import render_table
-from repro.workloads.h264 import h264_application, h264_library
 
-POLICIES: List[Tuple[str, Callable]] = [
-    ("risc", RiscModePolicy),
-    ("rispp", RisppLikePolicy),
-    ("morpheus4s", Morpheus4SPolicy),
-    ("offline-optimal", OfflineOptimalPolicy),
-    ("mrts", MRTS),
-]
+#: The compared run-time systems, by registered policy name.
+POLICIES = ("risc", "rispp", "morpheus4s", "offline-optimal", "mrts")
 
 
 @dataclass
@@ -46,7 +37,7 @@ class EnergyResult:
 
     def render(self) -> str:
         rows = []
-        for name, _ in POLICIES:
+        for name in POLICIES:
             b = self.breakdowns[name]
             rows.append(
                 [
@@ -69,18 +60,23 @@ def run_energy(
     seed: int = 7,
     n_cg: int = 2,
     n_prc: int = 2,
+    engine: Optional[SweepEngine] = None,
 ) -> EnergyResult:
-    """Estimate per-policy energy on the H.264 encoder."""
-    application = h264_application(frames=frames, seed=seed)
-    budget = ResourceBudget(n_prcs=n_prc, n_cg_fabrics=n_cg)
-    library = h264_library(budget)
-    breakdowns = {}
-    for name, factory in POLICIES:
-        result = Simulator(
-            application, library, budget, factory(), collect_trace=True
-        ).run()
-        breakdowns[name] = estimate_energy(result)
-    return EnergyResult(budget_label=budget.label, breakdowns=breakdowns)
+    """Estimate per-policy energy on the H.264 encoder (traced cells with
+    the ``energy`` metric)."""
+    cells = [
+        h264_cell((n_cg, n_prc), seed, name, frames, metrics={"energy": {}})
+        for name in POLICIES
+    ]
+    with resolve_engine(engine) as eng:
+        records = eng.run(cells)
+    return EnergyResult(
+        budget_label=records[0]["budget_label"],
+        breakdowns={
+            name: EnergyBreakdown(**record["metrics"]["energy"])
+            for name, record in zip(POLICIES, records)
+        },
+    )
 
 
 __all__ = ["run_energy", "EnergyResult"]

@@ -38,10 +38,12 @@ import hashlib
 import json
 import weakref
 from collections import OrderedDict
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.baselines import (
     Morpheus4SPolicy,
@@ -54,6 +56,7 @@ from repro.baselines import (
 from repro.config_env import DEFAULT_CACHE_DIR, cache_dir as resolve_cache_dir
 from repro.core.mrts import MRTS
 from repro.fabric.resources import ResourceBudget
+from repro.sim.contention import ContentionSchedule
 from repro.sim.simulator import Simulator
 from repro.util.validation import ReproError
 
@@ -259,13 +262,40 @@ def _metric_deblock_frame_winners(result, params):
     }
 
 
+def _metric_block_profile(result, params):
+    """Mean functional-block cycles and the kernel selections made (one
+    per kernel of every entered block) -- the Section 5.4 denominators."""
+    application = result.application
+    return {
+        "mean_block_cycles": result.stats.mean_block_cycles(),
+        "kernels_selected": sum(
+            len(application.block(iteration.block).kernels)
+            for iteration in application.iterations
+        ),
+    }
+
+
+def _metric_energy(result, params):
+    """The run's :class:`~repro.fabric.energy.EnergyBreakdown` fields."""
+    import dataclasses
+
+    from repro.fabric.energy import estimate_energy
+
+    return dataclasses.asdict(estimate_energy(result))
+
+
 register_metric("kernel_timeline", _metric_kernel_timeline, needs_trace=True)
 register_metric("deblock_frame_winners", _metric_deblock_frame_winners)
+register_metric("block_profile", _metric_block_profile)
+register_metric("energy", _metric_energy, needs_trace=True)
 
 
 # ------------------------------------------------------------------ cells
 
 Params = Union[None, Mapping[str, object], Tuple[Tuple[str, object], ...]]
+
+#: The keys of a cell's ``contention`` params, sorted.
+CONTENTION_KEYS: Tuple[str, ...] = ("duty_cg_slots", "duty_prcs", "period", "until")
 
 
 def _freeze(value: object) -> object:
@@ -318,6 +348,10 @@ class SweepCell:
     #: derived measurements to attach to the record: sorted
     #: ``(metric_name, params)`` tuples resolving through :data:`METRICS`
     metrics: Tuple[Tuple[str, Tuple], ...] = ()
+    #: a periodic background task claiming fabric during the run: the
+    #: :meth:`~repro.sim.contention.ContentionSchedule.periodic` arguments
+    #: (:data:`CONTENTION_KEYS`), or ``()`` for an uncontended run
+    contention: Tuple[Tuple[str, object], ...] = ()
 
     @staticmethod
     def make(
@@ -329,6 +363,7 @@ class SweepCell:
         workload_params: Params = None,
         budget_params: Params = None,
         metrics=None,
+        contention: Params = None,
     ) -> "SweepCell":
         """Validated constructor (use this, not the raw dataclass)."""
         if policy not in POLICIES:
@@ -348,6 +383,14 @@ class SweepCell:
                 f"unknown metric(s) {unknown_metrics}; "
                 f"registered: {sorted(METRICS)}"
             )
+        normalized_contention = _normalize_params(contention)
+        if normalized_contention and tuple(
+            key for key, _ in normalized_contention
+        ) != CONTENTION_KEYS:
+            raise ReproError(
+                f"contention needs exactly the keys {list(CONTENTION_KEYS)}, "
+                f"got {[key for key, _ in normalized_contention]}"
+            )
         cg, prc = budget
         return SweepCell(
             budget=(int(cg), int(prc)),
@@ -358,6 +401,7 @@ class SweepCell:
             workload_params=_normalize_params(workload_params),
             budget_params=_normalize_params(budget_params),
             metrics=normalized_metrics,
+            contention=normalized_contention,
         )
 
     @staticmethod
@@ -381,6 +425,7 @@ class SweepCell:
                 (name, [tuple(p) for p in params])
                 for name, params in payload.get("metrics", ())
             ],
+            contention=[tuple(p) for p in payload.get("contention", ())],
         )
 
     def resource_budget(self) -> ResourceBudget:
@@ -399,14 +444,17 @@ class SweepCell:
             "workload": self.workload,
             "workload_params": [list(p) for p in self.workload_params],
         }
-        # Only non-default budget params / metrics enter the payload, so
-        # every cache key minted before the fields existed stays valid.
+        # Only non-default budget params / metrics / contention enter the
+        # payload, so every cache key minted before the fields existed
+        # stays valid.
         if self.budget_params:
             payload["budget_params"] = [list(p) for p in self.budget_params]
         if self.metrics:
             payload["metrics"] = [
                 [name, [list(p) for p in params]] for name, params in self.metrics
             ]
+        if self.contention:
+            payload["contention"] = [list(p) for p in self.contention]
         return payload
 
 
@@ -632,8 +680,13 @@ def execute_cell(cell: SweepCell) -> Dict[str, object]:
     library = _library_of(cell, budget)
     policy = POLICIES[cell.policy](**dict(cell.policy_params))
     needs_trace = any(METRICS[name].needs_trace for name, _ in cell.metrics)
+    contention = (
+        ContentionSchedule.periodic(**dict(cell.contention))
+        if cell.contention else None
+    )
     result = Simulator(
-        application, library, budget, policy, collect_trace=needs_trace
+        application, library, budget, policy,
+        collect_trace=needs_trace, contention=contention,
     ).run()
     SIMULATIONS_RUN += 1
     stats = result.stats
@@ -929,6 +982,7 @@ class SweepEngine:
         self.stats.blocks_compressed += counters["blocks_compressed"]
 
 
+@contextmanager
 def resolve_engine(
     engine: Optional[SweepEngine] = None,
     jobs: int = 1,
@@ -938,26 +992,17 @@ def resolve_engine(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     coordinator: Optional[str] = None,
-) -> Optional[SweepEngine]:
-    """Engine for the experiment entry points' convenience flags.
+) -> Iterator[SweepEngine]:
+    """The engine an experiment entry point runs its cells on.
 
-    Returns ``engine`` when given; otherwise builds one from the flags, or
-    returns ``None`` when the flags ask for nothing beyond the classic
-    serial in-process path (so default calls stay dependency-free).
+    Yields ``engine`` when given and leaves it open (its owner closes
+    it).  Otherwise builds one from the convenience flags -- serial and
+    uncached when they ask for nothing more -- and closes it on exit.
     """
     if engine is not None:
-        return engine
-    if (
-        jobs == 1
-        and not use_cache
-        and cache_dir is None
-        and cache_max_bytes is None
-        and backend is None
-        and workers is None
-        and coordinator is None
-    ):
-        return None
-    return SweepEngine(
+        yield engine
+        return
+    with SweepEngine(
         jobs=jobs,
         use_cache=use_cache,
         cache_dir=cache_dir,
@@ -965,13 +1010,15 @@ def resolve_engine(
         backend=backend,
         workers=workers,
         coordinator=coordinator,
-    )
+    ) as built:
+        yield built
 
 
 __all__ = [
     "APP_MEMO_CAPACITY",
     "BUILD_COUNTERS",
     "BUILD_COUNTER_NAMES",
+    "CONTENTION_KEYS",
     "DEFAULT_CACHE_DIR",
     "ENGINE_SCHEMA",
     "EngineStats",

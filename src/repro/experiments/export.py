@@ -125,7 +125,7 @@ def figure_records(result: object) -> Records:
                     result.contended_cycles[name],
                     result.degradation(name),
                 ]
-                for name, _ in POLICIES
+                for name in POLICIES
             ],
         )
     if isinstance(result, MultiTaskExperimentResult):

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.baselines.riscmode import RiscModePolicy
-from repro.core.mrts import MRTS
-from repro.experiments.common import MatrixRunner, budget_grid, geometric_mean
+from repro.experiments.common import budget_grid, geometric_mean, grid_cycles
 from repro.experiments.engine import SweepEngine, resolve_engine
 from repro.fabric.resources import ResourceBudget
 from repro.util.tables import render_table
@@ -106,19 +104,13 @@ def run_fig10(
 
     Engine flags as in :func:`repro.experiments.fig8_comparison.run_fig8`.
     """
-    runner = MatrixRunner(
-        frames=frames, seed=seed,
-        engine=resolve_engine(engine, jobs, use_cache, cache_dir,
-                              backend=backend, workers=workers,
-                              coordinator=coordinator),
-    )
     budgets = budget_grid(max_cg, max_prc)
-    runner.prefetch(budgets, ["risc", "mrts"])
-    speedups = []
-    for budget in budgets:
-        risc = runner.cycles(budget, RiscModePolicy)
-        mrts = runner.cycles(budget, MRTS)
-        speedups.append(risc / mrts)
+    with resolve_engine(engine, jobs, use_cache, cache_dir, backend=backend,
+                        workers=workers, coordinator=coordinator) as eng:
+        cycles = grid_cycles(eng, budgets, ["risc", "mrts"], frames, seed)
+    speedups = [
+        risc / mrts for risc, mrts in zip(cycles["risc"], cycles["mrts"])
+    ]
     return Fig10Result(budgets=budgets, speedups=speedups)
 
 

@@ -91,11 +91,11 @@ def run_fig2(
     engine: Optional[SweepEngine] = None,
 ) -> Fig2Result:
     """Reproduce Fig. 2 for ``frames`` frames of the seeded video trace."""
-    eng = resolve_engine(
+    with resolve_engine(
         engine, jobs, use_cache, cache_dir,
         backend=backend, workers=workers, coordinator=coordinator,
-    ) or SweepEngine(jobs=1, use_cache=False)
-    [record] = eng.run([fig2_cell(frames=frames, seed=seed)])
+    ) as eng:
+        [record] = eng.run([fig2_cell(frames=frames, seed=seed)])
     data = record["metrics"]["deblock_frame_winners"]
     return Fig2Result(
         executions_per_frame=[int(e) for e in data["executions_per_frame"]],

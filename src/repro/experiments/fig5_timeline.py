@@ -88,18 +88,15 @@ def run_fig5(
     engine: Optional[SweepEngine] = None,
 ) -> Fig5Result:
     """Measure the Fig. 5 staircase of ``kernel`` in one block iteration."""
-    eng = resolve_engine(
+    cell = fig5_cell(
+        frames=frames, seed=seed, n_cg=n_cg, n_prc=n_prc,
+        kernel=kernel, block_window=block_window,
+    )
+    with resolve_engine(
         engine, jobs, use_cache, cache_dir,
         backend=backend, workers=workers, coordinator=coordinator,
-    ) or SweepEngine(jobs=1, use_cache=False)
-    [record] = eng.run(
-        [
-            fig5_cell(
-                frames=frames, seed=seed, n_cg=n_cg, n_prc=n_prc,
-                kernel=kernel, block_window=block_window,
-            )
-        ]
-    )
+    ) as eng:
+        [record] = eng.run([cell])
     timeline = timeline_from_payload(record["metrics"]["kernel_timeline"])
     return Fig5Result(kernel=kernel, timeline=timeline)
 

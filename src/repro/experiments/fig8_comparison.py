@@ -12,22 +12,15 @@ parity cases (RISPP at CG=0; Morpheus/4S at single-granularity combos).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
-from repro.baselines import Morpheus4SPolicy, OfflineOptimalPolicy, RisppLikePolicy
-from repro.baselines.riscmode import RiscModePolicy
-from repro.core.mrts import MRTS
-from repro.experiments.common import MatrixRunner, budget_grid, geometric_mean
+from repro.experiments.common import budget_grid, geometric_mean, grid_cycles
 from repro.experiments.engine import SweepEngine, resolve_engine
 from repro.fabric.resources import ResourceBudget
 from repro.util.tables import render_table
 
-APPROACHES: Dict[str, Callable] = {
-    "rispp": RisppLikePolicy,
-    "offline-optimal": OfflineOptimalPolicy,
-    "morpheus4s": Morpheus4SPolicy,
-    "mrts": MRTS,
-}
+#: The compared run-time systems (the Fig. 8 bars), by registered policy name.
+APPROACHES = ("rispp", "offline-optimal", "morpheus4s", "mrts")
 
 
 @dataclass
@@ -109,24 +102,16 @@ def run_fig8(
 ) -> Fig8Result:
     """Reproduce Fig. 8 over the (CG 0..max_cg) x (PRC 0..max_prc) grid.
 
-    ``jobs``/``use_cache``/``cache_dir`` (or a pre-built ``engine``) route
-    the grid through the parallel cached sweep engine; the default stays
-    serial in-process and produces identical numbers.
+    The grid runs as cells on ``engine`` or, without one, on an engine
+    built from ``jobs``/``use_cache``/``cache_dir`` and the backend knobs
+    (serial and uncached by default); every choice gives identical numbers.
     """
-    runner = MatrixRunner(
-        frames=frames, seed=seed,
-        engine=resolve_engine(engine, jobs, use_cache, cache_dir,
-                              backend=backend, workers=workers,
-                              coordinator=coordinator),
-    )
     budgets = budget_grid(max_cg, max_prc)
-    runner.prefetch(budgets, ["risc"] + list(APPROACHES))
-    cycles: Dict[str, List[int]] = {name: [] for name in APPROACHES}
-    risc: List[int] = []
-    for budget in budgets:
-        risc.append(runner.cycles(budget, RiscModePolicy))
-        for name, factory in APPROACHES.items():
-            cycles[name].append(runner.cycles(budget, factory))
+    with resolve_engine(engine, jobs, use_cache, cache_dir, backend=backend,
+                        workers=workers, coordinator=coordinator) as eng:
+        cycles = grid_cycles(eng, budgets, ["risc"] + list(APPROACHES),
+                             frames, seed)
+    risc = cycles.pop("risc")
     return Fig8Result(budgets=budgets, cycles=cycles, risc_cycles=risc)
 
 

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.baselines import OnlineOptimalPolicy
-from repro.core.mrts import MRTS
-from repro.experiments.common import MatrixRunner, budget_grid
+from repro.experiments.common import budget_grid, grid_cycles
 from repro.experiments.engine import SweepEngine, resolve_engine
 from repro.fabric.resources import ResourceBudget
 from repro.util.tables import render_table
@@ -91,18 +89,15 @@ def run_fig9(
 
     Engine flags as in :func:`repro.experiments.fig8_comparison.run_fig8`.
     """
-    runner = MatrixRunner(
-        frames=frames, seed=seed,
-        engine=resolve_engine(engine, jobs, use_cache, cache_dir,
-                              backend=backend, workers=workers,
-                              coordinator=coordinator),
-    )
     budgets = budget_grid(max_cg, max_prc)
-    runner.prefetch(budgets, ["mrts", "online-optimal"])
-    heuristic = [runner.cycles(b, MRTS) for b in budgets]
-    optimal = [runner.cycles(b, OnlineOptimalPolicy) for b in budgets]
+    with resolve_engine(engine, jobs, use_cache, cache_dir, backend=backend,
+                        workers=workers, coordinator=coordinator) as eng:
+        cycles = grid_cycles(eng, budgets, ["mrts", "online-optimal"],
+                             frames, seed)
     return Fig9Result(
-        budgets=budgets, heuristic_cycles=heuristic, optimal_cycles=optimal
+        budgets=budgets,
+        heuristic_cycles=cycles["mrts"],
+        optimal_cycles=cycles["online-optimal"],
     )
 
 

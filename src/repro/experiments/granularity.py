@@ -11,14 +11,11 @@ and fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from repro.baselines.tasklevel import TaskLevelPolicy
-from repro.core.mrts import MRTS
-from repro.fabric.resources import ResourceBudget
-from repro.sim.simulator import Simulator
+from repro.experiments.common import h264_cell
+from repro.experiments.engine import SweepEngine, resolve_engine
 from repro.util.tables import render_table
-from repro.workloads.h264 import h264_application, h264_library
 
 
 @dataclass
@@ -58,32 +55,28 @@ def run_granularity(
     n_cg: int = 2,
     n_prc: int = 2,
     periods: List[int] = (3, 9, 18),
+    engine: Optional[SweepEngine] = None,
 ) -> GranularityResult:
     """Compare per-block selection against task-level re-decision periods."""
-    application = h264_application(frames=frames, seed=seed)
-    budget = ResourceBudget(n_prcs=n_prc, n_cg_fabrics=n_cg)
-    library = h264_library(budget)
-
-    from repro.baselines.riscmode import RiscModePolicy
-
-    risc = Simulator(application, library, budget, RiscModePolicy()).run().total_cycles
-    mrts = Simulator(application, library, budget, MRTS()).run().total_cycles
-    task_level = {
-        period: Simulator(
-            application,
-            library,
-            budget,
-            TaskLevelPolicy(reselect_every_blocks=period),
-        )
-        .run()
-        .total_cycles
+    budget = (n_cg, n_prc)
+    cells = [
+        h264_cell(budget, seed, "risc", frames),
+        h264_cell(budget, seed, "mrts", frames),
+    ] + [
+        h264_cell(budget, seed, "task-level", frames,
+                  policy_params={"reselect_every_blocks": period})
         for period in periods
-    }
+    ]
+    with resolve_engine(engine) as eng:
+        risc, mrts, *task_level = eng.run(cells)
     return GranularityResult(
-        budget_label=budget.label,
-        mrts_cycles=mrts,
-        task_level_cycles=task_level,
-        risc_cycles=risc,
+        budget_label=risc["budget_label"],
+        mrts_cycles=mrts["total_cycles"],
+        task_level_cycles={
+            period: record["total_cycles"]
+            for period, record in zip(periods, task_level)
+        },
+        risc_cycles=risc["total_cycles"],
     )
 
 

@@ -12,12 +12,13 @@ fabric budget grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.mrts import MRTS
+from repro.experiments.common import h264_cell
+from repro.experiments.engine import SweepCell, SweepEngine, resolve_engine
 from repro.fabric.resources import ResourceBudget
 from repro.sim.multitask import MultiTaskSimulator, Task
-from repro.sim.simulator import Simulator
 from repro.util.tables import render_table
 from repro.workloads.h264 import h264_application, h264_library
 from repro.workloads.jpeg import jpeg_application, jpeg_library
@@ -51,18 +52,33 @@ def run_multitask(
     images: int = 6,
     seed: int = 7,
     budgets: List[Tuple[int, int]] = ((1, 1), (2, 2), (3, 3)),
+    engine: Optional[SweepEngine] = None,
 ) -> MultiTaskExperimentResult:
-    """Co-run the two encoders on several fabric budgets."""
+    """Co-run the two encoders on several fabric budgets.
+
+    Each task's run alone is an ``mrts`` cell; the co-run is two
+    applications under two policies, so it runs on
+    :class:`~repro.sim.multitask.MultiTaskSimulator` here.
+    """
+    with resolve_engine(engine) as eng:
+        alone = iter(eng.run([
+            cell
+            for budget in budgets
+            for cell in (
+                h264_cell(budget, seed, "mrts", frames),
+                SweepCell.make(budget, seed + 1, "mrts", workload="jpeg",
+                               workload_params={"images": images}),
+            )
+        ]))
+    h264 = h264_application(frames=frames, seed=seed)
+    jpeg = jpeg_application(images=images, seed=seed + 1)
     cells: Dict[str, Dict[str, Tuple[int, int]]] = {}
     for cg, prc in budgets:
         budget = ResourceBudget(n_prcs=prc, n_cg_fabrics=cg)
-        h264 = h264_application(frames=frames, seed=seed)
-        jpeg = jpeg_application(images=images, seed=seed + 1)
         lib_h = h264_library(budget)
         lib_j = jpeg_library(budget)
-
-        alone_h = Simulator(h264, lib_h, budget, MRTS()).run().stats
-        alone_j = Simulator(jpeg, lib_j, budget, MRTS()).run().stats
+        alone_h = next(alone)
+        alone_j = next(alone)
         shared = MultiTaskSimulator(
             [
                 Task("h264", h264, lib_h, MRTS()),
@@ -72,11 +88,11 @@ def run_multitask(
         ).run()
         cells[budget.label] = {
             "h264": (
-                alone_h.total_cycles,
+                alone_h["total_cycles"],
                 shared.task("h264").stats.total_cycles,
             ),
             "jpeg": (
-                alone_j.total_cycles,
+                alone_j["total_cycles"],
                 shared.task("jpeg").stats.total_cycles,
             ),
         }

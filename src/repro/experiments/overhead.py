@@ -9,13 +9,11 @@ selection/reconfiguration overlap hides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.core.mrts import MRTS
-from repro.experiments.common import MatrixRunner
-from repro.fabric.resources import ResourceBudget
+from repro.experiments.common import h264_cell
+from repro.experiments.engine import SweepEngine, resolve_engine
 from repro.util.tables import render_table
-from repro.workloads.h264 import h264_library
-from repro.sim.simulator import Simulator
 
 
 @dataclass
@@ -71,24 +69,21 @@ def run_overhead(
     seed: int = 7,
     n_cg: int = 2,
     n_prc: int = 2,
+    engine: Optional[SweepEngine] = None,
 ) -> OverheadResult:
-    """Measure the mRTS overhead on the H.264 encoder."""
-    runner = MatrixRunner(frames=frames, seed=seed)
-    budget = ResourceBudget(n_prcs=n_prc, n_cg_fabrics=n_cg)
-    policy = MRTS()
-    library = h264_library(budget)
-    result = Simulator(runner.application, library, budget, policy).run()
-    kernels_selected = sum(
-        len(runner.application.block(it.block).kernels)
-        for it in runner.application.iterations
-    )
+    """Measure the mRTS overhead on the H.264 encoder (one ``mrts`` cell)."""
+    cell = h264_cell((n_cg, n_prc), seed, "mrts", frames,
+                     metrics={"block_profile": {}})
+    with resolve_engine(engine) as eng:
+        [record] = eng.run([cell])
+    profile = record["metrics"]["block_profile"]
     return OverheadResult(
-        selections=policy.selection_count,
-        kernels_selected=kernels_selected,
-        total_overhead_cycles=policy.total_overhead_cycles,
-        charged_overhead_cycles=policy.total_charged_overhead_cycles,
-        total_cycles=result.total_cycles,
-        mean_block_cycles=result.stats.mean_block_cycles(),
+        selections=record["selections"],
+        kernels_selected=profile["kernels_selected"],
+        total_overhead_cycles=record["overhead_cycles_full"],
+        charged_overhead_cycles=record["overhead_cycles_charged"],
+        total_cycles=record["total_cycles"],
+        mean_block_cycles=profile["mean_block_cycles"],
     )
 
 

@@ -43,19 +43,25 @@ def run_all(
 ) -> None:
     """Execute every experiment, printing each report as it completes.
 
-    ``jobs``/``use_cache``/``cache_dir`` (and the executor knobs
-    ``backend``/``workers``/``coordinator``) route the cell-based
-    experiments (Figs. 2, 5, 8-10 and the cost-model sensitivity table)
-    through the parallel cached sweep engine; the remaining experiments
-    are trace- or structure-bound and run in-process.  One engine serves
-    all of them, so a pool's workers (and their warm construction memos)
-    carry over from one figure to the next; it is closed on return.
+    Every simulation the experiments make is a cell on one
+    :class:`~repro.experiments.engine.SweepEngine`, built from
+    ``jobs``/``use_cache``/``cache_dir`` and the executor knobs
+    ``backend``/``workers``/``coordinator`` (serial and uncached by
+    default) and closed on return.  All twelve simulating experiments
+    share it, so a pool's workers (and their warm construction memos)
+    carry over from one to the next; only the multi-task co-run, two
+    applications on one fabric, simulates outside it.  Fig. 1 and the
+    search-space count simulate nothing.
     """
     stream = stream or sys.stdout
     frames = 6 if fast else 16
-    engine = resolve_engine(jobs=jobs, use_cache=use_cache,
-                            cache_dir=cache_dir, backend=backend,
-                            workers=workers, coordinator=coordinator)
+    with resolve_engine(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
+                        backend=backend, workers=workers,
+                        coordinator=coordinator) as engine:
+        _run_experiments(fast, frames, engine, stream)
+
+
+def _run_experiments(fast: bool, frames: int, engine, stream) -> None:
     experiments = [
         ("Fig. 1", lambda: run_fig1(points=20 if fast else 50)),
         ("Fig. 2", lambda: run_fig2(frames=frames, engine=engine)),
@@ -64,27 +70,28 @@ def run_all(
         ("Fig. 9", lambda: run_fig9(frames=frames, max_prc=4 if fast else 6,
                                     engine=engine)),
         ("Fig. 10", lambda: run_fig10(frames=frames, engine=engine)),
-        ("Overhead (5.4)", lambda: run_overhead(frames=frames)),
+        ("Overhead (5.4)", lambda: run_overhead(frames=frames, engine=engine)),
         ("Search space (4.1)", run_search_space),
-        ("Ablations", lambda: run_ablations(frames=frames)),
-        ("Fabric contention (Sec. 1, variation b)", lambda: run_contention(frames=6 if fast else 12)),
-        ("Selection granularity (Sec. 1, [11])", lambda: run_granularity(frames=6 if fast else 12)),
-        ("Multi-task sharing (Sec. 1, variation b)", lambda: run_multitask(frames=4 if fast else 6, images=4 if fast else 6)),
-        ("Energy (extension)", lambda: run_energy(frames=6 if fast else 12)),
+        ("Ablations", lambda: run_ablations(frames=frames, engine=engine)),
+        ("Fabric contention (Sec. 1, variation b)",
+         lambda: run_contention(frames=6 if fast else 12, engine=engine)),
+        ("Selection granularity (Sec. 1, [11])",
+         lambda: run_granularity(frames=6 if fast else 12, engine=engine)),
+        ("Multi-task sharing (Sec. 1, variation b)",
+         lambda: run_multitask(frames=4 if fast else 6,
+                               images=4 if fast else 6, engine=engine)),
+        ("Energy (extension)",
+         lambda: run_energy(frames=6 if fast else 12, engine=engine)),
         ("Cost-model sensitivity (extension)",
          lambda: run_sensitivity(frames=4 if fast else 8, engine=engine)),
     ]
-    try:
-        for name, fn in experiments:
-            start = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - start
-            print(f"\n{'=' * 72}\n{name}  [{elapsed:.1f}s]\n{'=' * 72}",
-                  file=stream)
-            print(result.render(), file=stream)
-    finally:
-        if engine is not None:
-            engine.close()
+    for name, fn in experiments:
+        start = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - start
+        print(f"\n{'=' * 72}\n{name}  [{elapsed:.1f}s]\n{'=' * 72}",
+              file=stream)
+        print(result.render(), file=stream)
 
 
 def main(argv=None) -> int:

@@ -130,9 +130,8 @@ def run_sensitivity(
     """Re-measure the headline speedups under each model variant.
 
     The (variant x budget x policy) grid runs as declarative
-    :class:`SweepCell`\\ s -- through the parallel/cached engine when the
-    flags ask for one, serially through :func:`execute_cell` otherwise --
-    so cost-model perturbations are part of each cell's cache key.
+    :class:`SweepCell`\\ s on ``engine`` (or one built from the flags), so
+    cost-model perturbations are part of each cell's cache key.
     """
     variants = _variants()
     grid = [
@@ -141,15 +140,10 @@ def run_sensitivity(
         for budget in BUDGETS
         for policy in ("risc", "mrts")
     ]
-    resolved = resolve_engine(engine, jobs=jobs, use_cache=use_cache,
-                              cache_dir=cache_dir, backend=backend,
-                              workers=workers, coordinator=coordinator)
-    if resolved is not None:
-        records = resolved.run(grid)
-    else:
-        from repro.experiments.engine import execute_cell
-
-        records = [execute_cell(cell) for cell in grid]
+    with resolve_engine(engine, jobs=jobs, use_cache=use_cache,
+                        cache_dir=cache_dir, backend=backend,
+                        workers=workers, coordinator=coordinator) as eng:
+        records = eng.run(grid)
 
     cells: Dict[str, Tuple[float, float, float, float]] = {}
     cursor = iter(records)

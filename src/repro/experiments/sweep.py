@@ -6,12 +6,10 @@ seeds, and dump everything as records for plotting.  Used by the
 calibration scripts and the robustness tests (are the headline shapes
 stable across seeds?).
 
-Declarative sweeps (registered workload + registered policy names) route
-through :class:`repro.experiments.engine.SweepEngine`: pass ``jobs`` to fan
-cells out over worker processes and ``use_cache``/``cache_dir`` to reuse
-cell records across invocations.  Sweeps over ad-hoc factories
-(``application_factory``/``library_factory``) cannot be hashed or pickled,
-so they always run serially in-process.
+Sweeps name a registered workload and registered policies and run as
+cells through :class:`repro.experiments.engine.SweepEngine`: pass ``jobs``
+to fan cells out over worker processes and ``use_cache``/``cache_dir`` to
+reuse cell records across invocations.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.baselines.riscmode import RiscModePolicy
 from repro.experiments.engine import (
     POLICIES,
     SweepCell,
@@ -28,8 +25,6 @@ from repro.experiments.engine import (
     policy_name_of,
     resolve_engine,
 )
-from repro.fabric.resources import ResourceBudget
-from repro.sim.simulator import SimulationResult, Simulator
 from repro.util.tables import render_table
 from repro.util.validation import ReproError
 
@@ -108,31 +103,31 @@ class SweepResult:
 PolicySpec = Union[Dict[str, Optional[Callable]], Sequence[str]]
 
 
-def _declarative_policies(policies: PolicySpec) -> Optional[List[str]]:
-    """Policy names if every entry resolves to the engine registry.
+def _policy_names(policies: PolicySpec) -> List[str]:
+    """The registered policy names ``policies`` asks for.
 
-    Accepts a sequence of registered names, or the classic name->factory
-    dict when each factory is exactly the registered one (or ``None``).
-    Returns ``None`` when any entry is ad-hoc.
+    Accepts a sequence of registered names, or a name->factory dict whose
+    factories are exactly the registered ones (or ``None``).  Anything
+    else raises :class:`ReproError`: a cell names its policy through the
+    registry, so an ad-hoc factory cannot be cached or shipped to workers.
     """
-    if not isinstance(policies, dict):
-        names = list(policies)
-        if not all(isinstance(name, str) for name in names):
-            return None
-        unknown = sorted(set(names) - set(POLICIES))
-        if unknown:
+    if isinstance(policies, dict):
+        adhoc = sorted(
+            name for name, factory in policies.items()
+            if factory is not None and policy_name_of(factory) != name
+        )
+        if adhoc:
             raise ReproError(
-                f"unknown policy name(s) {unknown}; "
-                f"registered: {sorted(POLICIES)}"
+                f"policy factories {adhoc} are not the registered ones; "
+                "register them with register_policy"
             )
-        return names
-    names = []
-    for name, factory in policies.items():
-        if factory is not None and policy_name_of(factory) != name:
-            return None
-        if name not in POLICIES:
-            return None
-        names.append(name)
+    names = list(policies)
+    unknown = sorted(str(name) for name in names if name not in POLICIES)
+    if unknown:
+        raise ReproError(
+            f"unknown policy name(s) {unknown}; "
+            f"registered: {sorted(POLICIES)}"
+        )
     return names
 
 
@@ -140,8 +135,6 @@ def run_sweep(
     budgets: Sequence[Tuple[int, int]],
     seeds: Sequence[int],
     policies: PolicySpec,
-    application_factory: Optional[Callable] = None,
-    library_factory: Optional[Callable] = None,
     *,
     workload: str = "h264",
     workload_params: Optional[Dict[str, object]] = None,
@@ -157,40 +150,23 @@ def run_sweep(
     """Run every (budget, seed, policy) combination.
 
     ``budgets`` are ``(n_cg_fabrics, n_prcs)`` pairs.  ``policies`` is a
-    sequence of registered policy names, or a ``name -> factory`` dict.  A
-    RISC reference is simulated once per (budget, seed) for the speedup
-    column.
-
-    Two execution paths produce identical points:
-
-    * **Engine path** (default): cells go through a
-      :class:`~repro.experiments.engine.SweepEngine`, honouring ``jobs``,
-      ``use_cache``/``cache_dir`` (or a pre-built ``engine``), and
-      ``workload``/``workload_params`` select a registered workload.
-    * **Legacy path**: when ``application_factory(seed)`` /
-      ``library_factory(budget)`` or unregistered policy factories are
-      given, everything runs serially in-process (closures cannot be
-      cached or shipped to workers).
+    sequence of registered policy names, or a ``name -> factory`` dict of
+    registered factories.  ``workload``/``workload_params`` select a
+    registered workload.  A RISC reference is simulated once per (budget,
+    seed) for the speedup column.  Cells run on ``engine`` or, without
+    one, on an engine built from ``jobs``, ``use_cache``/``cache_dir`` and
+    the backend knobs (serial and uncached by default).
     """
-    names = _declarative_policies(policies)
-    if names is not None and application_factory is None and library_factory is None:
-        params = dict(workload_params) if workload_params is not None else {}
-        if workload == "h264":
-            params.setdefault("frames", 8)
-        eng = resolve_engine(
-            engine, jobs, use_cache, cache_dir, cache_max_bytes,
-            backend=backend, workers=workers, coordinator=coordinator,
-        ) or SweepEngine(jobs=1, use_cache=False)
-        return _run_sweep_engine(eng, budgets, seeds, names, workload, params)
-    if isinstance(policies, dict):
-        factories = {
-            name: factory if factory is not None else POLICIES[name]
-            for name, factory in policies.items()
-        }
-    else:
-        factories = {name: POLICIES[name] for name in policies}
-    return _run_sweep_legacy(
-        budgets, seeds, factories, application_factory, library_factory
+    names = _policy_names(policies)
+    params = _sweep_params(workload, workload_params)
+    cells = _sweep_cells(budgets, seeds, names, workload, params)
+    with resolve_engine(
+        engine, jobs, use_cache, cache_dir, cache_max_bytes,
+        backend=backend, workers=workers, coordinator=coordinator,
+    ) as eng:
+        records = eng.run(cells)
+    return _points_from_records(
+        dict(zip(cells, records)), budgets, seeds, names, workload, params
     )
 
 
@@ -220,24 +196,12 @@ def run_sweep_stored(
     execution side), the sweep commits under ``store``/``sweep``, and the
     returned :class:`SweepResult` is rebuilt *from the stored shards* —
     so byte-identical CLI output doubles as a round-trip check.  Returns
-    ``(result, sweep_path)``.  Only declarative sweeps (registered
-    workload + policy names) can be stored.
+    ``(result, sweep_path)``.
     """
     from repro.results.store import DEFAULT_SHARD_ROWS, ResultReader, ResultWriter
 
-    names = _declarative_policies(policies)
-    if names is None:
-        raise ReproError(
-            "only declarative sweeps (registered policy names) can be "
-            "streamed to a result store"
-        )
-    params = dict(workload_params) if workload_params is not None else {}
-    if workload == "h264":
-        params.setdefault("frames", 8)
-    eng = resolve_engine(
-        engine, jobs, use_cache, cache_dir, cache_max_bytes,
-        backend=backend, workers=workers, coordinator=coordinator,
-    ) or SweepEngine(jobs=1, use_cache=False)
+    names = _policy_names(policies)
+    params = _sweep_params(workload, workload_params)
     cells = _sweep_cells(budgets, seeds, names, workload, params)
     writer = ResultWriter(
         store,
@@ -245,8 +209,12 @@ def run_sweep_stored(
         shard_rows=shard_rows or DEFAULT_SHARD_ROWS,
         meta={"workload": workload, "policies": ["risc"] + list(names)},
     )
-    eng.run_streamed(cells, writer.sink)
-    path = writer.close(engine_stats=eng.stats.engine_payload())
+    with resolve_engine(
+        engine, jobs, use_cache, cache_dir, cache_max_bytes,
+        backend=backend, workers=workers, coordinator=coordinator,
+    ) as eng:
+        eng.run_streamed(cells, writer.sink)
+        path = writer.close(engine_stats=eng.stats.engine_payload())
     records: List[Optional[Dict[str, object]]] = [None] * len(cells)
     for index, _, record in ResultReader(path).iter_rows():
         records[index] = record
@@ -256,6 +224,16 @@ def run_sweep_stored(
         ),
         path,
     )
+
+
+def _sweep_params(
+    workload: str, workload_params: Optional[Dict[str, object]]
+) -> Dict[str, object]:
+    """The workload params of every cell (h264 defaults to 8 frames)."""
+    params = dict(workload_params) if workload_params is not None else {}
+    if workload == "h264":
+        params.setdefault("frames", 8)
+    return params
 
 
 def _sweep_cells(
@@ -280,22 +258,6 @@ def _sweep_cells(
                     )
                 )
     return cells
-
-
-def _run_sweep_engine(
-    eng: SweepEngine,
-    budgets: Sequence[Tuple[int, int]],
-    seeds: Sequence[int],
-    policy_names: Sequence[str],
-    workload: str,
-    workload_params: Dict[str, object],
-) -> SweepResult:
-    cells = _sweep_cells(budgets, seeds, policy_names, workload, workload_params)
-    records = eng.run(cells)
-    return _points_from_records(
-        dict(zip(cells, records)), budgets, seeds, policy_names,
-        workload, workload_params,
-    )
 
 
 def _points_from_records(
@@ -333,49 +295,6 @@ def _points_from_records(
                         speedup_vs_risc=risc_cycles / record["total_cycles"],
                         accelerated_fraction=record["accelerated_fraction"],
                         reconfigurations=record["reconfigurations"],
-                    )
-                )
-    return result
-
-
-def _run_sweep_legacy(
-    budgets: Sequence[Tuple[int, int]],
-    seeds: Sequence[int],
-    policies: Dict[str, Callable],
-    application_factory: Optional[Callable],
-    library_factory: Optional[Callable],
-) -> SweepResult:
-    if application_factory is None:
-        from repro.workloads.h264 import h264_application
-
-        application_factory = lambda seed: h264_application(frames=8, seed=seed)
-    if library_factory is None:
-        from repro.workloads.h264 import h264_library
-
-        library_factory = h264_library
-
-    result = SweepResult()
-    for cg, prc in budgets:
-        budget = ResourceBudget(n_prcs=prc, n_cg_fabrics=cg)
-        library = library_factory(budget)
-        for seed in seeds:
-            application = application_factory(seed)
-            risc = Simulator(
-                application, library, budget, RiscModePolicy()
-            ).run().total_cycles
-            for name, factory in policies.items():
-                run: SimulationResult = Simulator(
-                    application, library, budget, factory()
-                ).run()
-                result.points.append(
-                    SweepPoint(
-                        budget_label=budget.label,
-                        seed=seed,
-                        policy=name,
-                        total_cycles=run.total_cycles,
-                        speedup_vs_risc=risc / run.total_cycles,
-                        accelerated_fraction=run.stats.accelerated_fraction(),
-                        reconfigurations=run.stats.reconfigurations,
                     )
                 )
     return result

@@ -256,26 +256,16 @@ def _run_figure_stored(
 ):
     """Run a figure grid streamed through a result store, rebuild from disk.
 
-    The cells are byte-identical to the ones ``MatrixRunner`` builds, so
-    the reconstructed figure matches the in-memory runner exactly.
+    The cells are the ones the in-memory figure runs
+    (:func:`repro.experiments.common.grid_cycles`), so the reconstructed
+    figure matches it exactly.
     """
-    from repro.experiments.common import budget_grid
-    from repro.experiments.engine import SweepCell, resolve_engine
+    from repro.experiments.common import budget_grid, h264_cell
+    from repro.experiments.engine import resolve_engine
     from repro.results.store import DEFAULT_SHARD_ROWS
 
-    eng = resolve_engine(engine, **engine_kwargs)
-    if eng is None:
-        from repro.experiments.engine import SweepEngine
-
-        eng = SweepEngine(jobs=1, use_cache=False)
     cells = [
-        SweepCell.make(
-            (budget.n_cg_fabrics, budget.n_prcs),
-            seed,
-            name,
-            workload="h264",
-            workload_params={"frames": frames},
-        )
+        h264_cell((budget.n_cg_fabrics, budget.n_prcs), seed, name, frames)
         for budget in budget_grid(max_cg, max_prc)
         for name in policy_names
     ]
@@ -285,8 +275,9 @@ def _run_figure_stored(
         shard_rows=shard_rows or DEFAULT_SHARD_ROWS,
         meta={"figure": rebuild.__name__, "frames": frames, "seed": seed},
     )
-    eng.run_streamed(cells, writer.sink)
-    path = writer.close(engine_stats=eng.stats.engine_payload())
+    with resolve_engine(engine, **engine_kwargs) as eng:
+        eng.run_streamed(cells, writer.sink)
+        path = writer.close(engine_stats=eng.stats.engine_payload())
     return rebuild(ResultReader(path)), path
 
 

@@ -76,6 +76,8 @@ class SimulationResult:
     stats: SimulationStats
     trace: Optional[SimulationTrace] = None
     controller: Optional[ReconfigurationController] = None
+    #: the simulated application (the run's input, for derived metrics)
+    application: Optional[Application] = None
 
     @property
     def total_cycles(self) -> int:
@@ -198,6 +200,7 @@ class Simulator:
             stats=stats,
             trace=trace,
             controller=controller,
+            application=self.application,
         )
 
     # ------------------------------------------------------------ engines

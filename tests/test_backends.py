@@ -419,8 +419,9 @@ class TestPoolLifecycle:
         assert _children() == before
 
     def test_run_all_shares_one_engine(self, monkeypatch):
-        """``run_all`` hands every cell-based figure the same engine and
-        closes it on return."""
+        """``run_all`` hands every simulating experiment (all but Fig. 1
+        and the search-space count) the same engine and closes it on
+        return."""
         from repro.experiments import runner
 
         class Rendered:
@@ -438,7 +439,7 @@ class TestPoolLifecycle:
                 monkeypatch.setattr(runner, name, stub)
         runner.run_all(fast=True, stream=io.StringIO(), jobs=2)
         engines = [engine for engine in handed if engine is not None]
-        assert len(engines) == 6
+        assert len(engines) == 12
         assert all(engine is engines[0] for engine in engines)
         with pytest.raises(ReproError, match="closed"):
             engines[0].run(make_cells())

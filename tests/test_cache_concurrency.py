@@ -84,25 +84,38 @@ class TestAtomicPublish:
         payloads = [{"writer": w, "blob": "x" * (200 + 40 * w)} for w in range(n_writers)]
         start = threading.Barrier(2)
         stop = threading.Event()
+        published = threading.Event()  # every writer has committed
+        caught_up = threading.Event()  # a get began after that, and ended
         seen, errors = [], []
 
         def read():
             store = RecordStore(tmp_path)
             start.wait(30)
-            while not stop.is_set():
-                try:
-                    record = store.get(key)
-                except Exception as exc:  # a partial record would land here
-                    errors.append(exc)
-                    return
-                if record is not None:
-                    seen.append(record)
-            store.close()
+            try:
+                while not stop.is_set():
+                    after_publish = published.is_set()
+                    try:
+                        record = store.get(key)
+                    except Exception as exc:  # a partial record would land here
+                        errors.append(exc)
+                        return
+                    if record is not None:
+                        seen.append(record)
+                    if after_publish:
+                        caught_up.set()
+            finally:
+                caught_up.set()
+                store.close()
 
         reader = threading.Thread(target=read)
         reader.start()
         start.wait(30)
         start_writers(key, cell.payload(), payloads)
+        # Under GIL contention the polling reader can miss the whole write
+        # window; stop it only after one read that began past the last
+        # commit, which must see a whole record.
+        published.set()
+        caught_up.wait(30)
         stop.set()
         reader.join(30)
         assert not reader.is_alive()

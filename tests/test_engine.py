@@ -260,15 +260,43 @@ class TestCellStore:
 
 class TestRunSweepRouting:
     def test_engine_path_matches_legacy_path(self):
-        budgets, seeds = [(1, 1)], [1, 2]
-        from repro.workloads.h264 import h264_application
+        """Engine sweep points equal hand-built in-process ``Simulator``
+        runs of the same applications (the in-process reference)."""
+        from repro.baselines.riscmode import RiscModePolicy
+        from repro.experiments.sweep import SweepPoint
+        from repro.fabric.resources import ResourceBudget
+        from repro.sim.simulator import Simulator
+        from repro.workloads.h264 import h264_application, h264_library
 
+        budgets, seeds = [(1, 1)], [1, 2]
         engine_points = run_sweep(budgets, seeds, ["mrts"]).points
-        legacy_points = run_sweep(
-            budgets, seeds, {"mrts": MRTS},
-            application_factory=lambda seed: h264_application(frames=8, seed=seed),
-        ).points
-        assert engine_points == legacy_points
+        budget = ResourceBudget(n_prcs=1, n_cg_fabrics=1)
+        library = h264_library(budget)
+        reference = []
+        for seed in seeds:
+            application = h264_application(frames=8, seed=seed)
+            risc = Simulator(application, library, budget, RiscModePolicy()).run()
+            run = Simulator(application, library, budget, MRTS()).run()
+            reference.append(SweepPoint(
+                budget_label=budget.label,
+                seed=seed,
+                policy="mrts",
+                total_cycles=run.total_cycles,
+                speedup_vs_risc=risc.total_cycles / run.total_cycles,
+                accelerated_fraction=run.stats.accelerated_fraction(),
+                reconfigurations=run.stats.reconfigurations,
+            ))
+        assert engine_points == reference
+
+    def test_registered_factory_dict_runs_unregistered_raises(self):
+        budgets, seeds = [(1, 1)], [1]
+        by_name = run_sweep(budgets, seeds, ["mrts"], workload_params=FAST)
+        by_factory = run_sweep(budgets, seeds, {"mrts": MRTS},
+                               workload_params=FAST)
+        assert by_name.points == by_factory.points
+        with pytest.raises(ReproError, match="register_policy"):
+            run_sweep(budgets, seeds, {"mrts": lambda: MRTS()},
+                      workload_params=FAST)
 
     def test_parallel_sweep_points_identical(self, tmp_path):
         budgets, seeds = [(1, 1), (2, 2)], [1, 2]
@@ -299,6 +327,87 @@ class TestFigRouting:
         assert [b.label for b in serial.budgets] == [
             b.label for b in engined.budgets
         ]
+
+
+class TestExperimentCells:
+    """The cell shapes the single-application experiments run as."""
+
+    CONTENTION = {"period": 40_000, "duty_prcs": 1, "duty_cg_slots": 2,
+                  "until": 400_000}
+
+    @staticmethod
+    def _reference(policy, collect_trace=False, contention=None):
+        from repro.fabric.resources import ResourceBudget
+        from repro.sim.simulator import Simulator
+        from repro.workloads.h264 import h264_application, h264_library
+
+        budget = ResourceBudget(n_prcs=2, n_cg_fabrics=2)
+        return Simulator(
+            h264_application(seed=3, **FAST), h264_library(budget), budget,
+            policy, collect_trace=collect_trace, contention=contention,
+        ).run()
+
+    def test_contention_enters_payload_only_when_set(self):
+        plain = SweepCell.make((2, 2), 3, "mrts", workload_params=FAST)
+        contended = SweepCell.make((2, 2), 3, "mrts", workload_params=FAST,
+                                   contention=self.CONTENTION)
+        assert "contention" not in plain.payload()
+        assert contended.payload()["contention"] == [
+            ["duty_cg_slots", 2], ["duty_prcs", 1],
+            ["period", 40_000], ["until", 400_000],
+        ]
+        wire = json.loads(json.dumps(contended.payload()))
+        assert SweepCell.from_payload(wire) == contended
+        assert cell_key(plain) != cell_key(contended)
+        with pytest.raises(ReproError, match="contention needs exactly"):
+            SweepCell.make((2, 2), 3, "mrts", contention={"period": 5})
+
+    def test_contended_cell_matches_in_process_schedule(self):
+        from repro.sim.contention import ContentionSchedule
+
+        cell = SweepCell.make((2, 2), 3, "mrts", workload_params=FAST,
+                              contention=self.CONTENTION)
+        reference = self._reference(
+            MRTS(), contention=ContentionSchedule.periodic(**self.CONTENTION)
+        )
+        record = execute_cell(cell)
+        assert record["total_cycles"] == reference.total_cycles
+        assert record["total_cycles"] != execute_cell(
+            SweepCell.make((2, 2), 3, "mrts", workload_params=FAST)
+        )["total_cycles"]
+
+    def test_mrts_policy_params_are_config_overrides(self):
+        from repro.core.config import MRTSConfig
+
+        assert POLICIES["mrts"] is MRTS
+        assert MRTS(enable_monocg=False).config == MRTSConfig(
+            enable_monocg=False
+        )
+        cell = SweepCell.make((2, 2), 3, "mrts", workload_params=FAST,
+                              policy_params={"mpu_alpha": 0.0})
+        reference = self._reference(MRTS(MRTSConfig(mpu_alpha=0.0)))
+        assert execute_cell(cell)["total_cycles"] == reference.total_cycles
+
+    def test_energy_and_block_profile_metrics(self):
+        import dataclasses
+
+        from repro.fabric.energy import estimate_energy
+
+        cell = SweepCell.make((2, 2), 3, "mrts", workload_params=FAST,
+                              metrics={"energy": {}, "block_profile": {}})
+        metrics = execute_cell(cell)["metrics"]
+        reference = self._reference(MRTS(), collect_trace=True)
+        assert metrics["energy"] == dataclasses.asdict(
+            estimate_energy(reference)
+        )
+        application = reference.application
+        assert metrics["block_profile"] == {
+            "kernels_selected": sum(
+                len(application.block(it.block).kernels)
+                for it in application.iterations
+            ),
+            "mean_block_cycles": reference.stats.mean_block_cycles(),
+        }
 
 
 @pytest.mark.slow

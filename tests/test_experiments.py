@@ -12,7 +12,8 @@ from repro.experiments import (
     run_overhead,
     run_search_space,
 )
-from repro.experiments.common import MatrixRunner, budget_grid, geometric_mean
+from repro.experiments.common import budget_grid, geometric_mean, h264_cell
+from repro.experiments.engine import SweepEngine
 from repro.experiments.fig10_speedup import classify
 from repro.fabric.resources import ResourceBudget
 
@@ -27,12 +28,13 @@ class TestCommon:
         assert geometric_mean([]) == 0.0
 
     def test_matrix_runner_caches(self):
-        runner = MatrixRunner(frames=1, seed=1)
-        budget = ResourceBudget(n_prcs=1, n_cg_fabrics=0)
-        from repro.baselines.riscmode import RiscModePolicy
-
-        a = runner.run(budget, RiscModePolicy)
-        b = runner.run(budget, RiscModePolicy)
+        """Experiment cells that repeat (e.g. the RISC reference the
+        comparison figures share) are simulated once per engine run."""
+        cell = h264_cell((0, 1), 1, "risc", frames=1)
+        with SweepEngine(jobs=1, use_cache=False) as engine:
+            a, b = engine.run([cell, h264_cell((0, 1), 1, "risc", frames=1)])
+            assert engine.stats.cells == 2
+            assert engine.stats.unique_cells == engine.stats.executed == 1
         assert a is b
 
     def test_classify(self):
@@ -220,7 +222,7 @@ class TestEnergyExperiment:
         from repro.experiments.energy import POLICIES, run_energy
 
         result = run_energy(frames=2)
-        assert set(result.breakdowns) == {name for name, _ in POLICIES}
+        assert set(result.breakdowns) == set(POLICIES)
         assert result.saving_vs_risc("mrts") > 0
         assert "Energy" in result.render()
 

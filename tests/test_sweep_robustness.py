@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core.mrts import MRTS
 from repro.experiments.sweep import run_sweep
 from repro.util.validation import ReproError
-from repro.workloads.h264 import h264_application
 
-
-def fast_app(seed):
-    return h264_application(frames=4, seed=seed, scale=0.5)
+#: A short, thinned H.264 run per cell.
+FAST_APP = {"frames": 4, "scale": 0.5}
 
 
 class TestSweepMachinery:
@@ -18,8 +15,8 @@ class TestSweepMachinery:
         return run_sweep(
             budgets=[(1, 1), (2, 2)],
             seeds=[1, 2],
-            policies={"mrts": MRTS},
-            application_factory=fast_app,
+            policies=["mrts"],
+            workload_params=FAST_APP,
         )
 
     def test_point_count(self, sweep):
@@ -59,8 +56,8 @@ class TestSeedRobustness:
         return run_sweep(
             budgets=[(0, 3), (3, 0), (1, 1), (3, 3)],
             seeds=[0, 7, 13],
-            policies={"mrts": MRTS},
-            application_factory=lambda seed: h264_application(frames=8, seed=seed),
+            policies=["mrts"],
+            workload_params={"frames": 8},
         )
 
     def test_multigrained_beats_single_granularity_every_seed(self, sweep):
