@@ -68,11 +68,13 @@ class StaticSelectionPolicy(RuntimePolicy):
         for block in application.blocks:
             n_iterations = len(application.iterations_of(block.name))
             for trig in application.profiled_triggers(block.name):
+                # A valid trigger scaled by a positive count stays valid.
                 triggers.append(
-                    trig.with_forecast(
-                        executions=trig.executions * max(1, n_iterations),
-                        time_to_first=trig.time_to_first,
-                        time_between=trig.time_between,
+                    TriggerInstruction.trusted(
+                        trig.kernel,
+                        trig.executions * max(1, n_iterations),
+                        trig.time_to_first,
+                        trig.time_between,
                     )
                 )
         return triggers

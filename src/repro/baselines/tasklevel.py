@@ -88,11 +88,13 @@ class TaskLevelPolicy(RuntimePolicy):
             n_iterations = max(1, len(self._application.iterations_of(block.name)))
             for trig in self._application.profiled_triggers(block.name):
                 corrected = self.mpu.forecast(block.name, trig)
+                # A valid forecast scaled by a positive count stays valid.
                 triggers.append(
-                    corrected.with_forecast(
-                        executions=corrected.executions * n_iterations,
-                        time_to_first=corrected.time_to_first,
-                        time_between=corrected.time_between,
+                    TriggerInstruction.trusted(
+                        corrected.kernel,
+                        corrected.executions * n_iterations,
+                        corrected.time_to_first,
+                        corrected.time_between,
                     )
                 )
         selector = OptimalSelector(library, respect_existing=True)
@@ -117,7 +119,7 @@ class TaskLevelPolicy(RuntimePolicy):
         now: int,
     ) -> None:
         for kernel, (executions, tf, tb) in observed.items():
-            self.mpu.observe_iteration(
+            self.mpu.observe_trusted(
                 block_name,
                 kernel,
                 actual_executions=executions,

@@ -480,25 +480,35 @@ def cmd_export(args) -> int:
         run_fig8, run_fig9, run_fig10, run_energy, run_granularity, run_multitask,
         run_overhead, run_search_space,
     )
+    from repro.experiments.engine import resolve_engine
     from repro.experiments.export import export_csv, export_json
 
-    engine_kwargs = _engine_kwargs(args)
-    runners = {
-        "fig1": run_fig1,
-        "fig2": run_fig2,
-        "fig5": run_fig5,
-        "fig8": lambda: run_fig8(frames=args.frames, **engine_kwargs),
-        "fig9": lambda: run_fig9(frames=args.frames, **engine_kwargs),
-        "fig10": lambda: run_fig10(frames=args.frames, **engine_kwargs),
-        "overhead": lambda: run_overhead(frames=args.frames),
-        "search-space": run_search_space,
-        "ablations": lambda: run_ablations(frames=args.frames),
-        "contention": lambda: run_contention(frames=args.frames),
-        "granularity": lambda: run_granularity(frames=args.frames),
-        "multitask": lambda: run_multitask(frames=max(2, args.frames // 2)),
-        "energy": lambda: run_energy(frames=args.frames),
+    frames = args.frames
+    # Experiments that simulate: each runs its cells on the one engine
+    # built from the engine flags.
+    simulating = {
+        "fig2": lambda engine: run_fig2(engine=engine),
+        "fig8": lambda engine: run_fig8(frames=frames, engine=engine),
+        "fig9": lambda engine: run_fig9(frames=frames, engine=engine),
+        "fig10": lambda engine: run_fig10(frames=frames, engine=engine),
+        "overhead": lambda engine: run_overhead(frames=frames, engine=engine),
+        "ablations": lambda engine: run_ablations(frames=frames, engine=engine),
+        "contention": lambda engine: run_contention(frames=frames, engine=engine),
+        "granularity": lambda engine: run_granularity(frames=frames, engine=engine),
+        "multitask": lambda engine: run_multitask(
+            frames=max(2, frames // 2), engine=engine
+        ),
+        "energy": lambda engine: run_energy(frames=frames, engine=engine),
     }
-    result = runners[args.experiment]()
+    if args.experiment in simulating:
+        with resolve_engine(**_engine_kwargs(args)) as engine:
+            result = simulating[args.experiment](engine)
+    else:
+        result = {
+            "fig1": run_fig1,
+            "fig5": run_fig5,
+            "search-space": run_search_space,
+        }[args.experiment]()
     writer = export_json if args.format == "json" else export_csv
     path = writer(result, f"{args.out}/{args.experiment}.{args.format}")
     print(f"wrote {path}")

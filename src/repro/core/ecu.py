@@ -39,7 +39,7 @@ from repro.fabric.reconfig import ReconfigurationController
 from repro.ise.ise import ISE
 from repro.ise.library import ISELibrary
 from repro.ise.monocg import MonoCGExtension
-from repro.util.validation import check_non_negative
+from repro.util.validation import build_trusted, check_non_negative
 
 
 class ExecutionMode(enum.Enum):
@@ -294,7 +294,10 @@ class ExecutionControlUnit:
         )
         run_end = now + (count - 1) * (gap + regime.decision.latency)
         self.controller.resources.touch_ids(regime.touch_ids, run_end)
-        return ExecutionRun(
+        # Built thousands of times per simulation from the ECU's own
+        # values: skip the frozen dataclass ``__init__``.
+        return build_trusted(
+            ExecutionRun,
             decision=regime.decision,
             count=count,
             horizon=regime.horizon,
@@ -366,7 +369,8 @@ class ExecutionControlUnit:
                     kernel_name, ise, level, now
                 )
 
-        decision = ExecutionDecision(
+        decision = build_trusted(
+            ExecutionDecision,
             kernel=kernel_name,
             mode=EXECUTION_MODES[code],
             latency=best_latency,

@@ -35,8 +35,9 @@ class KernelStats:
 
     def as_trigger(self, kernel: str) -> TriggerInstruction:
         # ``kernel`` comes from a validated trigger and the clamped values
-        # are non-negative numbers: observe_iteration validates what feeds
-        # the forecasts, so the trigger skips a second check.
+        # are non-negative numbers: what feeds the forecasts is validated
+        # (observe_iteration) or measured by the simulator
+        # (observe_trusted), so the trigger skips a second check.
         return TriggerInstruction.trusted(
             kernel,
             max(0.0, self.forecast_executions),
@@ -102,6 +103,22 @@ class MonitoringPredictionUnit:
             check_non_negative("actual_time_to_first", actual_time_to_first)
         if actual_time_between is not None:
             check_non_negative("actual_time_between", actual_time_between)
+        self.observe_trusted(
+            block_name, kernel, actual_executions,
+            actual_time_to_first, actual_time_between,
+        )
+
+    def observe_trusted(
+        self,
+        block_name: str,
+        kernel: str,
+        actual_executions: float,
+        actual_time_to_first: Optional[float] = None,
+        actual_time_between: Optional[float] = None,
+    ) -> None:
+        """:meth:`observe_iteration` without re-validating, for callers
+        whose observations are valid by construction (the policies' block
+        exits: the simulator measures non-negative counts and times)."""
         key = (block_name, kernel)
         stats = self._stats.get(key)
         if stats is None:

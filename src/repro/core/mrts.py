@@ -121,7 +121,7 @@ class MRTS(RuntimePolicy):
         now: int,
     ) -> None:
         for kernel, (executions, tf, tb) in observed.items():
-            self.mpu.observe_iteration(
+            self.mpu.observe_trusted(
                 block_name,
                 kernel,
                 actual_executions=executions,

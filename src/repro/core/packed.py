@@ -428,31 +428,43 @@ class PackedIteration:
         reaches ``limit``) and takes ``advance`` cycles, and kernel i's last
         execution in it ends at offset ``ends[i]`` (0 where ``counts[i]``
         is 0).
+
+        **The probe.**  The cycles the stretch spends on executions keyed
+        below a key K are, summed over the owed kernels i,
+        ``(count_before(i, K) - done[i]) * periods[i]``.  Each search step
+        evaluates that sum once; the owed kernels' ``(slot + 1, unit,
+        done, period)`` terms are gathered once per fold, so a probe is one
+        plain loop of integer arithmetic.  A stretch that runs to the end
+        of the iteration (an infinite ``limit``, or no execution reaches
+        it) needs no probe for its ends: kernel i's last execution is its
+        last in the iteration, and ``through_last`` already counts every
+        kernel's executions up to it.
         """
-        units = self.units
-        slots = self.slots
-        gaps = self.gaps
         totals = self.totals
         owed = [kid for kid, total in enumerate(totals) if done[kid] < total]
-
-        def offset(key: int) -> int:
-            # Cycles the stretch spends on executions keyed below ``key``
-            # (count_before inlined: this is the searches' probe).
-            return sum(
-                ((((key - slots[kid] - 1) // units[kid] + 1) >> 1) - done[kid])
-                * periods[kid]
-                for kid in owed
-            )
-
         n = len(self.kernels)
         counts = [0] * n
         ends = [0] * n
-        x_kid = -1
         if limit != float("inf"):
+            units = self.units
+            slots = self.slots
+            gaps = self.gaps
+            terms = [
+                (slots[kid] + 1, units[kid], done[kid], periods[kid]) for kid in owed
+            ]
+
+            def offset(key: int) -> int:
+                # count_before inlined: this is the searches' probe.
+                cycles = 0
+                for shift, unit, before, period in terms:
+                    cycles += ((((key - shift) // unit + 1) >> 1) - before) * period
+                return cycles
+
             # Each kernel's executions spread evenly over the keys, so
             # offset(key(i, c)) is about (c + 1/2) * whole / totals[i] - behind.
             whole = sum(totals[kid] * periods[kid] for kid in owed)
             behind = sum(done[kid] * periods[kid] for kid in owed)
+            x_kid = -1
             x_key = 0
             for kid in owed:
                 lo = done[kid]
@@ -470,24 +482,33 @@ class PackedIteration:
                 if index < hi:
                     x_kid = kid
                     x_key = (2 * index + 1) * unit + slot
-        if x_kid < 0:
-            for kid in owed:
-                counts[kid] = totals[kid] - done[kid]
-        else:
-            # X's group starts at X's kernel's first key after the last
-            # other key below X (key 0: there is none).
-            before = 0
-            for kid in range(n):
-                if kid != x_kid:
-                    below = self.count_before(kid, x_key)
-                    if below:
-                        before = max(before, self.key(kid, below - 1))
-            end_key = self.key(x_kid, self.count_before(x_kid, before))
-            for kid in owed:
-                counts[kid] = self.count_before(kid, end_key) - done[kid]
+            if x_kid >= 0:
+                # X's group starts at X's kernel's first key after the last
+                # other key below X (key 0: there is none).
+                before = 0
+                for kid in range(n):
+                    if kid != x_kid:
+                        below = self.count_before(kid, x_key)
+                        if below:
+                            before = max(before, self.key(kid, below - 1))
+                end_key = self.key(x_kid, self.count_before(x_kid, before))
+                for kid in owed:
+                    counts[kid] = self.count_before(kid, end_key) - done[kid]
+                    if counts[kid]:
+                        ends[kid] = offset(
+                            self.key(kid, done[kid] + counts[kid] - 1) + 1
+                        )
+                return sum(map(mul, counts, periods)), counts, ends
+        # The stretch runs to the end of the iteration: kernel i's last
+        # execution is its last, and through_last counts what precedes it.
+        through_last = self.through_last
         for kid in owed:
-            if counts[kid]:
-                ends[kid] = offset(self.key(kid, done[kid] + counts[kid] - 1) + 1)
+            counts[kid] = totals[kid] - done[kid]
+            row = kid * n
+            end = 0
+            for other in owed:
+                end += (through_last[row + other] - done[other]) * periods[other]
+            ends[kid] = end
         return sum(map(mul, counts, periods)), counts, ends
 
     def timeline(self, period_of: Callable[[int, int], int]) -> Tuple[List[int], List[int], int]:
@@ -529,8 +550,10 @@ def _risc_profile(
             e_sum, tf_sum, tb_sum = sums[name]
             sums[name] = (e_sum + float(e), tf_sum + float(start), tb_sum + tb)
     n = max(1, len(iterations))
+    # Sums of counts, start offsets and clamped gaps: non-negative numbers.
     return tuple(
-        TriggerInstruction(name, e / n, tf / n, tb / n) for name, (e, tf, tb) in sums.items()
+        TriggerInstruction.trusted(name, e / n, tf / n, tb / n)
+        for name, (e, tf, tb) in sums.items()
     )
 
 

@@ -483,6 +483,14 @@ def _canonical(value: object) -> object:
 #: (workload, workload_params, budget) -> fingerprint, memoised per process.
 _FINGERPRINTS: Dict[Tuple, str] = {}
 
+#: The library the last fingerprint compile built, as ``(library memo key,
+#: library)``, kept until ``_library_of`` claims it or the next compile
+#: replaces it (``None``: nothing to hand off).  A process that keys a cell
+#: and then executes it -- the serial backend, a socket worker -- compiles
+#: that library once; a pool or service parent that keys cells its workers
+#: execute keeps at most this one library.
+_FINGERPRINT_LIBRARY: Optional[Tuple[Tuple, object]] = None
+
 
 def library_fingerprint(
     workload: str,
@@ -498,6 +506,7 @@ def library_fingerprint(
     ``budget_params`` matter because the fitting filter depends on the
     budget (e.g. ``contexts_per_cg_fabric``).
     """
+    global _FINGERPRINT_LIBRARY
     params = _normalize_params(workload_params)
     extra_budget = _normalize_params(budget_params)
     memo_key = (workload, params, tuple(budget), extra_budget)
@@ -508,7 +517,9 @@ def library_fingerprint(
     resource_budget = ResourceBudget(
         n_prcs=prc, n_cg_fabrics=cg, **dict(extra_budget)
     )
+    _FINGERPRINT_LIBRARY = None  # never hold two libraries at once
     library = family.library(resource_budget, dict(params))
+    _FINGERPRINT_LIBRARY = ((workload, tuple(budget), params, extra_budget), library)
     description: List[object] = []
     for kernel_name in sorted(library.kernel_names()):
         kernel = library.kernel(kernel_name)
@@ -609,10 +620,14 @@ BUILD_COUNTERS: Dict[str, int] = {name: 0 for name in BUILD_COUNTER_NAMES}
 
 
 def clear_build_memo() -> None:
-    """Drop the per-process construction memos and zero the counters
-    (benchmarks use this to measure cold builds)."""
+    """Drop the per-process construction memos -- the fingerprints and the
+    library they hand off included -- and zero the counters (benchmarks
+    use this to measure cold builds)."""
+    global _FINGERPRINT_LIBRARY
     _APP_MEMO.clear()
     _LIB_MEMO.clear()
+    _FINGERPRINTS.clear()
+    _FINGERPRINT_LIBRARY = None
     for name in BUILD_COUNTER_NAMES:
         BUILD_COUNTERS[name] = 0
 
@@ -653,14 +668,21 @@ def _application_of(cell: SweepCell):
 def _library_of(cell: SweepCell, budget: ResourceBudget):
     """The cell's compiled ISE library, memoised per (workload, budget,
     params) -- reuse keeps the precompiled ``instance_rows`` and the
-    cached selector packing warm across cells."""
-    family = WORKLOADS[cell.workload]
+    cached selector packing warm across cells.  A miss claims the library
+    the cell's fingerprint just compiled, if it is still held, instead of
+    compiling it again; either way it counts as built."""
+    key = (cell.workload, cell.budget, cell.workload_params, cell.budget_params)
+
+    def build():
+        global _FINGERPRINT_LIBRARY
+        if _FINGERPRINT_LIBRARY is not None and _FINGERPRINT_LIBRARY[0] == key:
+            library = _FINGERPRINT_LIBRARY[1]
+            _FINGERPRINT_LIBRARY = None
+            return library
+        return WORKLOADS[cell.workload].library(budget, dict(cell.workload_params))
+
     return _memo_get(
-        _LIB_MEMO,
-        (cell.workload, cell.budget, cell.workload_params, cell.budget_params),
-        lambda: family.library(budget, dict(cell.workload_params)),
-        "libraries_built",
-        "libraries_saved",
+        _LIB_MEMO, key, build, "libraries_built", "libraries_saved",
         LIBRARY_MEMO_CAPACITY,
     )
 

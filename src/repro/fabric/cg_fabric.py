@@ -58,6 +58,12 @@ class CGFabricArray:
         """Schedule a context load starting ``now``; returns ``(start, done)``."""
         check_non_negative("now", now)
         check_non_negative("cycles", cycles)
+        return self.schedule_trusted(now, cycles)
+
+    def schedule_trusted(self, now: int, cycles: int) -> Tuple[int, int]:
+        """:meth:`schedule_reconfig` without re-validating, for callers
+        whose times are valid by construction (the reconfiguration
+        controller)."""
         return now, now + cycles
 
 

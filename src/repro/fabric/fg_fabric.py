@@ -64,6 +64,13 @@ class FGFabric:
         """
         check_non_negative("now", now)
         check_non_negative("cycles", cycles)
+        return self.schedule_trusted(now, cycles)
+
+    def schedule_trusted(self, now: int, cycles: int) -> Tuple[int, int, int]:
+        """:meth:`schedule_reconfig` without re-validating, for callers
+        whose times are valid by construction (the reconfiguration
+        controller: the simulation clock and a validated implementation's
+        reconfiguration cycles)."""
         # Finished transfers can never be cancelled or reflowed: prune them
         # so the queue stays small over long runs.  (An empty queue reports
         # port_available_at = 0; the max() below handles that.)

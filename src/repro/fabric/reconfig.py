@@ -23,8 +23,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.fabric.cg_fabric import CGFabricArray
 from repro.fabric.datapath import DataPathInstance, FabricType
 from repro.fabric.fg_fabric import FGFabric
-from repro.fabric.resources import ResourceBudget, ResourceState
-from repro.util.validation import ReproError
+from repro.fabric.resources import ConfiguredCopy, ResourceBudget, ResourceState
+from repro.util.validation import ReproError, build_trusted
 
 
 @dataclass(frozen=True)
@@ -128,37 +128,59 @@ class ReconfigurationController:
         occupied.  Raises :class:`ReproError` if pinned configurations leave
         insufficient fabric (the selector must have checked fit beforehand).
         """
+        return self._configure(instances, owner, now, [])
+
+    def _configure(
+        self,
+        instances: Sequence[DataPathInstance],
+        owner: str,
+        now: int,
+        victims: List[List[ConfiguredCopy]],
+    ) -> Dict[str, int]:
+        """:meth:`ensure_configured` within one commit: ``victims`` holds
+        the commit's victim order (:meth:`ResourceState.victim_order`),
+        collected on the first missing copy that needs eviction and shared
+        by every later one (empty until then)."""
         resources = self.resources
         ready: Dict[str, int] = {}
         for instance in instances:
             impl = instance.impl
             uid = impl.uid
+            fabric = impl.fabric
+            area = impl.area
             quantity = instance.quantity
             already = resources.count(uid)
             pinned = resources.pin_id(uid, quantity, owner)
             for _ in range(quantity - min(already, quantity)):
-                area_free = resources.evict(impl.fabric, impl.area, now)
-                if area_free < impl.area:
-                    raise ReproError(
-                        f"no fabric for {impl.name}: {impl.area} units of "
-                        f"{impl.fabric} needed, {area_free} free after eviction"
+                area_free = resources.free_area(fabric)
+                if area_free < area:
+                    if not victims:
+                        victims.extend(resources.victim_order(now))
+                    area_free = resources.evict_in_order(
+                        victims[fabric is FabricType.CG], fabric, area, now
                     )
+                    if area_free < area:
+                        raise ReproError(
+                            f"no fabric for {impl.name}: {area} units of "
+                            f"{fabric} needed, {area_free} free after eviction"
+                        )
                 token = None
-                if impl.fabric is FabricType.FG:
-                    start, done, token = self.fg.schedule_reconfig(
+                if fabric is FabricType.FG:
+                    start, done, token = self.fg.schedule_trusted(
                         now, impl.reconfig_cycles
                     )
                 else:
-                    start, done = self.cg.schedule_reconfig(now, impl.reconfig_cycles)
+                    start, done = self.cg.schedule_trusted(now, impl.reconfig_cycles)
                 copy = resources.add_copy(impl, ready_at=done, pinned_by=owner)
                 if token is not None:
                     copy.transfer_start = start
                     copy.port_token = token
                     self._token_copies[token] = copy
                 self.requests.append(
-                    ReconfigRequest(
+                    build_trusted(
+                        ReconfigRequest,
                         impl_name=impl.name,
-                        fabric=impl.fabric,
+                        fabric=fabric,
                         start=start,
                         done=done,
                         owner=owner,
@@ -201,11 +223,13 @@ class ReconfigurationController:
                 for instance in ise.instances:
                     pin_id(instance.impl.uid, instance.quantity, owner)
         skipped: List[str] = []
+        # One victim order serves the whole commit (``_configure``).
+        victims: List[List[ConfiguredCopy]] = []
         for kernel, ise in selection.items():
             if ise is None:
                 continue
             try:
-                self.ensure_configured(ise.instances, owner=owner, now=now)
+                self._configure(ise.instances, owner, now, victims)
             except ReproError:
                 if strict:
                     raise

@@ -394,35 +394,83 @@ class ResourceState:
         transfer is cancelled through the controller's canceller hook (the
         port queue reflows).  Copies mid-transfer are never evicted:
         aborting a streaming partial bitstream is not supported by the
-        hardware.  Ready copies are preferred victims (cancelling a pending
-        transfer wastes a decision, evicting a stale configuration wastes
-        nothing), then the least recently used; equal keys go in copy
-        order.  Returns the free area after eviction.
+        hardware.  Victims go in :meth:`victim_order`.  Returns the free
+        area after eviction.
         """
         check_non_negative("area_needed", area_needed)
         cg = fabric is _CG
         if self._total[cg] - self._used[cg] >= area_needed:
             return self._total[cg] - self._used[cg]
-        # One pass collects the victims' sort keys; the position breaks
-        # ties, so the order is a stable sort's.
-        victims = []
+        return self.evict_in_order(self.victim_order(now)[cg], fabric, area_needed, now)
+
+    def victim_order(self, now: int) -> Tuple[List[ConfiguredCopy], List[ConfiguredCopy]]:
+        """Every copy eviction can remove at ``now``, in eviction order:
+        ``(FG victims, CG victims)``, each a stack whose last element goes
+        first.
+
+        Ready copies are preferred victims (cancelling a pending transfer
+        wastes a decision, evicting a stale configuration wastes nothing),
+        then the least recently used; equal keys go in copy order.  One
+        pass collects the sort keys and one sort orders both fabrics; the
+        position breaks ties, so the order is a stable sort's.
+
+        A commit collects the order once and evicts from it for every
+        missing copy (:meth:`evict_in_order`).  Within one commit the set
+        of eligible victims only shrinks -- new copies are pinned, pins
+        only grow, ``now`` is fixed and a port reflow only pulls pending
+        transfers earlier -- and the keys of the copies still eligible do
+        not change, so the order stays the one a fresh collection would
+        produce.
+        """
+        keyed = []
         for copies in self._copies.values():
             for copy in copies:
-                if copy.cg is not cg or copy.pinned_by is not None:
+                if copy.pinned_by is not None:
                     continue
                 if copy.ready_at <= now:
-                    victims.append((0, copy.last_used, len(victims), copy))
+                    keyed.append((0, copy.last_used, len(keyed), copy))
                 elif copy.transfer_start is not None and copy.transfer_start > now:
-                    victims.append((1, copy.last_used, len(victims), copy))
-        victims.sort()
-        for _, _, _, victim in victims:
-            if self._total[cg] - self._used[cg] >= area_needed:
-                break
-            if victim.is_cancellable(now) and self.canceller is not None:
-                self.canceller(victim, now)
+                    keyed.append((1, copy.last_used, len(keyed), copy))
+        keyed.sort(reverse=True)
+        stacks: Tuple[List[ConfiguredCopy], List[ConfiguredCopy]] = ([], [])
+        for entry in keyed:
+            stacks[entry[3].cg].append(entry[3])
+        return stacks
+
+    def evict_in_order(
+        self,
+        victims: List[ConfiguredCopy],
+        fabric: FabricType,
+        area_needed: int,
+        now: int,
+    ) -> int:
+        """:meth:`evict` from a victim stack of ``fabric`` collected earlier
+        in the same commit (:meth:`victim_order`); evicted and skipped
+        victims are popped.  Not re-validated: the commit's areas come from
+        validated implementations.  Returns the free area after eviction.
+
+        Each victim's eligibility is checked again before it goes: since
+        the order was collected, the commit may have pinned it, or a
+        cancellation's port reflow may have pulled its pending transfer
+        forward to start at ``now`` -- a transfer that is streaming is
+        never evictable.  Neither ever becomes eligible again in the same
+        commit, so a skipped victim is dropped from the stack.
+        """
+        cg = fabric is _CG
+        total = self._total[cg]
+        used = self._used
+        while total - used[cg] < area_needed and victims:
+            victim = victims.pop()
+            if victim.pinned_by is not None:
+                continue
+            if victim.ready_at > now:
+                if victim.transfer_start is None or victim.transfer_start <= now:
+                    continue
+                if self.canceller is not None:
+                    self.canceller(victim, now)
             self._remove(victim)
             self.eviction_log.append((now, victim.impl.name, victim.area))
-        return self._total[cg] - self._used[cg]
+        return total - used[cg]
 
     def _remove(self, victim: ConfiguredCopy) -> None:
         copies = self._copies[victim.uid]

@@ -21,7 +21,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ise.kernel import Kernel
 from repro.sim.trigger import TriggerInstruction
-from repro.util.validation import ReproError, ValidationError, check_non_negative
+from repro.util.validation import (
+    ReproError,
+    ValidationError,
+    build_trusted,
+    check_non_negative,
+)
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,12 @@ class KernelIteration:
             raise ValidationError("KernelIteration.kernel must be non-empty")
         check_non_negative("KernelIteration.executions", self.executions)
         check_non_negative("KernelIteration.gap", self.gap)
+
+    @classmethod
+    def trusted(cls, kernel: str, executions: int, gap: int) -> "KernelIteration":
+        """Build without re-validating, for callers whose values are valid
+        by construction (the workload generators' clamped counts)."""
+        return build_trusted(cls, kernel=kernel, executions=executions, gap=gap)
 
 
 @dataclass(frozen=True)

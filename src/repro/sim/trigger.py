@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.util.validation import ValidationError, check_non_negative
+from repro.util.validation import ValidationError, build_trusted, check_non_negative
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,10 @@ class TriggerInstruction:
     ) -> "TriggerInstruction":
         """Build without re-validating, for callers whose values are
         valid by construction (the MPU's clamped forecasts)."""
-        trigger = object.__new__(cls)
-        object.__setattr__(trigger, "kernel", kernel)
-        object.__setattr__(trigger, "executions", executions)
-        object.__setattr__(trigger, "time_to_first", time_to_first)
-        object.__setattr__(trigger, "time_between", time_between)
-        return trigger
+        return build_trusted(
+            cls, kernel=kernel, executions=executions,
+            time_to_first=time_to_first, time_between=time_between,
+        )
 
     def with_forecast(
         self, executions: float, time_to_first: float, time_between: float

@@ -106,8 +106,10 @@ def h264_iterations(
         per_block: Dict[str, List[KernelIteration]] = {"ME": [], "EE": [], "LF": []}
         for kernel_name, demand in H264_DEMANDS.items():
             executions = max(1, int(round(demand.executions(activity) * scale)))
+            # A positive int count and the table's fixed gap: valid by
+            # construction.
             per_block[demand.block].append(
-                KernelIteration(kernel=kernel_name, executions=executions, gap=demand.gap)
+                KernelIteration.trusted(kernel_name, executions, demand.gap)
             )
         for block_name in ("ME", "EE", "LF"):
             iterations.append(BlockIteration(block_name, per_block[block_name]))

@@ -6,6 +6,7 @@ entirely from the content-addressed cache (>=5x faster, zero simulations),
 and cache keys react to every cell dimension.
 """
 
+import dataclasses
 import json
 import time
 
@@ -119,6 +120,40 @@ class TestBuildMemo:
             eng.stats.libraries_built,
             eng.stats.builds_saved,
         ) == (1, 3, 26)
+
+    @pytest.mark.parametrize(
+        "per_run,compiles", [(1, 3), (15, 5)], ids=["cell-per-run", "one-run"]
+    )
+    def test_fig8_quick_grid_compiles_pinned(self, monkeypatch, per_run, compiles):
+        """Keying a cell compiles its ISE library for the fingerprint; the
+        process that then executes the cell claims that library instead of
+        compiling it again.  One cell per run (the fig8-cold shape)
+        compiles each of the three budgets' libraries once: 3 (6 when the
+        key and the execution each compiled).  One run of all 15 cells
+        keys every budget before executing any, and the hand-off keeps
+        only the last library: 5."""
+        family = engine_module.WORKLOADS["h264"]
+        calls = []
+
+        def counting_library(budget, params):
+            calls.append(budget)
+            return family.library(budget, params)
+
+        monkeypatch.setitem(
+            engine_module.WORKLOADS, "h264",
+            dataclasses.replace(family, library=counting_library),
+        )
+        engine_module.clear_build_memo()
+        try:
+            eng = SweepEngine(jobs=1, use_cache=False, backend="serial")
+            cells = fig8_cells(FIG8_POLICIES, frames=4)
+            built = 0
+            for start in range(0, len(cells), per_run):
+                eng.run(cells[start:start + per_run])
+                built += eng.stats.libraries_built
+        finally:
+            engine_module.clear_build_memo()
+        assert (len(calls), built) == (compiles, 3)
 
 
 class TestCache:

@@ -9,6 +9,7 @@ from repro.experiments import run_fig1, run_fig2, run_search_space
 from repro.experiments.export import export_csv, export_json, figure_records
 from repro.util.validation import ReproError
 from repro.cli import build_parser, main
+from repro.config_env import CACHE_DIR_ENV
 
 
 class TestFigureRecords:
@@ -80,12 +81,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Fig. 1" in out and "Fig. 2" in out
 
-    def test_export_command(self, tmp_path, capsys):
+    def test_export_command(self, tmp_path, capsys, monkeypatch):
+        # fig2 simulates, so its cells go to the default cell cache.
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
         code = main(
             ["export", "fig2", "--out", str(tmp_path), "--format", "json"]
         )
         assert code == 0
         assert (tmp_path / "fig2.json").exists()
+
+    def test_export_runs_on_the_engine_flags(self, tmp_path, capsys):
+        """Every simulating experiment runs its cells on the engine the
+        flags describe: a non-grid one leaves its records in --cache-dir,
+        and the same export again is served from them."""
+        from repro.experiments.engine import cache_stats
+
+        cache = tmp_path / "cache"
+        argv = ["export", "overhead", "--frames", "2", "--cache-dir", str(cache),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        records = cache_stats(cache)["records"]
+        assert records > 0
+        first = (tmp_path / "out" / "overhead.csv").read_text()
+        assert main(argv) == 0
+        assert cache_stats(cache)["records"] == records
+        assert (tmp_path / "out" / "overhead.csv").read_text() == first
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(SystemExit):
