@@ -13,9 +13,10 @@ Six checks, all byte-level:
    (serial, pool, and a self-hosted sweep-service daemon with
    ``--workers`` local socket workers) must serialise identically, and the service leg's transport counters must show it
    compressed and coalesced at least one result block -- proof the
-   binary wire's block path ran.  A second, different sweep then goes
+   binary wire's block path ran.  Two more, different sweeps then go
    through the same pool engine, whose warm workers must still match
-   serial.
+   serial; the second is shaped like the fig8-pool benchmark (one
+   budget x two seeds x five policies).
 4. **Service golden cells**: the committed golden scenarios, expressed as
    sweep cells and routed through ``--backend service``, must serialise
    identically to the serial backend.
@@ -82,6 +83,15 @@ WARM_CELLS = [
     for budget in [(3, 3), (1, 1)]
     for seed in range(4, 10)
     for policy in ("rispp", "mrts")
+]
+
+#: The third sweep of the warm-worker leg, shaped like the fig8-pool
+#: benchmark: one budget x two new application seeds x the five Fig. 8
+#: policies.  On two workers it goes out as one batch per application.
+FIG8_POOL_CELLS = [
+    dict(budget=(2, 2), seed=seed, policy=policy)
+    for seed in (10, 11)
+    for policy in ("risc", "rispp", "offline-optimal", "morpheus4s", "mrts")
 ]
 
 
@@ -154,16 +164,17 @@ def check_backends(jobs: int, workers: int) -> Dict[str, object]:
     the reference sweep plus one cell of each experiment shape
     (:data:`EXPERIMENT_CELLS`).
 
-    The serial and pool engines then run a second, different sweep
-    (:data:`WARM_CELLS`): the pool engine's workers, forked for the first
-    sweep, serve it from warm memos, and must still match serial.
+    The serial and pool engines then run two more, different sweeps
+    (:data:`WARM_CELLS`, then the fig8-pool-shaped
+    :data:`FIG8_POOL_CELLS`): the pool engine's workers, forked for the
+    first sweep, serve them from warm memos, and must still match serial.
     """
     from repro.experiments.backends import backend_names
 
     cells = reference_cells() + reference_cells(EXPERIMENT_CELLS)
-    warm_cells = reference_cells(WARM_CELLS)
+    warm_sweeps = [reference_cells(WARM_CELLS), reference_cells(FIG8_POOL_CELLS)]
     serialised: Dict[str, str] = {}
-    warm: Dict[str, str] = {}
+    warm: Dict[str, List[str]] = {}
     stats: Dict[str, str] = {}
     failures: List[str] = []
     for name in backend_names():
@@ -181,11 +192,15 @@ def check_backends(jobs: int, workers: int) -> Dict[str, object]:
                 f"{engine.stats.worker_restarts} restarts"
             )
             if name in ("serial", "pool"):
-                warm[name] = json.dumps(engine.run(warm_cells))
-                stats[name] += (
-                    f"; then {len(warm_cells)} new cells, "
-                    f"{engine.stats.libraries_built} libraries built"
-                )
+                warm[name] = []
+                for warm_cells in warm_sweeps:
+                    warm[name].append(json.dumps(engine.run(warm_cells)))
+                    stats[name] += (
+                        f"; then {len(warm_cells)} new cells, "
+                        f"{engine.stats.libraries_built} libraries and "
+                        f"{engine.stats.applications_built} applications built, "
+                        f"{engine.stats.frames_sent} frames"
+                    )
         if name == "service":
             counters = engine.stats
             stats[name] += (
@@ -205,11 +220,12 @@ def check_backends(jobs: int, workers: int) -> Dict[str, object]:
         for name in sorted(serialised)
         if serialised[name] != reference
     )
-    if warm["pool"] != warm["serial"]:
-        failures.append(
-            "backend 'pool' records differ from serial on the second sweep "
-            "(warm workers)"
-        )
+    failures.extend(
+        f"backend 'pool' records differ from serial on warm sweep {k + 2} "
+        f"({len(warm_sweeps[k])} cells, warm workers)"
+        for k, (pool, serial) in enumerate(zip(warm["pool"], warm["serial"]))
+        if pool != serial
+    )
     if failures:
         return _check("backends-agree", False, failures)
     return _check(

@@ -391,15 +391,20 @@ class PackedIteration:
                 else:
                     # Key K falls into the gap after d's first
                     # count_before(d, K) = (K + unit_d - slot_d - 1) // (2 unit_d)
-                    # keys.
+                    # keys.  Kernel i's keys step by 2 unit_i; with g the
+                    # gcd of both widths, (a + c * stride) // step equals
+                    # (a // g + c * (stride // g)) // (step // g), the same
+                    # gap indices as small ints instead of lcm-sized ones.
                     step = 2 * self.units[d]
                     shift = self.units[d] - self.slots[d] - 1
                     hit = set()
                     for kid in sparse:
-                        hit.update(map(step.__rfloordiv__, range(
-                            self.key(kid, 0) + shift,
-                            self.key(kid, totals[kid]) + shift,
-                            2 * self.units[kid],
+                        stride = 2 * self.units[kid]
+                        g = math.gcd(step, stride)
+                        start = (self.key(kid, 0) + shift) // g
+                        stride //= g
+                        hit.update(map((step // g).__rfloordiv__, range(
+                            start, start + totals[kid] * stride, stride,
                         )))
                     gaps_hit = len(hit)
                 self._n_groups = sum(totals) - densest + 1 + gaps_hit

@@ -7,10 +7,13 @@ records.  Every backend funnels each cell through
 worker process), which is the whole determinism argument -- the backend
 only chooses *where* a cell runs, never *how*.
 
-Batches are the dispatch unit: :func:`plan_batches` groups cells that
-share a library fingerprint key and chunks each group, so one IPC frame
-carries work a worker can serve from a single compiled library (and a
-single application build per seed in the group).
+Batches are the dispatch unit, planned by :func:`plan_batches`.  Its
+planning unit is a library x application pair: the cells that share one
+compiled ISE library (:func:`group_key`) and one application seed.  When
+whole units spread evenly over the workers, every batch is made of whole
+units, so each worker builds only the applications it serves; otherwise
+each library's cells are chunked as they come.  Either way a batch never
+spans libraries: one IPC frame, one compiled library.
 """
 
 from __future__ import annotations
@@ -59,26 +62,46 @@ def plan_batches(
 ) -> List[List[int]]:
     """Partition ``cells`` into dispatchable batches of indices.
 
-    Cells are grouped by :func:`group_key` in first-appearance order, then
-    each group is chunked -- to ``chunk_size`` cells when given, otherwise
-    to roughly four batches per worker (``parts``) so stragglers do not
-    serialise the tail.  Batches never span groups: one frame, one library.
+    Cells are grouped by :func:`group_key` (their library) in
+    first-appearance order, and within a library by application seed: a
+    library x application *unit* is what a worker builds once.  Batches
+    never span libraries: one frame, one library.
+
+    Without ``chunk_size``, the chunk is about four batches per worker
+    (``ceil(cells / (4 * parts))``).  When whole units spread evenly over
+    the ``parts`` workers -- ``ceil(units / parts) * largest unit <=
+    ceil(cells / parts)`` -- every batch is made of whole units, and a
+    library's consecutive units merge while the batch stays within the
+    chunk, so a library that fits one chunk still goes out as one batch.
+    Otherwise, and whenever ``chunk_size`` is given, each library's cells
+    are cut into chunks of that size in order, cutting through
+    applications so stragglers do not serialise the tail.
     """
-    groups: Dict[Tuple, List[int]] = {}
-    order: List[Tuple] = []
+    parts = max(1, parts)
+    groups: Dict[Tuple, Dict[int, List[int]]] = {}
     for index, cell in enumerate(cells):
-        key = group_key(cell)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(index)
+        groups.setdefault(group_key(cell), {}).setdefault(cell.seed, []).append(index)
+    batches: List[List[int]] = []
     if chunk_size is None:
-        chunk = max(1, math.ceil(len(cells) / max(1, parts * 4)))
+        chunk = math.ceil(len(cells) / (parts * 4))
+        units = [unit for apps in groups.values() for unit in apps.values()]
+        largest = max(map(len, units), default=0)
+        if math.ceil(len(units) / parts) * largest <= math.ceil(len(cells) / parts):
+            # Sorted, so a library sent whole lists its cells in the
+            # order the chunked plan would.
+            for apps in groups.values():
+                batch: List[int] = []
+                for unit in apps.values():
+                    if batch and len(batch) + len(unit) > chunk:
+                        batches.append(sorted(batch))
+                        batch = []
+                    batch += unit
+                batches.append(sorted(batch))
+            return batches
     else:
         chunk = max(1, chunk_size)
-    batches: List[List[int]] = []
-    for key in order:
-        indices = groups[key]
+    for apps in groups.values():
+        indices = sorted(index for unit in apps.values() for index in unit)
         for lo in range(0, len(indices), chunk):
             batches.append(indices[lo:lo + chunk])
     return batches

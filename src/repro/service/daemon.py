@@ -19,9 +19,10 @@ the same length-prefixed frame protocol the workers speak
 Scheduling: cell batches from all runnable jobs are arbitrated by the
 deficit-round-robin :class:`~repro.service.scheduler.FairScheduler`
 across submitters, then dispatched onto whichever worker is idle.
-Batches are planned with the engine's ``plan_batches`` (grouped by
-library fingerprint), so worker-side construction memos keep amortizing
-across *jobs*, not just within one sweep.
+Batches are planned with the engine's ``plan_batches`` (never spanning
+a library, and made of whole library x application units when those
+spread evenly over the fleet), so worker-side construction memos keep
+amortizing across *jobs*, not just within one sweep.
 
 Cross-job dedup: a job whose cell key is already in flight for another
 job subscribes to that key instead of re-dispatching it, and every

@@ -45,7 +45,7 @@ from repro.service.protocol import (
     send_frame,
 )
 from repro.util.validation import ReproError
-from tests.fig8_grid import FIG8_POLICIES, fig8_cells
+from tests.fig8_grid import FIG8_BUDGETS, FIG8_POLICIES, fig8_cells
 
 FAST = {"frames": 2, "scale": 0.4}
 
@@ -127,6 +127,67 @@ class TestPlanBatches:
         assert plan_batches([]) == []
         cells = make_cells()
         assert plan_batches(cells, parts=2) == plan_batches(cells, parts=2)
+
+    # Named shapes.  ``plan_batches(cells, chunk_size=c)`` with the default
+    # chunk ``c = ceil(cells / (4 * parts))`` is the library-chunked plan,
+    # which the default must keep wherever whole applications do not
+    # spread evenly over the workers.
+
+    def test_fig8_pool_shape_goes_out_one_application_per_batch(self):
+        """One budget x two seeds x five policies on two workers: each
+        worker gets one whole application, so each builds one."""
+        cells = make_cells(budgets=((2, 1),), seeds=(3, 4),
+                           policies=FIG8_POLICIES)
+        assert plan_batches(cells, parts=2) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+
+    def test_fig8_pool_shape_on_four_workers_keeps_singletons(self):
+        cells = make_cells(budgets=((2, 1),), seeds=(3, 4),
+                           policies=FIG8_POLICIES)
+        assert plan_batches(cells, parts=4) == [[i] for i in range(10)]
+
+    def test_uneven_applications_keep_the_chunked_plan(self):
+        """Three applications cannot split evenly over two workers (two
+        would land on one), so the chunks cut through them as before."""
+        cells = make_cells(budgets=((2, 1),), seeds=(3, 4, 5),
+                           policies=FIG8_POLICIES)
+        plan = plan_batches(cells, parts=2)
+        assert plan == [list(range(15))[lo:lo + 2] for lo in range(0, 15, 2)]
+        assert plan == plan_batches(cells, chunk_size=2)
+
+    def test_warm_store_fill_keeps_library_whole_batches(self):
+        """3 workloads x 20 budgets x 2 seeds x 5 policies on two workers:
+        each library's two applications merge back into the one batch it
+        went out as under library chunking, in the same cell order even
+        when the two applications' cells interleave."""
+        sizes = {"h264": {"frames": 1}, "jpeg": {"images": 1},
+                 "deblocking": {"frames": 1}}
+        fill = [
+            SweepCell.make(budget, seed, policy, workload=workload,
+                           workload_params=params)
+            for workload, params in sizes.items()
+            for seed in (1, 2)
+            for budget in FIG8_BUDGETS
+            for policy in FIG8_POLICIES
+        ]
+        seed_innermost = sorted(fill, key=lambda c: (c.workload, c.budget, c.policy))
+        for cells in (fill, seed_innermost):
+            plan = plan_batches(cells, parts=2)
+            assert len(plan) == 60
+            assert plan == plan_batches(cells, chunk_size=75)
+            for batch in plan:
+                assert len(batch) == 10
+                assert len({group_key(cells[i]) for i in batch}) == 1
+                assert len({cells[i].seed for i in batch}) == 2
+
+    def test_full_fig8_grid_goes_out_one_budget_per_batch(self):
+        cells = fig8_cells(FIG8_POLICIES, frames=2, budgets=FIG8_BUDGETS)
+        for parts in (2, 4):
+            plan = plan_batches(cells, parts=parts)
+            assert plan == [list(range(lo, lo + 5)) for lo in range(0, 100, 5)]
+
+    def test_narrow_run_keeps_one_cell_per_batch(self):
+        cells = make_cells(budgets=((1, 1),), seeds=(0,))
+        assert plan_batches(cells, parts=3) == [[0], [1]]
 
 
 class TestWireProtocol:
@@ -314,6 +375,20 @@ class TestBackendIdentity:
             blobs[name] = json.dumps(engine.run(cells))
         assert blobs["pool"] == blobs["serial"]
         assert blobs["service"] == blobs["serial"]
+
+    def test_fig8_pool_sweep_builds_each_application_once(self):
+        """A fig8-pool sweep (one budget x two seeds x five policies) on a
+        fresh two-worker engine sends one batch per application, so the
+        two workers build two applications between them -- whichever
+        worker takes which batch -- and the records match serial."""
+        cells = make_cells(budgets=((2, 1),), seeds=(3, 4),
+                           policies=FIG8_POLICIES)
+        with SweepEngine(jobs=2, use_cache=False) as engine:
+            blob = json.dumps(engine.run(cells))
+            assert engine.stats.applications_built == 2
+            assert engine.stats.frames_sent == 2
+        clear_build_memo()
+        assert blob == _serial_blob(cells)
 
     def test_engine_payload_surfaces_transport_counters(self):
         engine = SweepEngine(jobs=1, use_cache=False, backend="serial")

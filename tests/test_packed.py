@@ -637,6 +637,43 @@ class TestIntegerPositions:
             assert packed.count_before(kid, last + 1) == total
 
 
+def _lcm_sized_group_count(packed):
+    """:attr:`PackedIteration.n_groups` as it was first written: every
+    sparser kernel's key mapped to the densest kernel's gap index by a
+    floor division on the lcm-sized keys themselves."""
+    totals = packed.totals
+    densest = max(totals, default=0)
+    if totals.count(densest) != 1:
+        return sum(totals)
+    d = totals.index(densest)
+    step = 2 * packed.units[d]
+    shift = packed.units[d] - packed.slots[d] - 1
+    hit = set()
+    for kid in range(len(totals)):
+        if kid != d:
+            hit.update(
+                (packed.key(kid, c) + shift) // step for c in range(totals[kid])
+            )
+    return sum(totals) - densest + 1 + len(hit)
+
+
+class TestGroupCount:
+    @settings(max_examples=80, deadline=None)
+    @given(iteration=position_iterations())
+    def test_small_int_count_matches_the_lcm_sized_count(self, iteration):
+        packed = PackedIteration(iteration)
+        assert packed.n_groups == _lcm_sized_group_count(packed)
+
+    def test_large_coprime_counts(self):
+        iteration = BlockIteration(
+            "B", [KernelIteration(f"k{p}", p, 1) for p in _LARGE_PRIMES[:5]]
+        )
+        packed = PackedIteration(iteration)
+        assert math.lcm(*packed.totals) > 2**40
+        assert packed.n_groups == _lcm_sized_group_count(packed)
+        assert packed.n_groups == len(_groups(iteration))
+
+
 # ---------------------------------------------------------- stretch fold
 
 
