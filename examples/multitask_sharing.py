@@ -14,7 +14,7 @@ Usage::
 import sys
 
 from repro import MRTS, ResourceBudget, Simulator
-from repro.sim import MultiTaskSimulator, Task
+from repro.sim import Task
 from repro.workloads import jpeg_application, jpeg_library
 from repro.workloads.h264 import h264_application, h264_library
 
@@ -34,10 +34,10 @@ def main() -> None:
         "jpeg": Simulator(jpeg, lib_j, budget, MRTS()).run().stats.total_cycles,
     }
 
-    result = MultiTaskSimulator(
+    result = Simulator.co_run(
         [Task("h264", h264, lib_h, MRTS()), Task("jpeg", jpeg, lib_j, MRTS())],
         budget,
-    ).run()
+    )
 
     print(f"fabric: {prc} PRCs, {cg} CG fabrics "
           f"({budget.n_cg_slots} context slots)\n")

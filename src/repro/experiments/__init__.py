@@ -3,10 +3,10 @@
 Every experiment exposes a ``run_*`` function returning a structured result
 object with a ``render()`` method that prints the same rows/series the
 paper's figure shows.  ``repro.experiments.runner`` executes all of them
-(``python -m repro.experiments``).  Each simulation of one application is
-a :class:`SweepCell` run through a :class:`SweepEngine` (the ``engine``
-argument of every simulating ``run_*``); the cells column names what an
-experiment varies.
+(``python -m repro.experiments``).  Each simulation, a co-run of several
+applications included, is a :class:`SweepCell` run through a
+:class:`SweepEngine` (the ``engine`` argument of every simulating
+``run_*``); the cells column names what an experiment varies.
 
 | Paper item | Module | Cells |
 |---|---|---|
@@ -21,7 +21,7 @@ experiment varies.
 | DESIGN.md ablations                        | ``ablations`` | ``mrts`` with ``MRTSConfig`` overrides as policy params |
 | Section 1, variation (b): contention       | ``contention`` | the cell's ``contention`` schedule |
 | Section 1, task-level manager [11]         | ``granularity`` | ``task-level`` re-decision periods |
-| Section 1, variation (b): multi-task       | ``multitask`` | each task alone; the co-run on ``MultiTaskSimulator`` |
+| Section 1, variation (b): multi-task       | ``multitask`` | each task alone; the co-run as a cell with a ``co_tasks`` entry |
 | Energy (extension)                         | ``energy`` | traced ``energy`` metric |
 | Cost-model sensitivity (extension)         | ``sensitivity`` | cost-model / context-count params |
 """

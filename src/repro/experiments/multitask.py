@@ -14,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.mrts import MRTS
 from repro.experiments.common import h264_cell
 from repro.experiments.engine import SweepCell, SweepEngine, resolve_engine
-from repro.fabric.resources import ResourceBudget
-from repro.sim.multitask import MultiTaskSimulator, Task
 from repro.util.tables import render_table
-from repro.workloads.h264 import h264_application, h264_library
-from repro.workloads.jpeg import jpeg_application, jpeg_library
 
 
 @dataclass
@@ -56,47 +51,32 @@ def run_multitask(
 ) -> MultiTaskExperimentResult:
     """Co-run the two encoders on several fabric budgets.
 
-    Each task's run alone is an ``mrts`` cell; the co-run is two
-    applications under two policies, so it runs on
-    :class:`~repro.sim.multitask.MultiTaskSimulator` here.
+    One engine run of ``mrts`` cells: per budget, each encoder alone, and
+    the co-run -- the H.264 cell with the JPEG encoder as its co-task.
     """
+    jpeg = {"workload": "jpeg", "workload_params": {"images": images},
+            "seed": seed + 1, "policy": "mrts"}
+    cells = [
+        cell
+        for budget in budgets
+        for cell in (
+            h264_cell(budget, seed, "mrts", frames),
+            SweepCell.make(budget, jpeg["seed"], "mrts", workload="jpeg",
+                           workload_params=jpeg["workload_params"]),
+            h264_cell(budget, seed, "mrts", frames, co_tasks=[jpeg]),
+        )
+    ]
     with resolve_engine(engine) as eng:
-        alone = iter(eng.run([
-            cell
-            for budget in budgets
-            for cell in (
-                h264_cell(budget, seed, "mrts", frames),
-                SweepCell.make(budget, seed + 1, "mrts", workload="jpeg",
-                               workload_params={"images": images}),
-            )
-        ]))
-    h264 = h264_application(frames=frames, seed=seed)
-    jpeg = jpeg_application(images=images, seed=seed + 1)
-    cells: Dict[str, Dict[str, Tuple[int, int]]] = {}
-    for cg, prc in budgets:
-        budget = ResourceBudget(n_prcs=prc, n_cg_fabrics=cg)
-        lib_h = h264_library(budget)
-        lib_j = jpeg_library(budget)
-        alone_h = next(alone)
-        alone_j = next(alone)
-        shared = MultiTaskSimulator(
-            [
-                Task("h264", h264, lib_h, MRTS()),
-                Task("jpeg", jpeg, lib_j, MRTS()),
-            ],
-            budget,
-        ).run()
-        cells[budget.label] = {
-            "h264": (
-                alone_h["total_cycles"],
-                shared.task("h264").stats.total_cycles,
-            ),
-            "jpeg": (
-                alone_j["total_cycles"],
-                shared.task("jpeg").stats.total_cycles,
-            ),
+        records = eng.run(cells)
+    results: Dict[str, Dict[str, Tuple[int, int]]] = {}
+    for k in range(0, len(records), 3):
+        alone_h, alone_j, shared = records[k:k + 3]
+        (shared_j,) = shared["co_tasks"]
+        results[shared["budget_label"]] = {
+            "h264": (alone_h["total_cycles"], shared["total_cycles"]),
+            "jpeg": (alone_j["total_cycles"], shared_j["total_cycles"]),
         }
-    return MultiTaskExperimentResult(cells=cells)
+    return MultiTaskExperimentResult(cells=results)
 
 
 __all__ = ["run_multitask", "MultiTaskExperimentResult"]

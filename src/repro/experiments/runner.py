@@ -49,9 +49,8 @@ def run_all(
     ``backend``/``workers``/``coordinator`` (serial and uncached by
     default) and closed on return.  All twelve simulating experiments
     share it, so a pool's workers (and their warm construction memos)
-    carry over from one to the next; only the multi-task co-run, two
-    applications on one fabric, simulates outside it.  Fig. 1 and the
-    search-space count simulate nothing.
+    carry over from one to the next.  Fig. 1 and the search-space count
+    simulate nothing.
     """
     stream = stream or sys.stdout
     frames = 6 if fast else 16

@@ -46,6 +46,7 @@ ROLES = ("meta", "cell", "record")
 CELL_FIELDS = (
     "budget",
     "budget_params",
+    "co_tasks",
     "contention",
     "metrics",
     "policy",

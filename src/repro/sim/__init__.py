@@ -18,9 +18,14 @@ from repro.sim.program import (
 from repro.sim.policy import RuntimePolicy, SelectionOutcome
 from repro.sim.trace import ExecutionRecord, SimulationTrace
 from repro.sim.stats import SimulationStats
-from repro.sim.simulator import Simulator, SimulationResult
+from repro.sim.simulator import (
+    MultiTaskResult,
+    SimulationResult,
+    Simulator,
+    Task,
+    TaskResult,
+)
 from repro.sim.contention import ContentionEvent, ContentionSchedule
-from repro.sim.multitask import Task, MultiTaskSimulator, MultiTaskResult, TaskResult
 
 __all__ = [
     "TriggerInstruction",
@@ -38,7 +43,6 @@ __all__ = [
     "ContentionEvent",
     "ContentionSchedule",
     "Task",
-    "MultiTaskSimulator",
     "MultiTaskResult",
     "TaskResult",
 ]

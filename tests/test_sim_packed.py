@@ -477,24 +477,24 @@ iteration_params = st.lists(
 )
 
 
-def _random_application(shapes, demands, rotations=3):
-    """One block of random kernels, iterated over ``rotations`` rotations
-    of the drawn (executions, gap) demands."""
+def _random_application(shapes, demands, rotations=3, prefix=""):
+    """One block of random kernels (named under ``prefix``), iterated over
+    ``rotations`` rotations of the drawn (executions, gap) demands."""
     kernels = [
         Kernel(
-            f"k{k_index}",
+            f"{prefix}k{k_index}",
             base_cycles=100,
             datapaths=[
-                _spec(f"k{k_index}", d_index, params)
+                _spec(f"{prefix}k{k_index}", d_index, params)
                 for d_index, params in enumerate(datapaths)
             ],
         )
         for k_index, datapaths in enumerate(shapes)
     ]
-    block = FunctionalBlock("B", kernels)
+    block = FunctionalBlock(f"{prefix}B", kernels)
     iterations = [
         BlockIteration(
-            "B",
+            f"{prefix}B",
             [
                 KernelIteration(k.name, executions, gap)
                 for k, (executions, gap) in zip(kernels, demand_cycle)
@@ -502,7 +502,7 @@ def _random_application(shapes, demands, rotations=3):
         )
         for demand_cycle in [demands[i:] + demands[:i] for i in range(rotations)]
     ]
-    return Application("rand", [block], iterations), kernels
+    return Application(prefix or "rand", [block], iterations), kernels
 
 
 class TestRandomized:
