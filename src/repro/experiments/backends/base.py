@@ -12,8 +12,10 @@ planning unit is a library x application pair: the cells that share one
 compiled ISE library (:func:`group_key`) and one application seed.  When
 whole units spread evenly over the workers, every batch is made of whole
 units, so each worker builds only the applications it serves; otherwise
-each library's cells are chunked as they come.  Either way a batch never
-spans libraries: one IPC frame, one compiled library.
+only the units that do not fit whole are cut into chunks.  Either way a
+batch never spans libraries: one IPC frame, one compiled library.  (The
+``repro serve`` daemon merges consecutive batches up to its DRR quantum
+afterwards; the process pool sends them as planned.)
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments import engine as engine_module
 from repro.experiments.engine import SweepCell
 
 #: Counter names every backend reports (merged into ``EngineStats``).
@@ -55,6 +58,16 @@ def group_key(cell: SweepCell) -> Tuple:
     return (cell.workload, cell.workload_params, cell.budget, cell.budget_params)
 
 
+def library_fingerprints(cells: Sequence[SweepCell]) -> List[str]:
+    """The fingerprint of each library ``cells`` use, in first-use order:
+    what a ``batch`` frame carries and what its worker checks."""
+    return [
+        engine_module.library_fingerprint(workload, budget, params, budget_params)
+        for workload, params, budget, budget_params
+        in dict.fromkeys(map(group_key, cells))
+    ]
+
+
 def plan_batches(
     cells: Sequence[SweepCell],
     chunk_size: Optional[int] = None,
@@ -68,42 +81,54 @@ def plan_batches(
     never span libraries: one frame, one library.
 
     Without ``chunk_size``, the chunk is about four batches per worker
-    (``ceil(cells / (4 * parts))``).  When whole units spread evenly over
-    the ``parts`` workers -- ``ceil(units / parts) * largest unit <=
-    ceil(cells / parts)`` -- every batch is made of whole units, and a
-    library's consecutive units merge while the batch stays within the
+    (``ceil(cells / (4 * parts))``) and whole units go out uncut where
+    they fit the ``parts`` workers.  When whole units spread evenly --
+    ``ceil(units / parts) * largest unit <= ceil(cells / parts)`` --
+    every unit is whole.  Otherwise the first ``parts * w`` units are,
+    with ``w`` whole units per worker: as many as each worker has units
+    for and room for at the largest unit's size.  A library's
+    consecutive whole units merge while the batch stays within the
     chunk, so a library that fits one chunk still goes out as one batch.
-    Otherwise, and whenever ``chunk_size`` is given, each library's cells
-    are cut into chunks of that size in order, cutting through
-    applications so stragglers do not serialise the tail.
+    The remaining units, and every unit when ``chunk_size`` is given, are
+    cut into chunks of that size in order, cutting through applications
+    so stragglers do not serialise the tail.
     """
     parts = max(1, parts)
     groups: Dict[Tuple, Dict[int, List[int]]] = {}
     for index, cell in enumerate(cells):
         groups.setdefault(group_key(cell), {}).setdefault(cell.seed, []).append(index)
-    batches: List[List[int]] = []
+    whole = 0
     if chunk_size is None:
         chunk = math.ceil(len(cells) / (parts * 4))
-        units = [unit for apps in groups.values() for unit in apps.values()]
-        largest = max(map(len, units), default=0)
-        if math.ceil(len(units) / parts) * largest <= math.ceil(len(cells) / parts):
-            # Sorted, so a library sent whole lists its cells in the
-            # order the chunked plan would.
-            for apps in groups.values():
-                batch: List[int] = []
-                for unit in apps.values():
-                    if batch and len(batch) + len(unit) > chunk:
-                        batches.append(sorted(batch))
-                        batch = []
-                    batch += unit
-                batches.append(sorted(batch))
-            return batches
+        units = [len(unit) for apps in groups.values() for unit in apps.values()]
+        room = math.ceil(len(cells) / parts)
+        largest = max(units, default=1)
+        if math.ceil(len(units) / parts) * largest <= room:
+            whole = len(units)
+        else:
+            whole = parts * min(len(units) // parts, room // largest)
     else:
         chunk = max(1, chunk_size)
+    batches: List[List[int]] = []
     for apps in groups.values():
-        indices = sorted(index for unit in apps.values() for index in unit)
-        for lo in range(0, len(indices), chunk):
-            batches.append(indices[lo:lo + chunk])
+        batch: List[int] = []
+        cut: List[int] = []
+        for unit in apps.values():
+            if whole <= 0:
+                cut += unit
+                continue
+            whole -= 1
+            if batch and len(batch) + len(unit) > chunk:
+                batches.append(sorted(batch))
+                batch = []
+            batch += unit
+        # Sorted, so a library sent whole lists its cells in the order
+        # the chunked plan would.
+        if batch:
+            batches.append(sorted(batch))
+        cut.sort()
+        for lo in range(0, len(cut), chunk):
+            batches.append(cut[lo:lo + chunk])
     return batches
 
 
@@ -154,6 +179,7 @@ __all__ = [
     "COUNTER_NAMES",
     "ExecutorBackend",
     "group_key",
+    "library_fingerprints",
     "merge_counters",
     "new_counters",
     "plan_batches",

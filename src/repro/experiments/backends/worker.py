@@ -2,11 +2,11 @@
 
 A worker dials the ``repro serve`` daemon, handshakes (its
 :data:`ENGINE_SCHEMA` and protocol version must match, or it is
-rejected), then serves batch frames until told to shut down.  Every
-batch's library fingerprint is recomputed locally and compared against
-the daemon's -- a worker whose checkout builds a structurally different
-ISE library answers with an error frame instead of returning records
-minted from divergent code.
+rejected), then serves batch frames until told to shut down.  A batch
+may span libraries and carries the daemon's fingerprint of each; every
+one is recomputed locally and compared -- a worker whose checkout builds
+a structurally different ISE library answers with an error frame instead
+of returning records minted from divergent code.
 
 Run a remote worker against a daemon listening on a routable address
 (``repro serve --host 0.0.0.0``) with::
@@ -28,12 +28,12 @@ serial backend both come for free.
 from __future__ import annotations
 
 import os
-import socket
 import sys
 import time
 from typing import List, Optional, Tuple
 
 from repro.experiments import engine as engine_module
+from repro.experiments.backends.base import library_fingerprints
 from repro.service import wire
 from repro.service.frames import (
     BATCH,
@@ -47,6 +47,7 @@ from repro.service.frames import (
 )
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    dial,
     parse_address,
     recv_frame,
     send_frame,
@@ -86,13 +87,9 @@ def worker_loop(
     crashed host so the coordinator's requeue/restart path can be
     exercised deterministically.
 
-    Result records travel as one columnar block per batch, and outbound
-    frames coalesce Nagle-style: they queue in a
-    :class:`repro.service.wire.FrameSender` and flush only when the
-    inbound socket goes idle (nothing further to batch with), when the
-    buffer crosses its size threshold, or -- unconditionally -- before
-    the GOODBYE that answers a SHUTDOWN, so a drain never drops queued
-    tail results.
+    Result records travel as one columnar block per batch, sent as soon
+    as the batch is done: the daemon keeps one batch per worker, so
+    nothing else could share the write.
 
     Returns a process exit code: ``0`` clean shutdown, ``1`` the
     coordinator was unreachable, ``2`` the handshake was rejected, ``3``
@@ -102,7 +99,7 @@ def worker_loop(
     """
     welcomed = False
     try:
-        sock = socket.create_connection(tuple(address), timeout=CONNECT_TIMEOUT)
+        sock = dial(address, CONNECT_TIMEOUT)
     except OSError as error:
         print(
             f"error: cannot reach coordinator at "
@@ -110,7 +107,6 @@ def worker_loop(
             file=sys.stderr,
         )
         return 1
-    sock.settimeout(None)
     try:
         send_frame(
             sock,
@@ -133,39 +129,25 @@ def worker_loop(
             )
             return 2
         welcomed = True
-        # Every outbound frame rides the coalescing sender so queue order
-        # is send order; control frames flush explicitly.
-        sender = wire.FrameSender(sock)
         served = 0
         while True:
-            # Nagle-style idle flush: when the socket already holds the
-            # next inbound frame, serving it may yield more output to
-            # coalesce into the same write, so hold the buffer; flush
-            # the moment the inbound side goes quiet.
-            if sender.pending and not wire.data_ready(sock):
-                sender.flush()
             frame = recv_frame(sock)
             ftype = frame.get("type")
             if ftype == SHUTDOWN:
-                # Drain: queued tail results must leave before the clean
-                # goodbye, or an orderly shutdown would drop them.
-                sender.queue(wire.encode_binary_frame({"type": GOODBYE}))
                 try:
-                    sender.flush()
+                    send_frame(sock, {"type": GOODBYE})
                 except OSError:
                     pass
                 return 0
             if ftype != BATCH:
-                sender.queue(
-                    wire.encode_binary_frame(
-                        {
-                            "type": ERROR,
-                            "batch": frame.get("batch"),
-                            "message": f"unexpected frame type {ftype!r}",
-                        }
-                    )
+                send_frame(
+                    sock,
+                    {
+                        "type": ERROR,
+                        "batch": frame.get("batch"),
+                        "message": f"unexpected frame type {ftype!r}",
+                    },
                 )
-                sender.flush()
                 continue
             if fail_after is not None and served >= fail_after:
                 # Simulated crash: die before replying (test hook).
@@ -174,42 +156,32 @@ def worker_loop(
                 engine_module.SweepCell.from_payload(payload)
                 for payload in frame["cells"]
             ]
-            first = cells[0]
-            fingerprint = engine_module.library_fingerprint(
-                first.workload, first.budget,
-                first.workload_params, first.budget_params,
-            )
-            expected = frame.get("fingerprint")
-            if expected is not None and expected != fingerprint:
-                sender.queue(
-                    wire.encode_binary_frame(
-                        {
-                            "type": ERROR,
-                            "batch": frame["batch"],
-                            "message": (
-                                f"library fingerprint mismatch: coordinator "
-                                f"expects {expected[:12]}..., this worker "
-                                f"builds {fingerprint[:12]}... -- workload "
-                                "code has diverged between hosts"
-                            ),
-                        }
-                    )
+            expected = frame.get("fingerprints")
+            ours = library_fingerprints(cells)
+            if expected != ours:
+                send_frame(
+                    sock,
+                    {
+                        "type": ERROR,
+                        "batch": frame["batch"],
+                        "message": (
+                            f"library fingerprint mismatch: coordinator "
+                            f"expects {expected}, this worker builds {ours} "
+                            "-- workload code has diverged between hosts"
+                        ),
+                    },
                 )
-                sender.flush()
                 continue
             records, built = engine_module.execute_batch(cells)
             served += 1
-            sender.queue(
-                wire.encode_binary_frame(
-                    {
-                        "type": RESULT,
-                        "batch": frame["batch"],
-                        "built": built,
-                        "block": wire.encode_record_block(
-                            list(enumerate(records))
-                        ),
-                    }
-                )
+            send_frame(
+                sock,
+                {
+                    "type": RESULT,
+                    "batch": frame["batch"],
+                    "built": built,
+                    "block": wire.encode_record_block(list(enumerate(records))),
+                },
             )
     except (ConnectionError, OSError):
         return 3 if welcomed else 1

@@ -37,6 +37,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import threading
 import weakref
 from collections import OrderedDict
 from contextlib import closing, contextmanager
@@ -534,6 +536,21 @@ _FINGERPRINTS: Dict[Tuple, str] = {}
 #: execute keeps at most this one library.
 _FINGERPRINT_LIBRARY: Optional[Tuple[Tuple, object]] = None
 
+#: Serialises fingerprint compiles, so threads keying the same new library
+#: at once (a daemon's intake threads, concurrent service clients) compile
+#: it once.  Only a memo miss takes it.
+_FINGERPRINT_LOCK = threading.Lock()
+
+
+def _renew_fingerprint_lock() -> None:
+    # A child forked while another thread held the lock would inherit it
+    # held forever; the child starts with a fresh one instead.
+    global _FINGERPRINT_LOCK
+    _FINGERPRINT_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_fingerprint_lock)
+
 
 def library_fingerprint(
     workload: str,
@@ -547,42 +564,47 @@ def library_fingerprint(
     simulation, so changes to the ISE builder, the cost model or the data
     paths invalidate cached records without a manual version bump.
     ``budget_params`` matter because the fitting filter depends on the
-    budget (e.g. ``contexts_per_cg_fabric``).
+    budget (e.g. ``contexts_per_cg_fabric``).  Each fingerprint is compiled
+    once per process, however many threads ask for it at once.
     """
     global _FINGERPRINT_LIBRARY
     params = _normalize_params(workload_params)
     extra_budget = _normalize_params(budget_params)
     memo_key = (workload, params, tuple(budget), extra_budget)
-    if memo_key in _FINGERPRINTS:
-        return _FINGERPRINTS[memo_key]
-    family = WORKLOADS[workload]
-    cg, prc = budget
-    resource_budget = ResourceBudget(
-        n_prcs=prc, n_cg_fabrics=cg, **dict(extra_budget)
-    )
-    _FINGERPRINT_LIBRARY = None  # never hold two libraries at once
-    library = family.library(resource_budget, dict(params))
-    _FINGERPRINT_LIBRARY = ((workload, tuple(budget), params, extra_budget), library)
-    description: List[object] = []
-    for kernel_name in sorted(library.kernel_names()):
-        kernel = library.kernel(kernel_name)
-        monocg = library.monocg(kernel_name)
-        candidates = sorted(
-            [
+    fingerprint = _FINGERPRINTS.get(memo_key)
+    if fingerprint is not None:
+        return fingerprint
+    with _FINGERPRINT_LOCK:
+        if memo_key in _FINGERPRINTS:
+            return _FINGERPRINTS[memo_key]
+        family = WORKLOADS[workload]
+        cg, prc = budget
+        resource_budget = ResourceBudget(
+            n_prcs=prc, n_cg_fabrics=cg, **dict(extra_budget)
+        )
+        _FINGERPRINT_LIBRARY = None  # never hold two libraries at once
+        library = family.library(resource_budget, dict(params))
+        _FINGERPRINT_LIBRARY = ((workload, tuple(budget), params, extra_budget), library)
+        description: List[object] = []
+        for kernel_name in sorted(library.kernel_names()):
+            kernel = library.kernel(kernel_name)
+            monocg = library.monocg(kernel_name)
+            candidates = sorted(
                 [
-                    sorted(list(pair) for pair in ise.signature()),
-                    list(ise.latencies),
-                    list(ise.reconfig_schedule()),
-                ]
-                for ise in library.candidates(kernel_name)
-            ],
-            key=lambda entry: json.dumps(entry, sort_keys=True),
-        )
-        description.append(
-            [kernel_name, kernel.risc_latency, monocg.latency, candidates]
-        )
-    fingerprint = _stable_hash(description)
-    _FINGERPRINTS[memo_key] = fingerprint
+                    [
+                        sorted(list(pair) for pair in ise.signature()),
+                        list(ise.latencies),
+                        list(ise.reconfig_schedule()),
+                    ]
+                    for ise in library.candidates(kernel_name)
+                ],
+                key=lambda entry: json.dumps(entry, sort_keys=True),
+            )
+            description.append(
+                [kernel_name, kernel.risc_latency, monocg.latency, candidates]
+            )
+        fingerprint = _stable_hash(description)
+        _FINGERPRINTS[memo_key] = fingerprint
     return fingerprint
 
 
@@ -726,10 +748,11 @@ def _library_of(cell: SweepCell, budget: ResourceBudget):
 
     def build():
         global _FINGERPRINT_LIBRARY
-        if _FINGERPRINT_LIBRARY is not None and _FINGERPRINT_LIBRARY[0] == key:
-            library = _FINGERPRINT_LIBRARY[1]
+        # One read: another thread's compile may replace the slot.
+        handoff = _FINGERPRINT_LIBRARY
+        if handoff is not None and handoff[0] == key:
             _FINGERPRINT_LIBRARY = None
-            return library
+            return handoff[1]
         return WORKLOADS[cell.workload].library(budget, dict(cell.workload_params))
 
     return _memo_get(

@@ -17,7 +17,7 @@ bench harness do.
 
 from __future__ import annotations
 
-import socket
+import sys
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments import engine as engine_module
@@ -38,10 +38,10 @@ from repro.service.frames import (
     JOB_FAILED,
     REJECT,
     WELCOME,
-    WIRE_ACK,
 )
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    dial,
     parse_address,
     recv_frame,
     send_frame,
@@ -73,16 +73,12 @@ class ServiceClient:
         self.submitter = submitter
         self.wire_stats = wire.WireStats()
         try:
-            self._conn = socket.create_connection(
-                address, timeout=CONNECT_TIMEOUT
-            )
+            self._conn = dial(address, CONNECT_TIMEOUT)
         except OSError as error:
             raise ReproError(
                 f"cannot reach sweep service at {address[0]}:{address[1]}: "
                 f"{error}"
             )
-        # Handshake done; job runs can take arbitrarily long.
-        self._conn.settimeout(None)
         send_frame(
             self._conn,
             {
@@ -117,7 +113,9 @@ class ServiceClient:
         """Submit cell payloads; block until the job finishes.
 
         Returns ``(records, counters)`` with ``records[i]`` the record of
-        ``payloads[i]`` regardless of the order cells completed in.
+        ``payloads[i]`` regardless of the order cells completed in.  The
+        ``job`` frame is the one frame the client writes: it then only
+        reads, and acknowledges no block.
         Raises :class:`ReproError` if the service rejects the job (drain)
         or reports ``job_failed``.
 
@@ -180,15 +178,6 @@ class ServiceClient:
                 )
                 for index, record in rows:
                     accept(int(index), record)
-                send_frame(
-                    self._conn,
-                    {
-                        "type": WIRE_ACK,
-                        "job": frame.get("job"),
-                        "rows": len(rows),
-                    },
-                    stats=self.wire_stats,
-                )
             elif ftype == JOB_DONE:
                 if arrived < len(payloads):
                     missing = [
@@ -198,8 +187,10 @@ class ServiceClient:
                         f"job {job_id} finished but {len(missing)} cells "
                         f"never arrived (first missing index {missing[0]})"
                     )
+                # Interned names: a caller that keeps every job's
+                # counters holds one copy of each name, not one per job.
                 counters = {
-                    str(name): int(value)
+                    sys.intern(str(name)): int(value)
                     for name, value in dict(
                         frame.get("counters", {})
                     ).items()

@@ -19,10 +19,15 @@ the same length-prefixed frame protocol the workers speak
 Scheduling: cell batches from all runnable jobs are arbitrated by the
 deficit-round-robin :class:`~repro.service.scheduler.FairScheduler`
 across submitters, then dispatched onto whichever worker is idle.
-Batches are planned with the engine's ``plan_batches`` (never spanning
-a library, and made of whole library x application units when those
-spread evenly over the fleet), so worker-side construction memos keep
-amortizing across *jobs*, not just within one sweep.
+Batches are planned with the engine's ``plan_batches`` (one library
+each, made of whole library x application units where those fit the
+fleet), so worker-side construction memos keep amortizing across
+*jobs*, not just within one sweep.  Unless the job names a ``chunk``,
+consecutive planned batches then merge while the merged batch holds at
+most ``min(quantum, ceil(misses / workers))`` cells: a batch may span
+libraries, and a job's few new cells go out in few round trips, each no
+larger than what one DRR visit serves.  A batch frame carries the
+fingerprint of every library it spans, and the worker checks each.
 
 Cross-job dedup: a job whose cell key is already in flight for another
 job subscribes to that key instead of re-dispatching it, and every
@@ -54,6 +59,7 @@ sleeps, which the ``blocking-call-in-async`` lint rule enforces.
 from __future__ import annotations
 
 import asyncio
+import math
 import multiprocessing
 import signal
 import threading
@@ -62,6 +68,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments import engine as engine_module
 from repro.experiments.backends.base import (
+    library_fingerprints,
     merge_counters,
     new_counters,
     plan_batches,
@@ -86,7 +93,6 @@ from repro.service.frames import (
     RESULT,
     SHUTDOWN,
     WELCOME,
-    WIRE_ACK,
 )
 from repro.service.protocol import (
     HANDSHAKE_TIMEOUT,
@@ -98,6 +104,18 @@ from repro.service.protocol import (
 from repro.service.scheduler import FairScheduler
 from repro.service.store import RecordStore
 from repro.util.validation import ReproError
+
+
+def _fill_batches(batches: List[List[int]], cap: int) -> List[List[int]]:
+    """Merge consecutive ``batches`` while the merged batch holds at most
+    ``cap`` cells; a batch already larger than ``cap`` stays as it is."""
+    merged: List[List[int]] = []
+    for batch in batches:
+        if merged and len(merged[-1]) + len(batch) <= cap:
+            merged[-1] = merged[-1] + batch
+        else:
+            merged.append(batch)
+    return merged
 
 
 class _Peer:
@@ -176,6 +194,11 @@ class SweepService:
 
     DEFAULT_WORKERS = 2
 
+    #: Page cache of the daemon's store, in KiB.  A job reads only its own
+    #: few keys and a result writes only its batch's rows, so SQLite's
+    #: default 2 MB cache seldom holds the next page read.
+    STORE_CACHE_KIB = 256
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -197,13 +220,15 @@ class SweepService:
         self.max_restarts = (
             max_restarts if max_restarts is not None else self.n_workers
         )
-        self.store = RecordStore(cache_dir) if cache_dir is not None else None
+        self.store = (
+            RecordStore(cache_dir, cache_kib=self.STORE_CACHE_KIB)
+            if cache_dir is not None else None
+        )
         self.scheduler = FairScheduler(quantum=quantum)
         self.address: Optional[Tuple[str, int]] = None
         self.jobs_accepted = 0
         self.jobs_finished = 0
         self.jobs_failed = 0
-        self.blocks_acked = 0
 
         self._jobs: Dict[int, _JobState] = {}
         self._batches: Dict[int, _BatchState] = {}
@@ -433,10 +458,6 @@ class SweepService:
                     await self._on_cache_get(peer, frame)
                 elif ftype == CACHE_PUT:
                     await self._on_cache_put(peer, frame)
-                elif ftype == WIRE_ACK:
-                    # Per-block acknowledgement from the client;
-                    # bookkeeping only, nothing to send back.
-                    self.blocks_acked += 1
                 elif ftype == GOODBYE:
                     return
                 else:
@@ -558,21 +579,22 @@ class SweepService:
                 int(chunk) if chunk else None,
                 parts=parts,
             )
+            if not chunk:
+                batches = _fill_batches(batches, min(
+                    self.scheduler.quantum,
+                    math.ceil(len(miss_cells) / parts),
+                ))
             entries: List[Tuple[int, int]] = []
             for batch in batches:
                 token = self._next_token
                 self._next_token += 1
-                first = miss_cells[batch[0]]
-                fingerprint = engine_module.library_fingerprint(
-                    first.workload, first.budget,
-                    first.workload_params, first.budget_params,
-                )
-                self._fingerprints.add(fingerprint)
+                fingerprints = library_fingerprints([miss_cells[i] for i in batch])
+                self._fingerprints.update(fingerprints)
                 batch_keys = [miss_keys[i] for i in batch]
                 batch_frame = {
                     "type": BATCH,
                     "batch": token,
-                    "fingerprint": fingerprint,
+                    "fingerprints": fingerprints,
                     "cells": [miss_cells[i].payload() for i in batch],
                 }
                 self._batches[token] = _BatchState(

@@ -35,7 +35,8 @@ WELCOME = "welcome"
 #: Handshake or job refused; carries a human-readable ``reason``.
 REJECT = "reject"
 
-#: Daemon -> worker: one batch of sweep-cell payloads.
+#: Daemon -> worker: one batch of sweep-cell payloads, with the
+#: fingerprint of each library the batch spans.
 BATCH = "batch"
 #: Worker -> daemon: the records of one finished batch, as a block.
 RESULT = "result"
@@ -53,8 +54,6 @@ JOB_ACCEPTED = "job_accepted"
 #: Daemon -> client: a coalesced run of finished cells as one columnar
 #: block (``repro.service.wire``), streamed as they resolve.
 CELL_RESULT_BLOCK = "cell_result_block"
-#: Client -> daemon: acknowledges one decoded block.
-WIRE_ACK = "wire_ack"
 #: Daemon -> client: every cell of the job resolved; carries counters.
 JOB_DONE = "job_done"
 #: Daemon -> client: the job cannot finish; carries a message.
@@ -76,8 +75,7 @@ FRAME_TYPES = frozenset(
     {
         HELLO, WELCOME, REJECT,
         BATCH, RESULT, ERROR, SHUTDOWN, GOODBYE,
-        JOB, JOB_ACCEPTED, CELL_RESULT_BLOCK, WIRE_ACK,
-        JOB_DONE, JOB_FAILED,
+        JOB, JOB_ACCEPTED, CELL_RESULT_BLOCK, JOB_DONE, JOB_FAILED,
         CACHE_GET, CACHE_HIT, CACHE_MISS, CACHE_PUT, CACHE_OK,
     }
 )
@@ -132,7 +130,7 @@ CHANNELS: Tuple[Channel, ...] = (
     ),
     Channel(
         "client", "daemon",
-        frozenset({HELLO, JOB, WIRE_ACK, CACHE_GET, CACHE_PUT, GOODBYE}),
+        frozenset({HELLO, JOB, CACHE_GET, CACHE_PUT, GOODBYE}),
     ),
 )
 
@@ -142,7 +140,6 @@ PAIRINGS: Dict[str, Tuple[str, ...]] = {
     HELLO: (WELCOME, REJECT),
     BATCH: (RESULT, ERROR),
     JOB: (JOB_ACCEPTED, REJECT),
-    CELL_RESULT_BLOCK: (WIRE_ACK,),
     CACHE_GET: (CACHE_HIT, CACHE_MISS),
     CACHE_PUT: (CACHE_OK, ERROR),
 }
@@ -190,7 +187,6 @@ __all__ = [
     "RESULT",
     "SHUTDOWN",
     "WELCOME",
-    "WIRE_ACK",
     "declared_incoming",
     "declared_outgoing",
 ]

@@ -27,9 +27,11 @@ from repro.service import wire
 from repro.util.validation import ReproError
 
 #: Bump when the frame vocabulary or encoding changes incompatibly; the
-#: handshake rejects a peer that sends any other value.  Version 2 is the
-#: binary envelope on every frame.
-PROTOCOL_VERSION = 2
+#: handshake rejects a peer that sends any other value.  Version 2 put the
+#: binary envelope on every frame; version 3 drops the client's per-block
+#: ``wire_ack`` and has a ``batch`` carry one library fingerprint per
+#: library it spans (a version-2 worker would check only the first).
+PROTOCOL_VERSION = 3
 
 #: Hard per-frame ceiling -- a corrupt length prefix must not allocate
 #: GBs.  Defined by the wire codec.
@@ -49,6 +51,21 @@ def _check_length(length: int) -> None:
 
 
 # ------------------------------------------------------- blocking sockets
+
+
+def dial(address: Tuple[str, int], timeout: float) -> socket.socket:
+    """Connect a blocking socket to ``address`` (``OSError`` when that
+    fails) and leave it without a timeout, for frames that may wait on a
+    long job.
+
+    ``TCP_NODELAY`` is set: every frame is one ``sendall`` that its peer
+    waits for, so Nagle's algorithm could only hold a small frame back
+    until the peer's delayed ACK of the previous one, 40 ms on Linux.
+    """
+    sock = socket.create_connection(tuple(address), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.settimeout(None)
+    return sock
 
 
 def send_frame(
@@ -144,6 +161,7 @@ __all__ = [
     "HANDSHAKE_TIMEOUT",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
+    "dial",
     "parse_address",
     "read_frame",
     "recv_frame",

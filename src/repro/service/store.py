@@ -100,9 +100,12 @@ def _encode(value: Mapping[str, object]) -> str:
 class RecordStore:
     """Synchronous cell store over one cache directory's ``cells.sqlite``."""
 
-    def __init__(self, root: Union[str, Path]):
+    def __init__(self, root: Union[str, Path], cache_kib: Optional[int] = None):
         self.root = Path(root)
         self.path = self.root / STORE_NAME
+        #: page-cache bound of the connection, in KiB (``None``: SQLite's
+        #: default of 2,000)
+        self.cache_kib = cache_kib
         self._lock = threading.Lock()
         self._conn: Optional[sqlite3.Connection] = None
         self._pid = os.getpid()
@@ -127,6 +130,8 @@ class RecordStore:
             )
             try:
                 self._set_up(conn)
+                if self.cache_kib is not None:
+                    conn.execute(f"PRAGMA cache_size=-{int(self.cache_kib)}")
             except BaseException:
                 conn.close()
                 raise

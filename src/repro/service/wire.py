@@ -21,8 +21,6 @@ under the byte-identity determinism gates unchanged.
 """
 
 import json
-import select
-import socket
 import struct
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,10 +59,6 @@ COMPRESS_SAMPLE_BYTES = 4096
 #: Sampled ratio (probe / sample) above which the payload is judged
 #: incompressible and shipped raw.
 COMPRESS_SAMPLE_RATIO = 0.9
-
-#: Coalescing flush threshold: buffered result bytes beyond this are
-#: flushed even mid-batch so peers see progress on huge sweeps.
-COALESCE_FLUSH_BYTES = 256 * 1024
 
 #: Daemon-side block coalescing: buffered (index, record) rows beyond
 #: this flush as a cell_result_block even before the batch boundary.
@@ -196,77 +190,16 @@ def decode_record_block(
     return [(index, record) for index, _cell, record in decode_rows(shard)]
 
 
-def data_ready(sock: socket.socket, timeout: float = 0.0) -> bool:
-    """True when ``sock`` has bytes waiting (non-blocking peek).
-
-    The worker's coalescing sender uses this Nagle-style: when the
-    socket already holds the next frame there may be more output to
-    batch with, so the flush waits until the inbound side goes idle.
-    """
-    ready, _, _ = select.select([sock], [], [], timeout)
-    return bool(ready)
-
-
-class FrameSender:
-    """Coalescing frame sender for the blocking socket endpoints.
-
-    Encoded frames queue until :meth:`flush` joins them into a single
-    ``sendall`` -- one syscall and one TCP push for a run of result
-    frames instead of one each.  Queue order is send order, so callers
-    route *every* outbound frame through the sender (control frames
-    included, followed by an explicit flush) to keep the stream ordered.
-    """
-
-    __slots__ = ("_sock", "_pending", "_pending_bytes", "_stats")
-
-    def __init__(
-        self, sock: socket.socket, stats: Optional[WireStats] = None
-    ) -> None:
-        self._sock = sock
-        self._pending: List[bytes] = []
-        self._pending_bytes = 0
-        self._stats = stats
-
-    @property
-    def pending(self) -> int:
-        """Number of queued-but-unsent frames."""
-        return len(self._pending)
-
-    def queue(self, wire_bytes: bytes) -> None:
-        """Queue one fully-encoded frame; auto-flush past the threshold."""
-        self._pending.append(wire_bytes)
-        self._pending_bytes += len(wire_bytes)
-        if self._pending_bytes >= COALESCE_FLUSH_BYTES:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write every queued frame in one ``sendall``."""
-        if not self._pending:
-            return
-        coalesced = len(self._pending) - 1
-        blob = b"".join(self._pending)
-        self._pending = []
-        self._pending_bytes = 0
-        self._sock.sendall(blob)
-        if self._stats is not None:
-            self._stats.add("bytes_sent", len(blob))
-            if coalesced:
-                self._stats.add("frames_coalesced", coalesced)
-
-
 __all__ = [
-    "COALESCE_FLUSH_BYTES",
     "COALESCE_FLUSH_ROWS",
     "COMPRESS_LEVEL",
     "COMPRESS_MIN_BYTES",
     "COMPRESS_SAMPLE_BYTES",
     "COMPRESS_SAMPLE_RATIO",
     "FLAG_ZLIB",
-    "FrameSender",
     "MAX_FRAME_BYTES",
     "WIRE_MAGIC",
     "WireStats",
-    "data_ready",
     "decode_blob",
     "decode_record_block",
     "encode_binary_blob",

@@ -145,14 +145,21 @@ class TestPlanBatches:
                            policies=FIG8_POLICIES)
         assert plan_batches(cells, parts=4) == [[i] for i in range(10)]
 
-    def test_uneven_applications_keep_the_chunked_plan(self):
+    def test_uneven_applications_cut_only_the_leftover(self):
         """Three applications cannot split evenly over two workers (two
-        would land on one), so the chunks cut through them as before."""
+        would land on one): each worker gets one whole application, and
+        only the third is cut into chunks."""
         cells = make_cells(budgets=((2, 1),), seeds=(3, 4, 5),
                            policies=FIG8_POLICIES)
         plan = plan_batches(cells, parts=2)
-        assert plan == [list(range(15))[lo:lo + 2] for lo in range(0, 15, 2)]
-        assert plan == plan_batches(cells, chunk_size=2)
+        assert plan == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11], [12, 13], [14]]
+        assert plan_batches(cells, chunk_size=2) == [
+            list(range(15))[lo:lo + 2] for lo in range(0, 15, 2)
+        ]
+
+    def test_quick_grid_cuts_only_the_budget_that_does_not_fit(self):
+        cells = fig8_cells(("risc", "mrts"), frames=3)
+        assert plan_batches(cells, parts=2) == [[0, 1], [2, 3], [4], [5]]
 
     def test_warm_store_fill_keeps_library_whole_batches(self):
         """3 workloads x 20 budgets x 2 seeds x 5 policies on two workers:
@@ -266,7 +273,7 @@ class TestHandshake:
         daemon.service._fingerprints.add("abc123")
         reply = self._exchange(daemon, self._hello())
         assert reply["type"] == "welcome"
-        assert reply["protocol"] == PROTOCOL_VERSION == 2
+        assert reply["protocol"] == PROTOCOL_VERSION == 3
         assert reply["fingerprints"] == ["abc123"]
         assert "wire" not in reply
 
@@ -302,6 +309,17 @@ class TestHandshake:
         reply = self._exchange(daemon, self._hello(protocol=1))
         assert reply["type"] == "reject"
         assert "protocol=1" in reply["reason"]
+
+    @pytest.mark.parametrize("role", ["client", "worker"])
+    def test_protocol_2_hello_rejected(self, daemon, role):
+        # A version-2 client would still acknowledge every block, and a
+        # version-2 worker would check only a batch's first library.
+        hello = self._hello(protocol=2)
+        if role == "worker":
+            del hello["role"]
+        reply = self._exchange(daemon, hello)
+        assert reply["type"] == "reject"
+        assert "protocol=2" in reply["reason"]
 
     def test_plain_json_hello_gets_no_welcome(self, daemon):
         conn = socket.create_connection(daemon.address, timeout=30)
@@ -387,6 +405,20 @@ class TestBackendIdentity:
             blob = json.dumps(engine.run(cells))
             assert engine.stats.applications_built == 2
             assert engine.stats.frames_sent == 2
+        clear_build_memo()
+        assert blob == _serial_blob(cells)
+
+    def test_uneven_pool_sweep_builds_at_most_four_applications(self):
+        """One budget x three seeds x five policies on two workers: the
+        two whole applications build once each and the cut third at most
+        once per worker -- 4, or 3 when one worker takes every chunk of
+        the third -- where cutting every application built 6."""
+        cells = make_cells(budgets=((2, 1),), seeds=(3, 4, 5),
+                           policies=FIG8_POLICIES)
+        with SweepEngine(jobs=2, use_cache=False) as engine:
+            blob = json.dumps(engine.run(cells))
+            assert 3 <= engine.stats.applications_built <= 4
+            assert engine.stats.frames_sent == 5
         clear_build_memo()
         assert blob == _serial_blob(cells)
 

@@ -8,6 +8,9 @@ and cache keys react to every cell dimension.
 
 import dataclasses
 import json
+import os
+import sys
+import threading
 import time
 
 import pytest
@@ -180,6 +183,71 @@ class TestBuildMemo:
             engine_module.clear_build_memo()
         assert sorted(calls) == ["h264", "h264", "jpeg"]
         assert (eng.stats.libraries_built, eng.stats.applications_built) == (2, 2)
+
+    def test_racing_threads_compile_a_fingerprint_once(self, monkeypatch):
+        """Threads keying one new library at once (a daemon's intake
+        threads, concurrent service clients) share one compile."""
+        family = engine_module.WORKLOADS["h264"]
+        calls = []
+
+        def slow_library(budget, params):
+            calls.append(budget)
+            time.sleep(0.05)  # hold the compile open while the others ask
+            return family.library(budget, params)
+
+        monkeypatch.setitem(
+            engine_module.WORKLOADS, "h264",
+            dataclasses.replace(family, library=slow_library),
+        )
+        engine_module.clear_build_memo()
+        barrier = threading.Barrier(6)
+        fingerprints = []
+
+        def key():
+            barrier.wait()
+            fingerprints.append(
+                engine_module.library_fingerprint("h264", (2, 2), FAST)
+            )
+
+        threads = [threading.Thread(target=key) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            engine_module.clear_build_memo()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert len(fingerprints) == 6 and len(set(fingerprints)) == 1
+
+    def test_child_forked_while_the_lock_is_held_can_key(self):
+        """A worker forked while another thread compiles a fingerprint
+        starts with a free lock, not one held forever."""
+        engine_module.clear_build_memo()
+        with engine_module._FINGERPRINT_LOCK:
+            pid = os.fork()
+            if pid == 0:  # the child: key a fresh library, then leave
+                code = 1
+                try:
+                    engine_module.library_fingerprint("h264", (1, 1), FAST)
+                    code = 0
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child blocked on the fingerprint lock")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestCache:

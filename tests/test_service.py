@@ -4,6 +4,7 @@ reference, remote-cache hits, worker-death reassignment, graceful
 drain, and the worker reconnect schedule."""
 
 import asyncio
+import gc
 import json
 import socket
 import threading
@@ -46,6 +47,44 @@ def make_cells(budgets=((1, 1), (2, 1)), seeds=(0, 1),
         for seed in seeds
         for policy in policies
     ]
+
+
+def six_budget_cells():
+    """Six cells of one seed and one policy over six budgets: six
+    libraries, one cell each -- a typical set of a job's new cells."""
+    return [
+        SweepCell.make(budget, 0, "mrts", workload_params=FAST)
+        for budget in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3))
+    ]
+
+
+def _planned_job(cells, live=0, chunk=None):
+    """Submit ``cells`` as one job to a two-worker daemon that has no
+    sockets behind it (``live`` of its workers connected); returns the
+    cell indices of each batch it planned, in order."""
+    from repro.service.daemon import SweepService, _Peer
+
+    class _Writer:
+        def write(self, data):
+            pass
+
+        async def drain(self):
+            pass
+
+    service = SweepService(workers=2)
+    for peer_id in range(1, live + 1):
+        service._live[peer_id] = _Peer(peer_id, "worker", None, None)
+    frame = {"cells": [c.payload() for c in cells]}
+    if chunk is not None:
+        frame["chunk"] = chunk
+    asyncio.run(service._on_job(_Peer(0, "client", None, _Writer()), frame))
+    index = {json.dumps(c.payload(), sort_keys=True): i for i, c in enumerate(cells)}
+    batches = [
+        [index[json.dumps(p, sort_keys=True)] for p in state.frame["cells"]]
+        for _token, state in sorted(service._batches.items())
+    ]
+    assert service._jobs[0].counters["frames_sent"] == len(batches)
+    return batches
 
 
 def canonical(records):
@@ -281,7 +320,18 @@ class TestServiceEndToEnd:
         assert counters_second["remote_cache_hits"] == len(cells)
         assert counters_second["jobs_completed"] == 1
 
-    def test_daemon_beats_one_shot_fleets(self, tmp_path):
+    @pytest.fixture
+    def frozen_heap(self):
+        """Collect what earlier tests in this process left and freeze the
+        survivors, so no timed arm pays for a full collection of that heap:
+        one took 0.14 s in a full tier-1 run, as long as the whole
+        concurrent arm of the test below."""
+        gc.collect()
+        gc.freeze()
+        yield
+        gc.unfreeze()
+
+    def test_daemon_beats_one_shot_fleets(self, tmp_path, frozen_heap):
         """Four concurrent submissions of the quick fig8 grid through one
         daemon finish at least 1.5x faster than the same four sweeps run
         sequentially as one-shot self-hosted fleets, and every sweep stays
@@ -325,7 +375,7 @@ class TestServiceEndToEnd:
             )
         }
         assert counters == {
-            "frames_sent": 6,
+            "frames_sent": 3,
             "remote_cache_hits": 18,
             "jobs_completed": 4,
             "worker_restarts": 0,
@@ -360,23 +410,24 @@ class TestServiceEndToEnd:
         is planned for both, as it is before either or after both connect:
         its batches and ``frames_sent`` do not depend on the race."""
         from repro.experiments.backends.base import plan_batches
-        from repro.service.daemon import SweepService, _Peer
+        from repro.service.daemon import _fill_batches
 
-        class _Writer:
-            def write(self, data):
-                pass
-
-            async def drain(self):
-                pass
+        def merged(parts):
+            # The daemon's plan: planned batches merged up to the smaller
+            # of the DRR quantum (4) and the cells per worker.
+            return _fill_batches(
+                plan_batches(cells, parts=parts), min(4, -(-len(cells) // parts))
+            )
 
         cells = fig8_cells(("risc", "mrts"), frames=3)
-        service = SweepService(workers=2)
-        service._live[1] = _Peer(1, "worker", None, None)
-        peer = _Peer(0, "client", None, _Writer())
-        asyncio.run(service._on_job(peer, {"cells": [c.payload() for c in cells]}))
-        job = service._jobs[0]
-        assert job.counters["frames_sent"] == len(plan_batches(cells, parts=2))
-        assert job.counters["frames_sent"] > len(plan_batches(cells, parts=1))
+        batches = _planned_job(cells, live=1)
+        assert batches == merged(2) == [[0, 1], [2, 3, 4], [5]]
+        assert len(batches) > len(merged(1))
+
+    def test_explicit_chunk_is_not_merged(self):
+        cells = six_budget_cells()
+        assert _planned_job(cells, chunk=1) == [[i] for i in range(6)]
+        assert _planned_job(cells) == [[0, 1, 2], [3, 4, 5]]
 
     @staticmethod
     def _fail_on_result(result):
@@ -526,6 +577,116 @@ class TestServiceEndToEnd:
         client_a.close()
         assert handle.stop()
         worker_thread.join(timeout=30)
+
+
+# -------------------------------------------------------------- transport
+
+
+class TestTransport:
+    """What one job costs on the wire: one frame from the client, few
+    batches per job, no Nagle delay on either blocking socket."""
+
+    def test_blocking_sockets_set_tcp_nodelay(self, monkeypatch):
+        from repro.experiments.backends import worker as worker_module
+        from repro.service import protocol
+
+        worker_nodelay = []
+
+        def dial(address, timeout):
+            sock = protocol.dial(address, timeout)
+            worker_nodelay.append(
+                sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            return sock
+
+        monkeypatch.setattr(worker_module, "dial", dial)
+        handle = start_service_thread(workers=0)
+        worker = threading.Thread(
+            target=worker_module.worker_loop, args=(handle.address,)
+        )
+        worker.start()
+        try:
+            with ServiceClient(handle.coordinator) as client:
+                assert client._conn.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            deadline = time.monotonic() + 30
+            while not handle.service._live:
+                assert time.monotonic() < deadline, "worker never joined"
+                time.sleep(0.01)
+        finally:
+            assert handle.stop()
+            worker.join(timeout=30)
+        assert worker_nodelay and worker_nodelay[0]
+
+    def test_run_job_writes_only_the_job_frame(self, monkeypatch):
+        from repro.service import client as client_module
+
+        cells = make_cells()
+        sent = []
+        recording = False
+        real_send = client_module.send_frame
+
+        def send_frame(sock, obj, stats=None):
+            if recording:
+                sent.append(obj["type"])
+            real_send(sock, obj, stats=stats)
+
+        monkeypatch.setattr(client_module, "send_frame", send_frame)
+        handle = start_service_thread(workers=2)
+        try:
+            with ServiceClient(handle.coordinator) as client:
+                recording = True
+                records, counters = client.run_job([c.payload() for c in cells])
+                recording = False
+        finally:
+            assert handle.stop()
+        assert sent == ["job"]
+        # More than one result block came back, none of them acknowledged.
+        assert counters["frames_sent"] > 1
+        assert canonical(records) == canonical(
+            SweepEngine(backend="serial", use_cache=False).run(cells)
+        )
+
+    def test_six_budget_job_goes_out_as_two_batches(self):
+        cells = six_budget_cells()
+        handle = start_service_thread(workers=2)
+        try:
+            with ServiceClient(handle.coordinator) as client:
+                records, counters = client.run_job([c.payload() for c in cells])
+        finally:
+            assert handle.stop()
+        assert counters["frames_sent"] == 2
+        assert canonical(records) == canonical(
+            SweepEngine(backend="serial", use_cache=False).run(cells)
+        )
+
+    def test_non_first_library_mismatch_fails_the_job(self, monkeypatch):
+        """A batch spanning two libraries whose second fingerprint is not
+        what the worker compiles is refused, and its job fails loudly."""
+        cells = six_budget_cells()[:2]
+        handle = start_service_thread(workers=1)
+        try:
+            deadline = time.monotonic() + 30
+            while not handle.service._live:
+                assert time.monotonic() < deadline, "worker never joined"
+                time.sleep(0.01)
+            # The worker process is already forked, so only the daemon
+            # sees the diverged fingerprint of the second budget.
+            real = engine_module.library_fingerprint
+
+            def diverged(workload, budget, *args):
+                if tuple(budget) == cells[1].budget:
+                    return "f" * 64
+                return real(workload, budget, *args)
+
+            monkeypatch.setattr(engine_module, "library_fingerprint", diverged)
+            with ServiceClient(handle.coordinator) as client:
+                with pytest.raises(ReproError, match="fingerprint mismatch"):
+                    client.run_job([c.payload() for c in cells])
+            assert handle.service.jobs_failed == 1
+        finally:
+            assert handle.stop()
 
 
 # ---------------------------------------------------------------- backend

@@ -4,8 +4,7 @@ The codec's promise is lossless determinism: any frame or record batch
 must round-trip byte-exactly through the envelope (with or without the
 adaptive deflate), a payload outside the envelope must be refused, a
 result block must stay far smaller than the JSON of its records, and a
-worker drain must never drop results that were queued but not yet
-flushed.  Property tests drive the round-trip claims over adversarial
+worker drain must never drop the result of the batch it was running.  Property tests drive the round-trip claims over adversarial
 record shapes (mixed column kinds, unicode, ints beyond int64, absent
 keys); the tail-flush claim runs against the real worker loop on
 loopback.
@@ -246,10 +245,14 @@ class TestAdaptiveCompression:
 
 class TestWorkerTailFlush:
     def test_queued_result_precedes_goodbye_on_shutdown(self, fresh_memo):
-        """A SHUTDOWN arriving while the tail result is still coalesced
-        must flush the result before the GOODBYE, never drop it."""
+        """A SHUTDOWN arriving while the worker still runs its last batch
+        must be answered after that batch's result, never drop it."""
         cells = small_cells()[:1]
         expected, _built = engine_module.execute_batch(cells)
+        fingerprint = engine_module.library_fingerprint(
+            cells[0].workload, cells[0].budget,
+            cells[0].workload_params, cells[0].budget_params,
+        )
         clear_build_memo()
 
         listener = socket.socket()
@@ -278,11 +281,11 @@ class TestWorkerTailFlush:
             )
             # Batch and shutdown land back-to-back in one write: by the
             # time the worker finishes the batch the socket already holds
-            # the SHUTDOWN, so the idle-flush heuristic keeps the RESULT
-            # queued and only the drain path can deliver it.
+            # the SHUTDOWN.
             conn.sendall(
                 wire.encode_binary_frame(
                     {"type": BATCH, "batch": 0,
+                     "fingerprints": [fingerprint],
                      "cells": [cells[0].payload()]}
                 )
                 + wire.encode_binary_frame({"type": SHUTDOWN})
