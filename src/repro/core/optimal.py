@@ -32,6 +32,10 @@ from repro.ise.library import ISELibrary
 from repro.sim.trigger import TriggerInstruction
 from repro.util.validation import ReproError, check_non_negative
 
+#: A footprint's member: an ISE (or ``None``) and its profit per backlog.
+Member = Tuple[Optional[ISE], List[float]]
+_NO_PROFIT = float("-inf")
+
 
 class OptimalSelector:
     """Exact joint profit maximisation under the (PRC, CG) budget.
@@ -97,32 +101,28 @@ class OptimalSelector:
             exempt = [0] * n_impls
 
         kernels = sorted(triggers_by_kernel)
-        # Pre-compute the profit of every candidate of every kernel for every
-        # possible FG-port backlog.  The FG bitstream port is sequential and
-        # shared: a candidate's recT depends on how many FG data-path units
-        # earlier-committed ISEs queue before it.  All partial bitstreams
-        # have the same size, so the backlog is fully described by the
-        # number of FG units already claimed -- which is exactly the DP's
-        # ``fg_used`` coordinate.  This keeps the DP exact for the joint
-        # (area + port) model.
-        #
-        # options[k][j] = (profits_by_backlog, fg, cg, ise)
-        options: List[List[Tuple[List[float], int, int, Optional[ISE]]]] = []
+        # Profits per FG-port backlog (see the module docstring).  A
+        # candidate with no FG data path left to load ignores the port: one
+        # profit serves every backlog, each still a logical evaluation.
+        # Candidates of one (fg, cg) footprint reach the same states, so a
+        # kernel's options are its footprints in first-appearance order
+        # ("no ISE" first): (fg, cg, best profit per backlog, members).
+        options: List[List[Tuple[int, int, List[float], List[Member]]]] = []
         fg_unit_cycles = self._fg_unit_cycles()
         now_f = float(now)
         for kernel in kernels:
             trig = triggers_by_kernel[kernel]
-            kernel_options: List[Tuple[List[float], int, int, Optional[ISE]]] = [
-                ([0.0] * (budget_fg + 1), 0, 0, None)
-            ]
+            no_ise = [0.0] * (budget_fg + 1)
+            footprints = {(0, 0): (list(no_ise), [(None, no_ise)])}
             for cid in packed.kernel_cids[kernel]:
                 ise = packed.cand_ise[cid]
                 if self.candidate_filter is not None and not self.candidate_filter(ise):
                     continue
+                result.candidates_considered += 1
                 rows = packed.cand_rows[cid]
-                latencies = packed.cand_latencies[cid]
                 # reservation_charge with nothing reserved yet.
                 fg = cg = 0
+                needs_port = False
                 for impl, quantity, is_fg, _, area in rows:
                     units = quantity - exempt[impl]
                     if units > 0:
@@ -130,74 +130,80 @@ class OptimalSelector:
                             fg += area * units
                         else:
                             cg += area * units
-                profits_by_backlog: List[float] = []
-                for backlog in range(budget_fg + 1):
-                    if backlog + fg > budget_fg:
-                        profits_by_backlog.append(float("-inf"))
-                        continue
-                    result.profit_evaluations += 1
-                    port = now_f + backlog * fg_unit_cycles
-                    schedule, _ = packed_recT(
-                        rows, coverage, ready, now, port if port > now_f else now_f
+                    if is_fg and coverage[impl] < quantity:
+                        needs_port = True
+                feasible = budget_fg - fg + 1  # backlogs that leave room
+                result.profit_evaluations += max(feasible, 0)
+                if feasible <= 0 or cg > budget_cg:
+                    continue  # no state can take it
+                backlogs = range(feasible) if needs_port else (0,)
+                profits = [
+                    profit_kernel(
+                        packed.cand_latencies[cid],
+                        packed_recT(
+                            rows, coverage, ready, now,
+                            now_f + backlog * fg_unit_cycles,
+                        )[0],
+                        trig.executions,
+                        trig.time_to_first,
+                        trig.time_between,
                     )
-                    profits_by_backlog.append(
-                        profit_kernel(
-                            latencies,
-                            schedule,
-                            trig.executions,
-                            trig.time_to_first,
-                            trig.time_between,
-                        )
-                    )
-                kernel_options.append((profits_by_backlog, fg, cg, ise))
-            result.candidates_considered += len(kernel_options) - 1
-            options.append(kernel_options)
+                    for backlog in backlogs
+                ]
+                if not needs_port:
+                    profits *= feasible
+                entry = footprints.setdefault((fg, cg), (list(profits), []))
+                entry[1].append((ise, profits))
+                best_profits = entry[0]
+                for backlog, profit in enumerate(profits):
+                    if profit > best_profits[backlog]:
+                        best_profits[backlog] = profit
+            options.append(
+                [(fg, cg, top, members)
+                 for (fg, cg), (top, members) in footprints.items()]
+            )
 
-        # DP over (fg_used, cg_used): best profit and choice backtrace.
-        Key = Tuple[int, int]
-        best: Dict[Key, float] = {(0, 0): 0.0}
-        trace: Dict[Tuple[int, Key], Tuple[Key, Optional[ISE]]] = {}
-        for k, kernel_options in enumerate(options):
-            new_best: Dict[Key, float] = {}
-            for (fg_used, cg_used), profit_so_far in best.items():
-                for profits_by_backlog, fg, cg, ise in kernel_options:
-                    nfg, ncg = fg_used + fg, cg_used + cg
-                    if nfg > budget_fg or ncg > budget_cg:
+        # DP over (fg_used, cg_used), one int per state; per kernel, each
+        # state's (previous state, its total, the footprint's members).
+        stride = budget_cg + 1
+        best: Dict[int, float] = {0: 0.0}
+        backtrace: List[Dict[int, Tuple[int, float, List[Member]]]] = []
+        for kernel_options in options:
+            new_best: Dict[int, float] = {}
+            back: Dict[int, Tuple[int, float, List[Member]]] = {}
+            for state, profit_so_far in best.items():
+                fg_used, cg_used = divmod(state, stride)
+                fg_room, cg_room = budget_fg - fg_used, budget_cg - cg_used
+                for fg, cg, best_profits, members in kernel_options:
+                    if fg > fg_room or cg > cg_room:
                         continue
-                    profit = profits_by_backlog[fg_used]
-                    if profit == float("-inf"):
-                        continue
-                    total = profit_so_far + profit
-                    key = (nfg, ncg)
-                    if total > new_best.get(key, float("-inf")):
+                    total = profit_so_far + best_profits[fg_used]
+                    key = state + fg * stride + cg
+                    if total > new_best.get(key, _NO_PROFIT):
                         new_best[key] = total
-                        trace[(k, key)] = ((fg_used, cg_used), ise)
+                        back[key] = (state, profit_so_far, members)
             best = new_best
+            backtrace.append(back)
             if not best:
                 raise ReproError("optimal selection found no feasible state")
 
-        # Backtrack from the best final state.
-        final_key = max(best, key=lambda key: best[key])
-        key = final_key
-        chosen: Dict[str, Optional[ISE]] = {}
-        for k in range(len(kernels) - 1, -1, -1):
-            prev_key, ise = trace[(k, key)]
-            chosen[kernels[k]] = ise
-            key = prev_key
-
-        # Reconstruct per-kernel profits along the chosen path (the backlog
-        # each kernel saw is the path's fg_used at that step).
-        key = (0, 0)
-        for k, kernel in enumerate(kernels):
-            ise = chosen[kernel]
-            if ise is None:
-                result.profits[kernel] = 0.0
-            else:
-                for profits_by_backlog, fg, cg, option in options[k]:
-                    if option is ise:
-                        result.profits[kernel] = profits_by_backlog[key[0]]
-                        key = (key[0] + fg, key[1] + cg)
-                        break
+        # Backtrack from the best final state.  The DP's strict ``>`` keeps
+        # the first of equal totals, so each step takes the footprint's
+        # first member whose profit reaches the state's total (a smaller
+        # profit can round to the same sum).
+        key = max(best, key=best.__getitem__)
+        total = best[key]
+        chosen: List[Tuple[Optional[ISE], float]] = []
+        for back in reversed(backtrace):
+            state, profit_so_far, members = back[key]
+            backlog = state // stride
+            for ise, profits in members:
+                if profit_so_far + profits[backlog] == total:
+                    break
+            chosen.append((ise, profits[backlog]))
+            key, total = state, profit_so_far
+        for kernel, (ise, profit) in zip(kernels, reversed(chosen)):
+            result.profits[kernel] = profit
             # The selection is emitted in DP (kernel) order: the controller
             # commits -- and thus queues the FG port -- in exactly the order
             # the DP's backlog model assumed.

@@ -87,7 +87,7 @@ def worker_loop(
     crashed host so the coordinator's requeue/restart path can be
     exercised deterministically.
 
-    Result records travel as one columnar block per batch, sent as soon
+    Result records travel as one record block per batch, sent as soon
     as the batch is done: the daemon keeps one batch per worker, so
     nothing else could share the write.
 

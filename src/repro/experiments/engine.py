@@ -670,9 +670,10 @@ def evict_cache(
 SIMULATIONS_RUN = 0
 
 #: LRU capacity of the per-process application / library memos.  Sized to
-#: cover a whole fig8-grid sweep (one library per budget) without letting
+#: cover a whole fig8-grid sweep (one library per budget) and the ten
+#: application seeds a service job stream interleaves, without letting
 #: long multi-workload sessions pin unbounded memory.
-APP_MEMO_CAPACITY = 8
+APP_MEMO_CAPACITY = 16
 LIBRARY_MEMO_CAPACITY = 32
 
 _APP_MEMO: "OrderedDict[Tuple, object]" = OrderedDict()

@@ -13,8 +13,8 @@ self-hosts one for a single sweep.  Its modules:
 * :mod:`repro.service.protocol` -- the frame codec on blocking sockets
   and on ``asyncio.StreamReader/Writer`` (one wire format, two
   transports), plus the protocol version and address parsing;
-* :mod:`repro.service.wire` -- the binary columnar encoding (envelope +
-  adaptive zlib + record blocks) and the coalescing frame sender;
+* :mod:`repro.service.wire` -- the binary encoding (envelope +
+  adaptive zlib + plain-row record blocks);
 * :mod:`repro.service.scheduler` -- deficit-round-robin fair scheduling
   of cell batches across submitters (pure data structure, no sockets);
 * :mod:`repro.service.store` -- the network-served content-addressed

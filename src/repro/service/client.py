@@ -172,12 +172,10 @@ class ServiceClient:
             if ftype == JOB_ACCEPTED:
                 job_id = frame.get("job")
             elif ftype == CELL_RESULT_BLOCK:
-                rows = wire.decode_record_block(frame.get("block") or {})
-                self.wire_stats.add(
-                    "frames_coalesced", max(0, len(rows) - 1)
-                )
+                rows = wire.decode_record_block(frame.get("block"))
+                self.wire_stats.add("frames_coalesced", max(0, len(rows) - 1))
                 for index, record in rows:
-                    accept(int(index), record)
+                    accept(index, record)
             elif ftype == JOB_DONE:
                 if arrived < len(payloads):
                     missing = [

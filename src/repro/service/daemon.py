@@ -98,7 +98,6 @@ from repro.service.protocol import (
     HANDSHAKE_TIMEOUT,
     PROTOCOL_VERSION,
     read_frame,
-    result_records,
     write_frame,
 )
 from repro.service.scheduler import FairScheduler
@@ -647,7 +646,8 @@ class SweepService:
         if state is not None:
             self.scheduler.complete(token)
             try:
-                records = result_records(frame)
+                rows = wire.decode_record_block(frame.get("block"))
+                records = [record for _index, record in rows]
                 problem = (
                     None if len(records) == len(state.keys)
                     else f"returned {len(records)} records for a "
@@ -689,7 +689,7 @@ class SweepService:
             await self._maybe_finish_job(job)
 
     async def _send_cell_results(self, job: _JobState, key: str, record) -> None:
-        """Coalesce a resolved key's rows toward one columnar
+        """Coalesce a resolved key's rows toward one
         ``cell_result_block``; flushed at the size threshold here, at
         batch boundaries, and always before ``job_done``/``job_failed``."""
         if job.peer.closed:

@@ -51,7 +51,7 @@ GOODBYE = "goodbye"
 JOB = "job"
 #: Daemon -> client: the job was accepted; carries its id.
 JOB_ACCEPTED = "job_accepted"
-#: Daemon -> client: a coalesced run of finished cells as one columnar
+#: Daemon -> client: a coalesced run of finished cells as one record
 #: block (``repro.service.wire``), streamed as they resolve.
 CELL_RESULT_BLOCK = "cell_result_block"
 #: Daemon -> client: every cell of the job resolved; carries counters.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.service import wire
 from repro.util.validation import ReproError
@@ -30,8 +30,9 @@ from repro.util.validation import ReproError
 #: handshake rejects a peer that sends any other value.  Version 2 put the
 #: binary envelope on every frame; version 3 drops the client's per-block
 #: ``wire_ack`` and has a ``batch`` carry one library fingerprint per
-#: library it spans (a version-2 worker would check only the first).
-PROTOCOL_VERSION = 3
+#: library it spans (a version-2 worker would check only the first);
+#: version 4 sends record blocks as plain rows, not columnar shards.
+PROTOCOL_VERSION = 4
 
 #: Hard per-frame ceiling -- a corrupt length prefix must not allocate
 #: GBs.  Defined by the wire codec.
@@ -105,15 +106,6 @@ def recv_frame(
     return wire.decode_blob(blob, stats)
 
 
-def result_records(frame: Dict[str, object]) -> List[Dict[str, object]]:
-    """The records of one RESULT frame, decoded from its columnar
-    ``block``; :class:`ReproError` when the block is missing or corrupt."""
-    block = frame.get("block")
-    if not isinstance(block, dict):
-        raise ReproError("result frame carries no record block")
-    return [record for _index, record in wire.decode_record_block(block)]
-
-
 def parse_address(address: Optional[str]) -> Tuple[str, int]:
     """``"host:port"`` -> ``(host, port)``; ``None`` means ephemeral loopback."""
     if address is None:
@@ -165,7 +157,6 @@ __all__ = [
     "parse_address",
     "read_frame",
     "recv_frame",
-    "result_records",
     "send_frame",
     "write_frame",
 ]

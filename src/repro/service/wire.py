@@ -1,4 +1,4 @@
-"""Binary columnar wire codec for the socket transports.
+"""Binary wire codec for the socket transports.
 
 Every frame on a socket is a 4-byte big-endian length prefix followed
 by one payload in this module's envelope:
@@ -8,29 +8,24 @@ by one payload in this module's envelope:
   payload is compressible, deflates it with :mod:`zlib`;
 * ``decode_blob`` accepts only that envelope: a payload without the
   magic byte (a plain-JSON frame from a protocol-1 peer) is refused;
-* ``encode_record_block`` / ``decode_record_block`` pack a run of
-  ``(index, record)`` pairs column-wise through the result store's
-  shard codec (:mod:`repro.results.schema`): interned strings, packed
-  int64/float64 arrays, presence bitmaps, and a checksum verified on
-  decode.
+* ``encode_record_block`` / ``decode_record_block`` carry ``(index,
+  record)`` pairs as plain ``[index, record]`` rows, which the deflate
+  compresses; the decode interns keys and short strings, so records
+  kept from many blocks share them.
 
-The codec is deterministic end to end: zlib at a fixed level, the
-sampled-ratio heuristic keyed only on payload bytes, and the shard
-codec's lossless round-trip -- which is what lets the transport sit
-under the byte-identity determinism gates unchanged.
+The codec is deterministic end to end -- canonical JSON, zlib at a fixed
+level, the sampled-ratio heuristic keyed only on payload bytes -- which
+is what lets the transport sit under the byte-identity determinism
+gates unchanged.  TCP (and deflate's adler32) guards the bytes in transit.
 """
 
 import json
 import struct
+import sys
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.results.schema import (
-    canonical_json,
-    decode_rows,
-    encode_shard,
-    shard_checksum,
-)
+from repro.results.schema import canonical_json
 from repro.util.validation import ReproError
 
 #: Hard ceiling on a single frame payload.
@@ -64,6 +59,10 @@ COMPRESS_SAMPLE_RATIO = 0.9
 #: this flush as a cell_result_block even before the batch boundary.
 COALESCE_FLUSH_ROWS = 4096
 
+#: Decoded string values up to this length are interned (policy and
+#: workload names, budget labels); longer ones are left as parsed.
+INTERN_MAX_CHARS = 64
+
 
 class WireStats:
     """Transport counters of one blocking endpoint (a
@@ -87,12 +86,7 @@ class WireStats:
         setattr(self, name, getattr(self, name) + amount)
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "frames_coalesced": self.frames_coalesced,
-            "blocks_compressed": self.blocks_compressed,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def maybe_compress(payload: bytes) -> Tuple[int, bytes]:
@@ -167,27 +161,36 @@ def decode_blob(blob: bytes, stats: Optional[WireStats] = None) -> Dict:
 def encode_record_block(
     indexed_records: Sequence[Tuple[int, Dict[str, object]]],
 ) -> Dict[str, object]:
-    """Pack ``(index, record)`` pairs into a checksummed columnar block.
-
-    Reuses the result store's shard codec with an empty cell dict per
-    row -- the wire only needs to move records; indices recover the
-    sweep positions on the far side.
-    """
-    shard = encode_shard([(index, {}, record) for index, record in indexed_records])
-    return {"shard": shard, "checksum": shard_checksum(shard)}
+    """Pack ``(index, record)`` pairs into a block of plain rows; the
+    indices recover the sweep positions on the far side."""
+    return {"rows": [[index, record] for index, record in indexed_records]}
 
 
-def decode_record_block(
-    block: Dict[str, object],
-) -> List[Tuple[int, Dict[str, object]]]:
-    """Inverse of :func:`encode_record_block`; verifies the checksum."""
-    shard = block.get("shard")
-    if not isinstance(shard, dict):
-        raise ReproError("record block is missing its shard document")
-    expected = block.get("checksum")
-    if expected is not None and shard_checksum(shard) != expected:
-        raise ReproError("record block checksum mismatch")
-    return [(index, record) for index, _cell, record in decode_rows(shard)]
+def _interned(value: object) -> object:
+    """``value`` with every dict key and every short string interned."""
+    kind = type(value)
+    if kind is dict:
+        return {sys.intern(key): _interned(item) for key, item in value.items()}
+    if kind is list:
+        return [_interned(item) for item in value]
+    if kind is str and len(value) <= INTERN_MAX_CHARS:
+        return sys.intern(value)
+    return value
+
+
+def decode_record_block(block: object) -> List[Tuple[int, Dict[str, object]]]:
+    """Inverse of :func:`encode_record_block`; :class:`ReproError` for a
+    block without ``rows`` or a row that is not an ``[int, dict]`` pair."""
+    rows = block.get("rows") if isinstance(block, dict) else None
+    if not isinstance(rows, list):
+        raise ReproError("record block carries no rows")
+    for row in rows:
+        if not (type(row) is list and len(row) == 2
+                and type(row[0]) is int and type(row[1]) is dict):
+            raise ReproError(
+                f"record block row is not an [index, record] pair: {row!r:.80}"
+            )
+    return [(index, _interned(record)) for index, record in rows]
 
 
 __all__ = [
@@ -197,6 +200,7 @@ __all__ = [
     "COMPRESS_SAMPLE_BYTES",
     "COMPRESS_SAMPLE_RATIO",
     "FLAG_ZLIB",
+    "INTERN_MAX_CHARS",
     "MAX_FRAME_BYTES",
     "WIRE_MAGIC",
     "WireStats",

@@ -273,7 +273,7 @@ class TestHandshake:
         daemon.service._fingerprints.add("abc123")
         reply = self._exchange(daemon, self._hello())
         assert reply["type"] == "welcome"
-        assert reply["protocol"] == PROTOCOL_VERSION == 3
+        assert reply["protocol"] == PROTOCOL_VERSION == 4
         assert reply["fingerprints"] == ["abc123"]
         assert "wire" not in reply
 
@@ -320,6 +320,17 @@ class TestHandshake:
         reply = self._exchange(daemon, hello)
         assert reply["type"] == "reject"
         assert "protocol=2" in reply["reason"]
+
+    @pytest.mark.parametrize("role", ["client", "worker"])
+    def test_protocol_3_hello_rejected(self, daemon, role):
+        # A version-3 peer sends or expects columnar record blocks: it is
+        # refused at the handshake, not failed mid-job.
+        hello = self._hello(protocol=3)
+        if role == "worker":
+            del hello["role"]
+        reply = self._exchange(daemon, hello)
+        assert reply["type"] == "reject"
+        assert "protocol=3" in reply["reason"]
 
     def test_plain_json_hello_gets_no_welcome(self, daemon):
         conn = socket.create_connection(daemon.address, timeout=30)

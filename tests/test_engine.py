@@ -9,6 +9,7 @@ and cache keys react to every cell dimension.
 import dataclasses
 import json
 import os
+import random
 import sys
 import threading
 import time
@@ -28,7 +29,7 @@ from repro.experiments.fig10_speedup import run_fig10
 from repro.experiments.sweep import run_sweep
 from repro.util.validation import ReproError
 from repro.service.store import STORE_NAME
-from tests.fig8_grid import FIG8_POLICIES, fig8_cells
+from tests.fig8_grid import FIG8_BUDGETS, FIG8_POLICIES, fig8_cells
 from tests.test_cache_concurrency import run_sql
 
 #: Small-but-real workload: each cell is a genuine mRTS/RISC simulation.
@@ -123,6 +124,49 @@ class TestBuildMemo:
             eng.stats.libraries_built,
             eng.stats.builds_saved,
         ) == (1, 3, 26)
+
+    def test_shuffled_ten_seed_stream_builds_pinned(self, monkeypatch):
+        """A service job stream draws its new cells from blocks of ten
+        application seeds x the Fig. 8 grid, shuffled.  One of two workers
+        executes every other 3-cell batch of the first 1,200 distinct
+        cells, which interleave all ten seeds of each of two blocks: the
+        memo builds each application once (20), where 8 slots thrash."""
+        family = engine_module.WORKLOADS["h264"]
+        monkeypatch.setitem(
+            engine_module.WORKLOADS, "h264",
+            dataclasses.replace(family, application=lambda seed, params: object()),
+        )
+        rng = random.Random(7)
+        stream = []
+        for block in range(2):
+            cells = [
+                SweepCell.make(budget, 10 * block + k, policy,
+                               workload_params={"frames": 2})
+                for k in range(10)
+                for budget in FIG8_BUDGETS
+                for policy in FIG8_POLICIES
+            ]
+            rng.shuffle(cells)
+            stream.extend(cells)
+        served = [
+            cell
+            for start in range(0, 1200, 6)
+            for cell in stream[start:start + 3]
+        ]
+
+        def builds(capacity):
+            monkeypatch.setattr(engine_module, "APP_MEMO_CAPACITY", capacity)
+            engine_module.clear_build_memo()
+            try:
+                for cell in served:
+                    engine_module._application_of(cell)
+                return engine_module.BUILD_COUNTERS["applications_built"]
+            finally:
+                engine_module.clear_build_memo()
+
+        assert engine_module.APP_MEMO_CAPACITY == 16
+        assert builds(16) == 20
+        assert builds(8) > 100
 
     @pytest.mark.parametrize(
         "per_run,compiles", [(1, 3), (15, 5)], ids=["cell-per-run", "one-run"]

@@ -476,6 +476,56 @@ class TestServiceEndToEnd:
         assert service._computing == {}
         assert service.jobs_failed == 1
 
+    def test_malformed_row_from_worker_fails_job_loudly(self):
+        # End to end: a worker whose result block holds a row that is not
+        # an [index, record] pair fails its job, and the client hears why
+        # instead of waiting forever.
+        cells = make_cells()[:1]
+        handle = start_service_thread(workers=0)
+
+        def bad_worker():
+            conn = socket.create_connection(handle.address, timeout=30)
+            try:
+                send_frame(conn, {
+                    "type": "hello",
+                    "schema": engine_module.ENGINE_SCHEMA,
+                    "protocol": PROTOCOL_VERSION,
+                })
+                assert recv_frame(conn)["type"] == "welcome"
+                batch = recv_frame(conn)
+                send_frame(conn, {
+                    "type": "result",
+                    "batch": batch["batch"],
+                    "built": {},
+                    "block": {"rows": [["0", {"x": 1}]]},
+                })
+                assert recv_frame(conn)["type"] == "shutdown"
+            finally:
+                conn.close()
+
+        worker_thread = threading.Thread(target=bad_worker, daemon=True)
+        worker_thread.start()
+        outcome = {}
+
+        def submit():
+            try:
+                with ServiceClient(handle.coordinator) as client:
+                    client.run_job([cell.payload() for cell in cells])
+            except ReproError as error:
+                outcome["error"] = str(error)
+
+        client_thread = threading.Thread(target=submit, daemon=True)
+        client_thread.start()
+        client_thread.join(timeout=60)
+        try:
+            assert not client_thread.is_alive(), "the job hung"
+            assert "unreadable result" in outcome.get("error", "")
+            assert "[index, record] pair" in outcome["error"]
+        finally:
+            assert handle.stop()
+            worker_thread.join(timeout=30)
+        assert handle.service.jobs_failed == 1
+
     def test_cache_frames_roundtrip_and_namespace_guard(self, tmp_path):
         cell = make_cells()[0]
         key = engine_module.cell_key(cell)

@@ -1,12 +1,14 @@
-"""The binary columnar wire codec.
+"""The binary wire codec.
 
 The codec's promise is lossless determinism: any frame or record batch
 must round-trip byte-exactly through the envelope (with or without the
-adaptive deflate), a payload outside the envelope must be refused, a
-result block must stay far smaller than the JSON of its records, and a
-worker drain must never drop the result of the batch it was running.  Property tests drive the round-trip claims over adversarial
-record shapes (mixed column kinds, unicode, ints beyond int64, absent
-keys); the tail-flush claim runs against the real worker loop on
+adaptive deflate), a payload outside the envelope and a record block
+whose rows are not ``[index, record]`` pairs must be refused, a result
+block must stay far smaller than the JSON of its records, and a worker
+drain must never drop the result of the batch it was running.
+Property tests drive the round-trip claims over adversarial record
+shapes (bools, ``-0.0``, unicode, ints beyond int64, nested JSON,
+absent keys); the tail-flush claim runs against the real worker loop on
 loopback.
 """
 
@@ -38,7 +40,7 @@ FAST = {"frames": 2, "scale": 0.4}
 WIRE_BYTES_THRESHOLD = 3.0
 
 #: The bytes pin tiles the grid's records this many times, so the
-#: block's fixed envelope and column headers do not dominate.
+#: frame's fixed envelope does not dominate.
 WIRE_TILE = 200
 
 
@@ -78,9 +80,9 @@ def fresh_memo():
 
 # ------------------------------------------------------ value strategies
 
-# Values a canonical record can carry: scalars of every column kind the
-# shard codec distinguishes, plus nested JSON structure, plus ints wide
-# enough to overflow the packed int64 column.
+# Values a canonical record can carry: bools, ints wide enough to
+# overflow int64, floats (``-0.0`` included), text and nested JSON
+# structure.
 _scalars = st.one_of(
     st.booleans(),
     st.integers(min_value=-(2**70), max_value=2**70),
@@ -110,8 +112,11 @@ class TestRecordBlock:
     @settings(max_examples=60, deadline=None)
     @given(_indexed)
     def test_round_trip_exact(self, indexed):
-        block = wire.encode_record_block(indexed)
-        assert wire.decode_record_block(block) == indexed
+        decoded = wire.decode_record_block(wire.encode_record_block(indexed))
+        assert decoded == indexed
+        # ``==`` equates True with 1 and -0.0 with 0.0; the canonical
+        # JSON does not.
+        assert wire.canonical_json(decoded) == wire.canonical_json(indexed)
 
     @settings(max_examples=30, deadline=None)
     @given(_indexed)
@@ -119,7 +124,9 @@ class TestRecordBlock:
         # Blocks travel inside a JSON frame document: a full serialise /
         # parse of the block must not perturb the decoded rows.
         block = json.loads(json.dumps(wire.encode_record_block(indexed)))
-        assert wire.decode_record_block(block) == indexed
+        decoded = wire.decode_record_block(block)
+        assert decoded == indexed
+        assert wire.canonical_json(decoded) == wire.canonical_json(indexed)
 
     def test_empty_batch(self):
         assert wire.decode_record_block(wire.encode_record_block([])) == []
@@ -134,14 +141,51 @@ class TestRecordBlock:
         assert wire.decode_record_block(block) == rows
 
     def test_checksum_mismatch_raises(self):
-        block = wire.encode_record_block([(0, {"a": 1})])
-        block["checksum"] = "0" * 64
-        with pytest.raises(ReproError, match="checksum"):
-            wire.decode_record_block(block)
+        # Plain rows carry no checksum (TCP and deflate's adler32 guard
+        # the bytes); what a block must refuse is a row that is not an
+        # [int, dict] pair.
+        for row in (
+            [0],
+            [0, {"a": 1}, 2],
+            ["0", {"a": 1}],
+            [True, {"a": 1}],
+            [1.0, {"a": 1}],
+            [0, [["a", 1]]],
+            [0, None],
+            {"index": 0, "record": {"a": 1}},
+            7,
+        ):
+            with pytest.raises(ReproError, match=r"\[index, record\] pair"):
+                wire.decode_record_block({"rows": [[1, {"a": 1}], row]})
 
     def test_missing_shard_raises(self):
-        with pytest.raises(ReproError, match="shard"):
-            wire.decode_record_block({"checksum": "x"})
+        # A block without rows (a protocol-3 columnar block among them)
+        # is refused, as is no block at all.
+        for block in ({}, {"shard": {}, "checksum": "x"}, {"rows": None}, None):
+            with pytest.raises(ReproError, match="no rows"):
+                wire.decode_record_block(block)
+
+    def test_decoded_blocks_share_key_objects(self):
+        # The decode interns keys (nested ones too) and short strings, so
+        # records kept from many blocks hold one copy of each.
+        record = {"policy": "mrts", "executions_by_mode": {"selected": 3}}
+        first, second = (
+            wire.decode_record_block(
+                wire.decode_blob(
+                    wire.encode_binary_blob(
+                        {"block": wire.encode_record_block([(index, record)])}
+                    )
+                )["block"]
+            )[0][1]
+            for index in range(2)
+        )
+        assert first == second == record
+        for key_a, key_b in zip(first, second):
+            assert key_a is key_b
+        assert first["policy"] is second["policy"]
+        (nested_a,) = first["executions_by_mode"]
+        (nested_b,) = second["executions_by_mode"]
+        assert nested_a is nested_b
 
     def test_block_beats_json_by_bytes_threshold(self, fresh_memo):
         # The wire's bytes gate as a deterministic pin: the quick fig8
