@@ -11,7 +11,9 @@
 # TestBuildMemo), backend identity (tests/test_backends.py), the daemon's
 # >= 1.5x throughput over one-shot fleets (tests/test_service.py) and the
 # result store's >= 2x peak-memory cut (tests/test_results.py::
-# TestStreamedMemory).  The sweep benchmark's own tests (bench/tests) run
+# TestStreamedMemory).  So are the paper's claims at the canonical size
+# (tests/test_claims.py, which also pins results/full_report.txt byte for
+# byte).  The sweep benchmark's own tests (bench/tests) run
 # after tier-1.  Tier-1 runs the default packed engine and selector; the
 # stepped oracle gate re-runs the engine identity and golden suites with
 # REPRO_SIM=stepped, so every run the suites leave to the default also goes
@@ -29,7 +31,7 @@ fi
 echo "== static lint gate =="
 python -m repro lint
 if command -v ruff >/dev/null 2>&1; then
-    ruff check src tests scripts benchmarks
+    ruff check src tests scripts
 else
     echo "ruff not installed; skipping (CI runs it)"
 fi

@@ -1,8 +1,10 @@
 """One-shot markdown dossier of every reproduced figure.
 
-``write_markdown_report`` runs the full experiment suite and writes a
-self-contained markdown document: per figure, the paper's claim, the
-measured rendering, and the wall-clock cost of the run.  The repository's
+``write_markdown_report`` runs the experiment list ``python -m
+repro.experiments`` runs (:data:`~repro.experiments.runner.EXPERIMENTS`)
+and writes a self-contained markdown document: per experiment, the
+measured rendering and the wall-clock cost of the run, then the table of
+the paper's claims with measured over paper values.  The repository's
 EXPERIMENTS.md is the curated version of this output; the generated dossier
 is for re-validation after changes (``python -m repro report``).
 """
@@ -11,115 +13,20 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, List, Tuple, Union
+from typing import List, Union
 
-from repro.experiments import (
-    run_ablations,
-    run_contention,
-    run_energy,
-    run_fig1,
-    run_fig2,
-    run_fig5,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_granularity,
-    run_multitask,
-    run_overhead,
-    run_search_space,
-)
-
-#: (title, paper claim, runner factory) per section.
-SECTIONS: List[Tuple[str, str, Callable[[bool], object]]] = [
-    (
-        "Fig. 1 — pif of the case-study ISEs",
-        "Three dominance regions: the CG ISE for few executions, the "
-        "multi-grained ISE in the middle, the FG ISE once its millisecond "
-        "reconfiguration amortises.",
-        lambda fast: run_fig1(points=20 if fast else 50),
-    ),
-    (
-        "Fig. 2 — execution behaviour over frames",
-        "The per-frame execution count of the deblocking filter varies so "
-        "much that the best ISE changes between iterations.",
-        lambda fast: run_fig2(frames=16),
-    ),
-    (
-        "Fig. 5 — execution behaviour of an ISE (measured)",
-        "Executions migrate from RISC/monoCG through intermediate ISEs to "
-        "the fully reconfigured ISE as data paths complete.",
-        lambda fast: run_fig5(frames=4),
-    ),
-    (
-        "Fig. 8 — comparison with the state of the art",
-        "mRTS beats the RISPP-like, offline-optimal and Morpheus/4S-like "
-        "systems on average, with parity in the predicted corner cases.",
-        lambda fast: run_fig8(frames=6 if fast else 16),
-    ),
-    (
-        "Fig. 9 — heuristic vs. optimal selection",
-        "The O(N*M) heuristic performs close to the exhaustive-equivalent "
-        "optimum; worst cases stay around 11 %.",
-        lambda fast: run_fig9(frames=6 if fast else 16, max_prc=4 if fast else 6),
-    ),
-    (
-        "Fig. 10 — speedup over RISC mode",
-        "FG-only combinations reach ~2x, multi-grained combinations ~5x; "
-        "(1 CG, 1 PRC) beats 3 PRCs or 3 CG fabrics alone.",
-        lambda fast: run_fig10(frames=6 if fast else 16),
-    ),
-    (
-        "Section 5.4 — run-time system overhead",
-        "Less than 3000 cycles per kernel selection, a small fraction of a "
-        "functional block, mostly hidden behind reconfigurations.",
-        lambda fast: run_overhead(frames=6 if fast else 16),
-    ),
-    (
-        "Section 4.1 — search-space size",
-        "The joint selection space explodes combinatorially; the heuristic "
-        "needs orders of magnitude fewer profit evaluations.",
-        lambda fast: run_search_space(),
-    ),
-    (
-        "Ablations — what each mRTS ingredient buys",
-        "Intermediate ISEs, the monoCG-Extension, the MPU and overhead "
-        "hiding all contribute.",
-        lambda fast: run_ablations(frames=6 if fast else 16),
-    ),
-    (
-        "Fabric contention — run-time variation (b)",
-        "Run-time systems degrade gracefully when another task claims "
-        "fabric; compile-time selections collapse.",
-        lambda fast: run_contention(frames=6 if fast else 12),
-    ),
-    (
-        "Selection granularity — the critique of [11]",
-        "Functional-block-level selection beats task-level management.",
-        lambda fast: run_granularity(frames=6 if fast else 12),
-    ),
-    (
-        "Energy (extension)",
-        "Acceleration saves energy twice over: fewer active core cycles and "
-        "less leakage time, for minor reconfiguration energy.",
-        lambda fast: run_energy(frames=6 if fast else 12),
-    ),
-    (
-        "Multi-task sharing — two applications, one fabric",
-        "Two mRTS instances co-exist on one fabric; interference shrinks "
-        "with the budget.",
-        lambda fast: run_multitask(frames=4 if fast else 6, images=4 if fast else 6),
-    ),
-]
+from repro.experiments.engine import resolve_engine
+from repro.experiments.runner import each_experiment
 
 
 def _stored_factories(store: str):
-    """Figure factories routed through a columnar result store.
+    """Grid experiments routed through a columnar result store.
 
     The fig8/9/10 grids stream through ``<store>`` and are rebuilt from
     the committed shards (``repro.results.kpi``); every rebuilt result
     renders byte-identically to its in-memory counterpart, so a stored
-    dossier diffs clean against a plain one.  Keys are the section-title
-    prefixes of the grid figures.
+    dossier diffs clean against a plain one.  Keys are
+    :data:`~repro.experiments.runner.EXPERIMENTS` keys.
     """
     from repro.results import (
         run_fig8_stored,
@@ -128,22 +35,52 @@ def _stored_factories(store: str):
     )
 
     return {
-        "Fig. 8": lambda fast: run_fig8_stored(
-            store, frames=6 if fast else 16
+        "fig8": lambda fast, engine: run_fig8_stored(
+            store, frames=6 if fast else 16, engine=engine
         )[0],
-        "Fig. 9": lambda fast: run_fig9_stored(
-            store, frames=6 if fast else 16, max_prc=4 if fast else 6
+        "fig9": lambda fast, engine: run_fig9_stored(
+            store, frames=6 if fast else 16, max_prc=4 if fast else 6,
+            engine=engine,
         )[0],
-        "Fig. 10": lambda fast: run_fig10_stored(
-            store, frames=6 if fast else 16
+        "fig10": lambda fast, engine: run_fig10_stored(
+            store, frames=6 if fast else 16, engine=engine
         )[0],
     }
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    return f"{value:,}"
+
+
+def _claims_table(verdicts) -> List[str]:
+    """The claims table: one markdown row per evaluated claim."""
+    lines = [
+        "| claim | paper | paper value | measured | measured/paper | pass |",
+        "|---|---|---|---|---|---|",
+    ]
+    for verdict in verdicts:
+        claim = verdict.claim
+        paper = "-" if claim.paper is None else _format(claim.paper)
+        ratio = "-" if verdict.ratio is None else f"{verdict.ratio:.2f}"
+        lines.append(
+            f"| `{claim.id}` | {claim.place} | {paper} | "
+            f"{_format(verdict.measured)} ({claim.op} "
+            f"{_format(claim.threshold)}) | {ratio} | "
+            f"{'yes' if verdict.ok else '**NO**'} |"
+        )
+    return lines
 
 
 def write_markdown_report(
     path: Union[str, Path], fast: bool = False, store: Union[str, None] = None
 ) -> Path:
-    """Run every experiment and write the markdown dossier to ``path``.
+    """Run every experiment on one engine and write the markdown dossier
+    to ``path``: each report section, then the paper's claims
+    (:mod:`repro.verification.claims`) measured on these results.
 
     With ``store`` set, the grid figures (8/9/10) stream their sweeps
     through the columnar result store at that directory and are rebuilt
@@ -151,9 +88,11 @@ def write_markdown_report(
     output, bounded sweep memory, and the sweeps stay on disk for
     ``repro results`` afterwards.
     """
+    from repro.verification import claims
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    stored = _stored_factories(store) if store is not None else {}
+    overrides = _stored_factories(store) if store is not None else {}
     lines = [
         "# mRTS reproduction — generated experiment dossier",
         "",
@@ -162,29 +101,35 @@ def write_markdown_report(
         "",
     ]
     total_start = time.perf_counter()
-    for title, claim, factory in SECTIONS:
-        for prefix in stored:
-            if title.startswith(prefix + " "):
-                factory = stored[prefix]
-                break
-        start = time.perf_counter()
-        result = factory(fast)
-        elapsed = time.perf_counter() - start
-        lines += [
-            f"## {title}",
-            "",
-            f"*Paper claim:* {claim}",
-            "",
-            "```text",
-            result.render(),
-            "```",
-            "",
-            f"_({elapsed:.1f}s)_",
-            "",
-        ]
-    lines.append(f"Total: {time.perf_counter() - total_start:.0f}s.")
+    results = {}
+    with resolve_engine() as engine:
+        for key, title, result, elapsed in each_experiment(
+            engine, fast, overrides=overrides
+        ):
+            lines += [
+                f"## {title}",
+                "",
+                "```text",
+                result.render(),
+                "```",
+                "",
+                f"_({elapsed:.1f}s)_",
+                "",
+            ]
+            results[key] = result
+        results.update(claims.run_claims_only(engine))
+    lines += [
+        "## The paper's claims",
+        "",
+        "Each claim's predicate is `measured <op> threshold`; "
+        "`repro.verification.claims` declares them.  The thresholds hold "
+        "at the full size; the fast mode's reduced sizes may miss some.",
+        "",
+    ]
+    lines += _claims_table(claims.evaluate(results))
+    lines += ["", f"Total: {time.perf_counter() - total_start:.0f}s."]
     path.write_text("\n".join(lines))
     return path
 
 
-__all__ = ["write_markdown_report", "SECTIONS"]
+__all__ = ["write_markdown_report"]

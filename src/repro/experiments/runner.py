@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments            # full runs (a few minutes)
+    python -m repro.experiments            # full runs (seconds)
     python -m repro.experiments --fast     # reduced frame counts
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.experiments import (
     run_ablations,
@@ -31,6 +32,63 @@ from repro.experiments import (
 from repro.experiments.engine import resolve_engine
 
 
+#: Every experiment of the report, in report order: ``(key, title,
+#: run(fast, engine))``.  ``run_all``, ``repro report`` and the paper
+#: claims (:mod:`repro.verification.claims`) all read this one list.
+EXPERIMENTS: List[Tuple[str, str, Callable]] = [
+    ("fig1", "Fig. 1", lambda fast, engine: run_fig1(points=20 if fast else 50)),
+    ("fig2", "Fig. 2",
+     lambda fast, engine: run_fig2(frames=6 if fast else 16, engine=engine)),
+    ("fig5", "Fig. 5 (measured)",
+     lambda fast, engine: run_fig5(frames=4, engine=engine)),
+    ("fig8", "Fig. 8",
+     lambda fast, engine: run_fig8(frames=6 if fast else 16, engine=engine)),
+    ("fig9", "Fig. 9",
+     lambda fast, engine: run_fig9(frames=6 if fast else 16,
+                                   max_prc=4 if fast else 6, engine=engine)),
+    ("fig10", "Fig. 10",
+     lambda fast, engine: run_fig10(frames=6 if fast else 16, engine=engine)),
+    ("overhead", "Overhead (5.4)",
+     lambda fast, engine: run_overhead(frames=6 if fast else 16,
+                                       engine=engine)),
+    ("search_space", "Search space (4.1)",
+     lambda fast, engine: run_search_space()),
+    ("ablations", "Ablations",
+     lambda fast, engine: run_ablations(frames=6 if fast else 16,
+                                        engine=engine)),
+    ("contention", "Fabric contention (Sec. 1, variation b)",
+     lambda fast, engine: run_contention(frames=6 if fast else 12,
+                                         engine=engine)),
+    ("granularity", "Selection granularity (Sec. 1, [11])",
+     lambda fast, engine: run_granularity(frames=6 if fast else 12,
+                                          engine=engine)),
+    ("multitask", "Multi-task sharing (Sec. 1, variation b)",
+     lambda fast, engine: run_multitask(frames=4 if fast else 6,
+                                        images=4 if fast else 6,
+                                        engine=engine)),
+    ("energy", "Energy (extension)",
+     lambda fast, engine: run_energy(frames=6 if fast else 12, engine=engine)),
+    ("sensitivity", "Cost-model sensitivity (extension)",
+     lambda fast, engine: run_sensitivity(frames=4 if fast else 8,
+                                          engine=engine)),
+]
+
+
+def each_experiment(
+    engine, fast: bool, experiments=None, overrides=None
+) -> Iterator[Tuple[str, str, object, float]]:
+    """Run ``experiments`` (default :data:`EXPERIMENTS`) on ``engine`` in
+    order, yielding ``(key, title, result, elapsed_s)`` as each completes.
+
+    ``overrides`` maps a key to a replacement ``run(fast, engine)``.
+    """
+    overrides = overrides or {}
+    for key, title, run in EXPERIMENTS if experiments is None else experiments:
+        start = time.perf_counter()
+        result = overrides.get(key, run)(fast, engine)
+        yield key, title, result, time.perf_counter() - start
+
+
 def run_all(
     fast: bool = False,
     stream=None,
@@ -40,8 +98,9 @@ def run_all(
     backend=None,
     workers=None,
     coordinator=None,
-) -> None:
-    """Execute every experiment, printing each report as it completes.
+) -> Dict[str, object]:
+    """Execute every experiment, printing each report as it completes, and
+    return the results by :data:`EXPERIMENTS` key.
 
     Every simulation the experiments make is a cell on one
     :class:`~repro.experiments.engine.SweepEngine`, built from
@@ -53,44 +112,16 @@ def run_all(
     simulate nothing.
     """
     stream = stream or sys.stdout
-    frames = 6 if fast else 16
+    results: Dict[str, object] = {}
     with resolve_engine(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
                         backend=backend, workers=workers,
                         coordinator=coordinator) as engine:
-        _run_experiments(fast, frames, engine, stream)
-
-
-def _run_experiments(fast: bool, frames: int, engine, stream) -> None:
-    experiments = [
-        ("Fig. 1", lambda: run_fig1(points=20 if fast else 50)),
-        ("Fig. 2", lambda: run_fig2(frames=frames, engine=engine)),
-        ("Fig. 5 (measured)", lambda: run_fig5(frames=4, engine=engine)),
-        ("Fig. 8", lambda: run_fig8(frames=frames, engine=engine)),
-        ("Fig. 9", lambda: run_fig9(frames=frames, max_prc=4 if fast else 6,
-                                    engine=engine)),
-        ("Fig. 10", lambda: run_fig10(frames=frames, engine=engine)),
-        ("Overhead (5.4)", lambda: run_overhead(frames=frames, engine=engine)),
-        ("Search space (4.1)", run_search_space),
-        ("Ablations", lambda: run_ablations(frames=frames, engine=engine)),
-        ("Fabric contention (Sec. 1, variation b)",
-         lambda: run_contention(frames=6 if fast else 12, engine=engine)),
-        ("Selection granularity (Sec. 1, [11])",
-         lambda: run_granularity(frames=6 if fast else 12, engine=engine)),
-        ("Multi-task sharing (Sec. 1, variation b)",
-         lambda: run_multitask(frames=4 if fast else 6,
-                               images=4 if fast else 6, engine=engine)),
-        ("Energy (extension)",
-         lambda: run_energy(frames=6 if fast else 12, engine=engine)),
-        ("Cost-model sensitivity (extension)",
-         lambda: run_sensitivity(frames=4 if fast else 8, engine=engine)),
-    ]
-    for name, fn in experiments:
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        print(f"\n{'=' * 72}\n{name}  [{elapsed:.1f}s]\n{'=' * 72}",
-              file=stream)
-        print(result.render(), file=stream)
+        for key, title, result, elapsed in each_experiment(engine, fast):
+            print(f"\n{'=' * 72}\n{title}  [{elapsed:.1f}s]\n{'=' * 72}",
+                  file=stream)
+            print(result.render(), file=stream)
+            results[key] = result
+    return results
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,8 @@ selection picks them up as zero-cost coverage.
 
 This is an *extension*: the paper only hides the selector's computation
 behind reconfigurations (Section 5.4), not the reconfigurations themselves
-behind the previous block.  The ablation bench quantifies what it buys.
+behind the previous block.  The ``lookahead.*`` claims
+(:mod:`repro.verification.claims`) quantify what it buys.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class LookaheadMRTS(MRTS):
     ``allow_eviction`` controls how aggressively the prefetcher claims
     fabric: ``False`` (default) only uses strictly free PRCs; ``True`` also
     evicts unpinned leftovers of older blocks.  Measured result on the
-    H.264 sweep (see ``bench_lookahead.py``): the conservative variant
+    H.264 sweep (the ``lookahead.*`` claims): the conservative variant
     stays within ~2 % of plain mRTS, the aggressive one swings a few percent
     either way -- the per-block profit function already keeps the expensive
     FG configurations stable across iterations (Step 2b coverage), so a

@@ -1,6 +1,6 @@
 """Plain-text rendering of experiment tables and series.
 
-The benchmark harness prints the same rows/series the paper's figures show;
+The experiment reports print the same rows/series the paper's figures show;
 these helpers keep that output aligned and copy-paste friendly.
 """
 

@@ -5,7 +5,7 @@ iteration traces) with tunable character: how bit- vs word-dominant the
 data paths are, how many kernels per block, how bursty the execution counts
 are.  Used by the property-based tests (any generated application must
 simulate correctly under every policy, and invariants like
-"mRTS >= RISC mode" must hold) and by the ablation benches.
+"mRTS >= RISC mode" must hold).
 """
 
 from __future__ import annotations

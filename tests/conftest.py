@@ -38,6 +38,27 @@ def _isolate_repro_env():
             os.environ[name] = value
 
 
+@pytest.fixture(scope="session")
+def shipped_deep():
+    """``(report, seconds)`` of one ``repro analyze`` deep-tier run over the
+    shipped tree, shared by every test that asserts on it."""
+    import time
+
+    from repro.analysis.deep import run_deep
+
+    start = time.monotonic()
+    report = run_deep()
+    return report, time.monotonic() - start
+
+
+@pytest.fixture(scope="session")
+def shipped_lint():
+    """One ``repro lint`` run over the shipped tree, shared likewise."""
+    from repro.analysis.lint import run_lint
+
+    return run_lint()
+
+
 @pytest.fixture
 def cond_spec():
     """A control-dominant (bit-level) data path -- FG-friendly."""

@@ -697,18 +697,14 @@ class TestInvariantCheckers:
 
 
 class TestLintGate:
-    def test_shipped_tree_is_clean(self):
-        from repro.analysis.lint import run_lint
-
-        report = run_lint()
+    def test_shipped_tree_is_clean(self, shipped_lint):
+        report = shipped_lint
         assert report.findings == []
         assert report.ok
         assert report.files_checked > 100
 
-    def test_report_payload_shape(self):
-        from repro.analysis.lint import run_lint
-
-        payload = run_lint().to_payload()
+    def test_report_payload_shape(self, shipped_lint):
+        payload = shipped_lint.to_payload()
         assert payload["gate"] == "lint"
         assert payload["ok"] is True
         assert payload["errors"] == 0

@@ -387,19 +387,15 @@ class TestProtocolConformance:
 
 
 class TestShippedTree:
-    def test_full_tree_is_self_clean(self):
-        report = run_deep()
+    def test_full_tree_is_self_clean(self, shipped_deep):
+        report, _ = shipped_deep
         assert report.findings == []
         assert report.ok
         assert report.stats["functions"] > 500
         assert report.stats["call_edges"] > 1000
 
-    def test_timing_budget_under_30s(self):
-        import time
-
-        start = time.monotonic()
-        run_deep()
-        elapsed = time.monotonic() - start
+    def test_timing_budget_under_30s(self, shipped_deep):
+        _, elapsed = shipped_deep
         assert elapsed < 30.0, f"deep tier took {elapsed:.1f}s (budget 30s)"
 
 
@@ -407,15 +403,28 @@ class TestShippedTree:
 
 
 class TestAnalyzeCli:
-    def test_self_clean_exit_zero_and_json_shape(self, capsys):
+    def test_self_clean_exit_zero_and_json_shape(self, tmp_path, capsys,
+                                                 shipped_deep):
         from repro.cli import main
 
-        assert main(["analyze", "--format", "json"]) == 0
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("", encoding="utf-8")
+        (package / "ok.py").write_text(
+            "def f():\n    return 1\n", encoding="utf-8"
+        )
+        assert main(["analyze", "--format", "json", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["gate"] == "analyze"
         assert payload["ok"] is True
-        assert payload["engines"] == ["taint", "protocol"]
-        assert payload["protocol"]["endpoints"]["client"]["handles"]
+        # The shipped tree's own payload, through the same JSON encoding.
+        shipped = json.loads(
+            json.dumps(shipped_deep[0].to_payload(), indent=2, sort_keys=True)
+        )
+        assert shipped["gate"] == "analyze"
+        assert shipped["ok"] is True
+        assert shipped["engines"] == ["taint", "protocol"]
+        assert shipped["protocol"]["endpoints"]["client"]["handles"]
 
     def test_tainted_fixture_exits_one(self, tmp_path, capsys):
         from repro.cli import main

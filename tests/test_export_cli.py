@@ -118,17 +118,19 @@ class TestCli:
 
 class TestMarkdownReport:
     def test_report_writer(self, tmp_path, monkeypatch):
-        """The dossier writer runs each section and produces valid markdown
-        (exercised with two fast sections to keep the test quick)."""
+        """The dossier writer runs the report's experiment list, then the
+        claims table over its results (exercised with two fast experiments
+        to keep the test quick)."""
         import repro.experiments.report as report
-        from repro.experiments import run_fig1, run_fig2
+        from repro.experiments import run_fig1, run_fig2, runner
 
         monkeypatch.setattr(
-            report,
-            "SECTIONS",
+            runner,
+            "EXPERIMENTS",
             [
-                ("Fig. 1", "three regions", lambda fast: run_fig1(points=5)),
-                ("Fig. 2", "changing winner", lambda fast: run_fig2(frames=4)),
+                ("fig1", "Fig. 1", lambda fast, engine: run_fig1(points=5)),
+                ("fig2", "Fig. 2",
+                 lambda fast, engine: run_fig2(frames=4, engine=engine)),
             ],
         )
         path = report.write_markdown_report(tmp_path / "dossier.md", fast=True)
@@ -136,3 +138,9 @@ class TestMarkdownReport:
         assert "# mRTS reproduction" in text
         assert "## Fig. 1" in text and "## Fig. 2" in text
         assert "```text" in text
+        assert "## The paper's claims" in text
+        assert "| `fig1.region-order` | Fig. 1 | - | " in text
+        # The claims-only experiments always run; claims over experiments
+        # the dossier did not run are left out.
+        assert "| `jpeg.big-mixed` | ext. |" in text
+        assert "fig8." not in text

@@ -96,3 +96,45 @@ class TestExecutionModes:
         a = Simulator(app, library, budget, MRTS()).run().total_cycles
         b = Simulator(app, library, budget, MRTS()).run().total_cycles
         assert a == b
+
+
+class TestEncodingEngineBlock:
+    """The selection and ECU steps on the H.264 Encoding Engine block at
+    (3 CG, 3 PRC), 2 frames: every profiled kernel gets a decision."""
+
+    @pytest.fixture(scope="class")
+    def ee(self):
+        budget = ResourceBudget(n_prcs=3, n_cg_fabrics=3)
+        library = h264_library(budget)
+        triggers = h264_application(frames=2, seed=7).profiled_triggers("EE")
+        return budget, library, triggers
+
+    def test_seven_profiled_triggers(self, ee):
+        _, _, triggers = ee
+        assert len(triggers) == 7
+
+    @pytest.mark.parametrize("selector", ["greedy", "optimal"])
+    def test_selection_decides_every_trigger(self, ee, selector):
+        from repro.core.optimal import OptimalSelector
+        from repro.core.selector import ISESelector
+        from repro.fabric.reconfig import ReconfigurationController
+
+        budget, library, triggers = ee
+        cls = ISESelector if selector == "greedy" else OptimalSelector
+        result = cls(library).select(
+            triggers, ReconfigurationController(budget), now=0
+        )
+        assert set(result.selected) == {t.kernel for t in triggers}
+
+    def test_ecu_decision_has_latency(self, ee):
+        from repro.core.ecu import ExecutionControlUnit
+        from repro.core.selector import ISESelector
+        from repro.fabric.reconfig import ReconfigurationController
+
+        budget, library, triggers = ee
+        controller = ReconfigurationController(budget)
+        selection = ISESelector(library).select(triggers, controller, now=0)
+        controller.commit_selection(selection.selected, "ee", now=0)
+        ecu = ExecutionControlUnit(controller, library)
+        ecu.set_selection(selection.selected)
+        assert ecu.execute("ee.mc_hz", now=10**6).latency > 0
