@@ -486,8 +486,8 @@ class LintReport:
         return "\n".join(lines)
 
     def to_payload(self) -> Dict[str, object]:
-        """Machine-readable form, shape-aligned with the determinism gate's
-        ``--json`` output (``scripts/check_determinism.py``)."""
+        """Machine-readable form, shape-aligned with ``repro analyze
+        --format json`` (``DeepReport.to_payload``)."""
         return {
             "gate": "lint",
             "ok": self.ok,

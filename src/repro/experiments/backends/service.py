@@ -22,7 +22,7 @@ on the submitting side.
 Either way the records come back keyed by input index and pass through
 the same ``execute_cell`` path as every other backend, so a service
 sweep is byte-identical to a serial one (gated in
-``scripts/check_determinism.py``).
+``tests/test_determinism.py``).
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ Two reference scenarios are committed (:data:`GOLDEN_SCENARIOS`):
   workload family so the lock does not overfit to H.264 (risc, monocg and
   selected executions all occur).
 
-Every scenario replays byte-identically under both ``REPRO_SIM`` engines
-(:func:`golden_payload` takes an ``engine`` argument, and the regression
-suite asserts the stepped oracle and the packed engine against the same
-snapshot).
+Every scenario replays byte-identically under both simulator engines and
+both ISE selectors (:func:`golden_payload` takes ``engine`` and
+``selector`` arguments, and ``tests/test_golden_trace.py`` asserts the
+stepped and packed engines, each with the naive and the packed selector,
+against the same snapshot).
 
 Beside the traces, ``tests/golden/fig8_records.json`` pins the plain
 sweep records of every Fig. 8 policy (:data:`FIG8_RECORDS_SPEC`): the
@@ -29,15 +30,20 @@ offline-optimal and Morpheus/4S baselines as well, cell by cell.
 
 Regenerate the snapshots after an *intentional* behaviour change with::
 
-    python scripts/check_determinism.py --update-golden
+    PYTHONPATH=src python -m repro.verification.golden
+
+``--out DIR`` writes them into ``DIR`` instead of ``tests/golden/``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import MRTSConfig
 from repro.core.mrts import MRTS
 from repro.fabric.resources import ResourceBudget
 from repro.ise.library import ISELibrary
@@ -124,19 +130,22 @@ def _build_scenario(
 def golden_payload(
     scenario: str = "deblocking",
     engine: Optional[str] = None,
+    selector: Optional[str] = None,
     collect_trace: bool = True,
 ) -> Dict[str, object]:
     """Simulate ``scenario`` and return its canonical payload.
 
     ``engine`` picks the simulator engine (``None`` = honour
-    ``$REPRO_SIM``); the payload is engine-independent by the byte-identity
-    contract, which the regression suite asserts explicitly.  Without
-    ``collect_trace`` the payload has no ``trace`` and the run takes the
-    packed engine's untraced folds.
+    ``$REPRO_SIM``) and ``selector`` mRTS's ISE selector (``None`` =
+    honour ``$REPRO_SELECTOR``); the payload depends on neither by the
+    byte-identity contract, which the regression suite asserts
+    explicitly.  Without ``collect_trace`` the payload has no ``trace``
+    and the run takes the packed engine's untraced folds.
     """
     application, library, budget = _build_scenario(scenario)
     result = Simulator(
-        application, library, budget, MRTS(),
+        application, library, budget,
+        MRTS(MRTSConfig(selector_mode=selector)),
         collect_trace=collect_trace, engine=engine,
     ).run()
     payload = {
@@ -217,11 +226,14 @@ def write_golden(
     return path
 
 
-def write_all_golden() -> List[Path]:
+def write_all_golden(directory: Path = GOLDEN_DIR) -> List[Path]:
     """Regenerate every scenario's snapshot and the Fig. 8 record snapshot
-    (intentional changes only)."""
-    paths = [write_golden(scenario=name) for name in sorted(GOLDEN_SCENARIOS)]
-    return paths + [write_fig8_records()]
+    into ``directory`` (intentional changes only)."""
+    paths = [
+        write_golden(directory / golden_path(name).name, scenario=name)
+        for name in sorted(GOLDEN_SCENARIOS)
+    ]
+    return paths + [write_fig8_records(directory / FIG8_RECORDS_PATH.name)]
 
 
 def diff_golden(expected: Dict, actual: Dict) -> List[str]:
@@ -264,6 +276,24 @@ def diff_golden(expected: Dict, actual: Dict) -> List[str]:
     return problems or ["payloads differ (outside stats/trace)"]
 
 
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.verification.golden [--out DIR]``: regenerate
+    every snapshot and print the path of each."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.verification.golden",
+        description="Regenerate the golden traces and the golden Fig. 8 "
+                    "records (intentional behaviour changes only).",
+    )
+    parser.add_argument(
+        "--out", type=Path, default=GOLDEN_DIR, metavar="DIR",
+        help="directory to write the snapshots into (default: tests/golden)",
+    )
+    args = parser.parse_args(argv)
+    for path in write_all_golden(args.out):
+        print(f"wrote {path}")
+    return 0
+
+
 __all__ = [
     "FIG8_RECORDS_PATH",
     "FIG8_RECORDS_SPEC",
@@ -277,7 +307,12 @@ __all__ = [
     "golden_path",
     "golden_payload",
     "load_golden",
+    "main",
     "write_all_golden",
     "write_fig8_records",
     "write_golden",
 ]
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 """Deep-tier static analysis: call graph, taint paths, protocol gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -453,10 +454,25 @@ class TestAnalyzeCli:
         assert main(["analyze", "--callgraph", str(tmp_path)]) == 0
         assert "m:f -> m:g [direct]" in capsys.readouterr().out
 
-    def test_engine_toggles(self, capsys):
+    def test_engine_toggles(self, tmp_path, capsys):
+        import repro
         from repro.cli import main
+        from repro.service.frames import ENDPOINT_PATHS
 
-        assert main(["analyze", "--no-taint", "--format", "json"]) == 0
+        # The protocol engine runs on a tree holding the frame endpoints:
+        # copies of the shipped ones, not the whole shipped tree.
+        shipped = Path(repro.__file__).parent
+        for suffixes in ENDPOINT_PATHS.values():
+            for suffix in suffixes:
+                target = tmp_path / "repro" / suffix
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text(
+                    (shipped / suffix).read_text(encoding="utf-8"),
+                    encoding="utf-8",
+                )
+        assert main(
+            ["analyze", "--no-taint", "--format", "json", str(tmp_path)]
+        ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["engines"] == ["protocol"]
 
