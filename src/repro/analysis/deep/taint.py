@@ -31,8 +31,8 @@ Findings fire when taint reaches a determinism sink:
 * **sink calls** -- callees whose arguments must be deterministic:
   the wire boundary (``encode_binary_frame``/``send_frame``/
   ``write_frame``),
-  the golden-trace writer (``write_golden``) and the columnar shard
-  writer (``ResultWriter.append``).
+  the golden-trace writer (``write_golden``) and the result store's
+  row writer (``ResultWriter.append``).
 
 Sanitizers mirror the determinism reasoning the code base relies on:
 ``sorted()`` launders ``unordered`` (order is re-established), ``len``/

@@ -24,11 +24,7 @@ hold:
 * ``engine-stats-exclusion`` -- every key of
   ``EngineStats.engine_payload`` (how the *sweep* was executed) must stay
   out of ``SimulationStats.to_payload`` (what the modelled hardware did),
-  or golden traces start depending on the executor backend;
-* ``results-schema-coverage`` -- every field that ``SweepCell.payload``
-  can emit must appear in the columnar store's ``CELL_FIELDS`` schema
-  tuple, or ``ResultWriter`` starts rejecting (or silently dropping)
-  cell coordinates that the engine actually produces.
+  or golden traces start depending on the executor backend.
 
 Each checker targets a file by trailing path (e.g. ``sim/stats.py``), so
 the same pass works on the shipped tree and on synthetic fixtures in
@@ -421,91 +417,6 @@ def check_cache_key_fields(sources: Dict[str, str]) -> Iterable[Finding]:
         )
 
 
-# --------------------------------------------------- results schema coverage
-
-
-def _payload_keys(fn: ast.FunctionDef) -> Set[str]:
-    """Every constant string key ``payload()`` can emit.
-
-    Covers both construction forms the method uses: string keys of dict
-    literals, and ``<name>["key"] = ...`` subscript assignments (the
-    conditional fields added after the literal).
-    """
-    keys: Set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Dict):
-            for key in node.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    keys.add(key.value)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.slice, ast.Constant)
-                    and isinstance(target.slice.value, str)
-                ):
-                    keys.add(target.slice.value)
-    return keys
-
-
-def _module_tuple(tree: ast.Module, name: str) -> Optional[Set[str]]:
-    """String elements of a module-level ``NAME = ("a", "b", ...)`` assign."""
-    for node in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                if isinstance(value, (ast.Tuple, ast.List)):
-                    elements = set()
-                    for element in value.elts:
-                        if (
-                            isinstance(element, ast.Constant)
-                            and isinstance(element.value, str)
-                        ):
-                            elements.add(element.value)
-                    return elements
-                return None
-    return None
-
-
-def check_results_schema_coverage(
-    sources: Dict[str, str],
-) -> Iterable[Finding]:
-    rule = "results-schema-coverage"
-    engine_ctx = _module_for(sources, "experiments/engine.py")
-    schema_ctx = _module_for(sources, "results/schema.py")
-    if engine_ctx is None or schema_ctx is None:
-        return  # the pair is only checkable with both halves in scope
-    cell_class = _find_class(engine_ctx.tree, "SweepCell")
-    payload_fn = (
-        _find_function(cell_class, "payload")
-        if cell_class is not None else None
-    )
-    if payload_fn is None:
-        return  # cache-key-fields already reports the broken anchor
-    schema_fields = _module_tuple(schema_ctx.tree, "CELL_FIELDS")
-    if schema_fields is None:
-        yield _finding(
-            rule, schema_ctx, None,
-            "CELL_FIELDS tuple of string constants not found in "
-            "results/schema.py; the columnar cell schema has no declared "
-            "column set to check payload() against",
-        )
-        return
-    uncovered = sorted(_payload_keys(payload_fn) - schema_fields)
-    if uncovered:
-        yield _finding(
-            rule, schema_ctx, None,
-            f"SweepCell.payload can emit {uncovered} but CELL_FIELDS does "
-            "not list them; ResultWriter would reject cells the engine "
-            "actually produces",
-        )
-
-
 # ------------------------------------------------------------------ driver
 
 _CHECKERS = (
@@ -514,7 +425,6 @@ _CHECKERS = (
     check_cache_key_fields,
     check_backend_run_signatures,
     check_engine_stats_exclusion,
-    check_results_schema_coverage,
 )
 
 INVARIANT_RULE_NAMES[:] = [
@@ -523,7 +433,6 @@ INVARIANT_RULE_NAMES[:] = [
     "cache-key-fields",
     "backend-run-signature",
     "engine-stats-exclusion",
-    "results-schema-coverage",
 ]
 
 
@@ -564,6 +473,5 @@ __all__ = [
     "check_dual_signatures",
     "check_engine_stats_exclusion",
     "check_payload_exclusion",
-    "check_results_schema_coverage",
     "run_invariants",
 ]

@@ -8,7 +8,7 @@ Commands
 ``case-study``   print the Section 2 deblocking-filter case study
 ``experiments``  run the full figure-reproduction suite
 ``sweep``        run a (budget x seed x policy) sweep through the engine
-``results``      summarise/aggregate/export stored columnar sweep results
+``results``      summarise/aggregate/export stored sweep results
 ``report``       write the full markdown experiment dossier
 ``export``       run one experiment and write its data as CSV/JSON
 ``cache``        inspect or clear the on-disk sweep cell cache
@@ -566,14 +566,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shrink the cell cache to this many bytes "
                               "after the run (LRU eviction)")
     p_sweep.add_argument("--store", default=None,
-                         help="stream per-cell records into a columnar "
-                              "result store at this directory "
+                         help="stream per-cell records into a result "
+                              "store at this directory "
                               "(e.g. .repro_results)")
     p_sweep.add_argument("--store-sweep", default=None,
                          help="sweep name inside --store (default: a "
                               "fresh auto-allocated sweep-* directory)")
     p_sweep.add_argument("--store-shard-rows", type=int, default=0,
-                         help="rows buffered per columnar shard "
+                         help="rows buffered per result-store shard "
                               "(default: 512)")
     p_sweep.add_argument("--verbose", action="store_true",
                          help="print engine + wire transport counters to "
@@ -687,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default="results/report.md")
     p_rep.add_argument("--fast", action="store_true")
     p_rep.add_argument("--store", default=None,
-                       help="stream the fig8/9/10 grids through a columnar "
-                            "result store at this directory and rebuild "
+                       help="stream the fig8/9/10 grids through a result "
+                            "store at this directory and rebuild "
                             "them from the stored shards")
     p_rep.set_defaults(fn=cmd_report)
 

@@ -20,7 +20,7 @@ from repro.experiments.runner import each_experiment
 
 
 def _stored_factories(store: str):
-    """Grid experiments routed through a columnar result store.
+    """Grid experiments routed through a result store.
 
     The fig8/9/10 grids stream through ``<store>`` and are rebuilt from
     the committed shards (``repro.results.kpi``); every rebuilt result
@@ -83,7 +83,7 @@ def write_markdown_report(
     (:mod:`repro.verification.claims`) measured on these results.
 
     With ``store`` set, the grid figures (8/9/10) stream their sweeps
-    through the columnar result store at that directory and are rebuilt
+    through the result store at that directory and are rebuilt
     from the stored shards instead of in-memory records — identical
     output, bounded sweep memory, and the sweeps stay on disk for
     ``repro results`` afterwards.

@@ -189,7 +189,7 @@ def run_sweep_stored(
     coordinator: Optional[str] = None,
     engine: Optional[SweepEngine] = None,
 ) -> Tuple[SweepResult, str]:
-    """:func:`run_sweep`, streamed through a columnar result store.
+    """:func:`run_sweep`, streamed through a result store.
 
     Cells flow through ``SweepEngine.run_streamed`` into a
     :class:`~repro.results.store.ResultWriter` (bounded memory on the

@@ -1,14 +1,13 @@
-"""Columnar result store + streaming KPI analytics for sweeps.
+"""Result store of canonical JSON rows + streaming KPI analytics for sweeps.
 
-The packages' three layers (see ``docs/results.md``):
+The package's three layers (see ``docs/results.md``):
 
-* :mod:`repro.results.schema` -- the columnar shard encoding (packed
-  ``array`` numerics, interned strings, presence bitmaps; pure data, no
-  I/O);
+* :mod:`repro.results.schema` -- the shard format: one canonical JSON
+  ``[index, cell, record]`` line per row (pure data, no I/O);
 * :mod:`repro.results.store`  -- :class:`ResultWriter` (per-cell append,
-  bounded buffering, atomic shard spill, manifest commit) and
-  :class:`ResultReader` (column projection, streamed fold/group-by,
-  crash recovery);
+  bounded buffering, atomic shard spill, manifest commit with a sha256
+  per shard) and :class:`ResultReader` (record projection, streamed
+  fold/group-by, crash recovery);
 * :mod:`repro.results.kpi`    -- figure aggregates (fig8/9/10) and fleet
   summaries derived from stored sweeps without rematerialising them.
 
@@ -34,12 +33,10 @@ from repro.results.kpi import (
     speedup_summary,
 )
 from repro.results.schema import (
-    CELL_FIELDS,
     RESULTS_SCHEMA,
     canonical_json,
     decode_rows,
-    encode_shard,
-    shard_checksum,
+    encode_row,
 )
 from repro.results.store import (
     DEFAULT_SHARD_ROWS,
@@ -52,7 +49,6 @@ from repro.results.store import (
 )
 
 __all__ = [
-    "CELL_FIELDS",
     "DEFAULT_SHARD_ROWS",
     "DEFAULT_STORE_DIR",
     "REFERENCE_POLICY",
@@ -62,7 +58,7 @@ __all__ = [
     "ResultWriter",
     "canonical_json",
     "decode_rows",
-    "encode_shard",
+    "encode_row",
     "fig10_from_store",
     "fig8_from_store",
     "fig9_from_store",
@@ -71,7 +67,6 @@ __all__ = [
     "run_fig10_stored",
     "run_fig8_stored",
     "run_fig9_stored",
-    "shard_checksum",
     "speedup_summary",
     "store_stats",
 ]

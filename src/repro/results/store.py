@@ -1,43 +1,46 @@
-"""Append-only columnar result store: streaming writer, streaming reader.
+"""Append-only result store of JSON rows: streaming writer, streaming reader.
 
-On-disk layout (everything JSON, everything atomic-rename published)::
+On-disk layout (everything atomic-rename published)::
 
     <root>/                          # e.g. .repro_results/
         index.json                   # advisory sidecar: {sweep: [rows, bytes]}
         <sweep>/                     # one directory per stored sweep
-            shard-000000.json        # columnar shard (schema.encode_shard)
-            shard-000001.json
+            shard-000000.json        # one canonical JSON row per line
+            shard-000001.json        #   (schema.encode_row)
             manifest.json            # written last == commit point
 
 The manifest is the commit point: a crash mid-write leaves shards
 without a manifest, and :class:`ResultReader` either refuses the sweep
 (default) or rebuilds a manifest from the surviving intact shards
 (``recover=True``), mirroring how the ``.repro_cache`` treats corrupt
-records as misses rather than trusting them.
+records as misses rather than trusting them.  Each manifest entry holds
+the sha256 of its shard's bytes, which the reader checks before it
+parses a row.
 
-:class:`ResultWriter` holds at most ``shard_rows`` rows in memory; every
-full buffer is encoded and spilled, which is what keeps sweep-side
-memory O(1) in cell count.  :class:`ResultReader` decodes one shard at a
-time for the same reason, and its fold/group-fold helpers never build a
-row list.
+:class:`ResultWriter` encodes each row as it arrives and holds at most
+``shard_rows`` encoded lines; every full buffer is spilled, which is what
+keeps sweep-side memory O(1) in cell count.  :class:`ResultReader` reads
+one shard at a time for the same reason, and its fold/group-fold helpers
+never build a row list.
 """
 
+import hashlib
 import json
 import os
 import tempfile
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.results.schema import (
-    MANIFEST_KIND,
     RESULTS_SCHEMA,
     Row,
     canonical_json,
-    column_names,
     decode_rows,
-    encode_shard,
-    shard_checksum,
+    encode_row,
 )
 from repro.util.validation import ReproError
+
+#: ``kind`` tag of the manifest document.
+MANIFEST_KIND = "repro-results-manifest"
 
 #: Default store root, next to ``.repro_cache`` (git-ignored).
 DEFAULT_STORE_DIR = ".repro_results"
@@ -53,10 +56,9 @@ class ResultStoreError(ReproError):
     """A result store operation failed (corrupt, missing, or mismatched)."""
 
 
-def _write_atomic(path: str, blob: str) -> int:
-    """Publish ``blob`` at ``path`` via mkstemp + rename; return its size."""
+def _write_atomic(path: str, data: bytes) -> int:
+    """Publish ``data`` at ``path`` via mkstemp + rename; return its size."""
     directory = os.path.dirname(path)
-    data = blob.encode("utf-8")
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -69,6 +71,16 @@ def _write_atomic(path: str, blob: str) -> int:
             pass
         raise
     return len(data)
+
+
+def _shard_entry(name: str, rows: int, data: bytes) -> Dict[str, object]:
+    """The manifest entry of a shard holding ``rows`` rows as ``data``."""
+    return {
+        "name": name,
+        "rows": rows,
+        "bytes": len(data),
+        "sha256": hashlib.sha256(data).hexdigest(),
+    }
 
 
 # ------------------------------------------------------- advisory index
@@ -97,7 +109,9 @@ def _index_record(root: str, sweep: str, rows: int, size: int) -> None:
     try:
         _write_atomic(
             _index_path(root),
-            canonical_json({"schema": STORE_INDEX_SCHEMA, "sweeps": entries}),
+            canonical_json(
+                {"schema": STORE_INDEX_SCHEMA, "sweeps": entries}
+            ).encode("utf-8"),
         )
     except OSError:
         pass  # advisory only: a reader falls back to scanning
@@ -118,7 +132,7 @@ def list_sweeps(root: str) -> List[str]:
 
 
 class ResultWriter(object):
-    """Streams ``(index, cell, record)`` rows into columnar shards.
+    """Streams ``(index, cell, record)`` rows into JSON-row shards.
 
     Usage (also a context manager; ``close`` commits, an exception path
     leaves an uncommitted sweep the reader will reject)::
@@ -154,7 +168,7 @@ class ResultWriter(object):
         self.shard_rows = shard_rows
         self.meta = dict(meta) if meta else {}
         self.rows = 0
-        self._buffer: List[Row] = []
+        self._lines: List[str] = []
         self._shards: List[Dict[str, object]] = []
         self._closed = False
 
@@ -164,9 +178,9 @@ class ResultWriter(object):
         """Append one evaluated cell; spills a shard when the buffer fills."""
         if self._closed:
             raise ResultStoreError("append() on a closed ResultWriter")
-        self._buffer.append((index, cell, record))
+        self._lines.append(encode_row(index, cell, record))
         self.rows += 1
-        if len(self._buffer) >= self.shard_rows:
+        if len(self._lines) >= self.shard_rows:
             self._flush()
 
     def sink(self, index: int, cell: object, record: Dict[str, object]) -> None:
@@ -175,23 +189,13 @@ class ResultWriter(object):
         self.append(index, payload, record)
 
     def _flush(self) -> None:
-        if not self._buffer:
+        if not self._lines:
             return
-        shard = encode_shard(self._buffer)
+        data = "".join(self._lines).encode("ascii")
         name = f"shard-{len(self._shards):06d}.json"
-        size = _write_atomic(
-            os.path.join(self.path, name), canonical_json(shard)
-        )
-        self._shards.append(
-            {
-                "name": name,
-                "rows": shard["rows"],
-                "bytes": size,
-                "checksum": shard_checksum(shard),
-                "columns": column_names(shard),
-            }
-        )
-        self._buffer = []
+        _write_atomic(os.path.join(self.path, name), data)
+        self._shards.append(_shard_entry(name, len(self._lines), data))
+        self._lines = []
 
     # -- commit --------------------------------------------------------
 
@@ -200,27 +204,19 @@ class ResultWriter(object):
         if self._closed:
             return self.path
         self._flush()
-        columns: Dict[str, List[str]] = {}
-        for entry in self._shards:
-            for role, names in entry["columns"].items():
-                merged = set(columns.get(role, [])) | set(names)
-                columns[role] = sorted(merged)
         manifest = {
             "kind": MANIFEST_KIND,
             "schema": RESULTS_SCHEMA,
             "sweep": self.sweep,
             "rows": self.rows,
             "shard_rows": self.shard_rows,
-            "shards": [
-                {key: entry[key] for key in ("name", "rows", "bytes", "checksum")}
-                for entry in self._shards
-            ],
-            "columns": {role: columns[role] for role in sorted(columns)},
+            "shards": self._shards,
             "meta": self.meta,
             "engine_stats": engine_stats or {},
         }
         size = _write_atomic(
-            os.path.join(self.path, "manifest.json"), canonical_json(manifest)
+            os.path.join(self.path, "manifest.json"),
+            canonical_json(manifest).encode("utf-8"),
         )
         size += sum(entry["bytes"] for entry in self._shards)
         _index_record(self.root, self.sweep, self.rows, size)
@@ -288,42 +284,27 @@ class ResultReader(object):
     def _recover(self) -> Dict[str, object]:
         """Rebuild a manifest from intact shards of an uncommitted sweep."""
         shards = []
-        columns: Dict[str, set] = {}
-        rows = 0
         if not os.path.isdir(self.path):
             raise ResultStoreError(f"no such sweep directory: {self.path}")
         for name in sorted(os.listdir(self.path)):
             if not (name.startswith("shard-") and name.endswith(".json")):
                 continue
-            shard_path = os.path.join(self.path, name)
-            shard = self._load_json(shard_path)
             try:
-                if shard is None:
-                    raise ValueError("unreadable")
-                decode_rows(shard, fields=())  # full structural validation
-            except (ValueError, KeyError, TypeError):
+                with open(os.path.join(self.path, name), "rb") as handle:
+                    data = handle.read()
+                rows = sum(1 for _ in decode_rows(data, fields=()))
+            except (OSError, ValueError):
                 self.recovered_from.append(f"skipped corrupt shard {name}")
                 continue
-            shards.append(
-                {
-                    "name": name,
-                    "rows": shard["rows"],
-                    "bytes": os.path.getsize(shard_path),
-                    "checksum": shard_checksum(shard),
-                }
-            )
-            for role, names in column_names(shard).items():
-                columns.setdefault(role, set()).update(names)
-            rows += shard["rows"]
+            shards.append(_shard_entry(name, rows, data))
             self.recovered_from.append(f"recovered shard {name}")
         return {
             "kind": MANIFEST_KIND,
             "schema": RESULTS_SCHEMA,
             "sweep": os.path.basename(self.path),
-            "rows": rows,
+            "rows": sum(entry["rows"] for entry in shards),
             "shard_rows": 0,
             "shards": shards,
-            "columns": {role: sorted(columns[role]) for role in sorted(columns)},
             "meta": {"recovered": True},
             "engine_stats": {},
         }
@@ -336,47 +317,37 @@ class ResultReader(object):
         return self.manifest["rows"]
 
     @property
-    def columns(self) -> Dict[str, List[str]]:
-        """Role -> sorted column names across every shard."""
-        return self.manifest["columns"]
-
-    @property
     def engine_stats(self) -> Dict[str, object]:
         """The ``EngineStats.engine_payload()`` stored at commit time."""
         return self.manifest.get("engine_stats", {})
 
     # -- streaming access ----------------------------------------------
 
-    def iter_shards(
-        self, fields: Optional[Sequence[str]] = None
-    ) -> Iterator[List[Row]]:
-        """Yield each shard's rows; validates checksums before decoding."""
-        for entry in self.manifest["shards"]:
-            shard_path = os.path.join(self.path, entry["name"])
-            shard = self._load_json(shard_path)
-            if shard is None:
-                raise ResultStoreError(f"unreadable shard {shard_path}")
-            if shard_checksum(shard) != entry["checksum"]:
-                raise ResultStoreError(
-                    f"checksum mismatch on {shard_path} "
-                    "(shard modified after commit?)"
-                )
-            yield decode_rows(shard, fields=fields)
-
     def iter_rows(
         self, fields: Optional[Sequence[str]] = None
     ) -> Iterator[Row]:
         """Yield ``(index, cell, record)`` rows in stored order.
 
-        ``fields`` projects record columns: only those record keys are
-        decoded, which keeps wide sweeps cheap to aggregate.
+        Each shard's sha256 is checked before any of its rows is parsed.
+        ``fields`` projects the records: only those record keys are kept,
+        which keeps the rows of a wide sweep small while they are folded.
         """
-        for rows in self.iter_shards(fields=fields):
-            for row in rows:
-                yield row
+        for entry in self.manifest["shards"]:
+            shard_path = os.path.join(self.path, entry["name"])
+            try:
+                with open(shard_path, "rb") as handle:
+                    data = handle.read()
+            except OSError:
+                raise ResultStoreError(f"unreadable shard {shard_path}")
+            if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+                raise ResultStoreError(
+                    f"checksum mismatch on {shard_path} "
+                    "(shard modified after commit?)"
+                )
+            yield from decode_rows(data, fields=fields)
 
     def iter_column(self, name: str) -> Iterator[object]:
-        """Yield one record column's value per row (rows lacking it skip)."""
+        """Yield one record key's value per row (rows lacking it skip)."""
         for _, _, record in self.iter_rows(fields=(name,)):
             if name in record:
                 yield record[name]

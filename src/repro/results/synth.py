@@ -2,8 +2,8 @@
 
 The store's perf claim is about *memory shape*, not simulation content,
 so the tests feed it synthetic records that mimic ``execute_cell``
-output (same key set, same type mix: packed ints, floats, interned
-strings, nested JSON) without paying for simulations.  Every row is
+output (same key set, same type mix: ints, floats, strings, nested
+JSON) without paying for simulations.  Every row is
 derived from ``random.Random(f"{seed}:...")`` keyed by its index alone,
 so the streaming leg can regenerate any row on demand and never holds
 the sweep in memory — which is exactly the property being measured.

@@ -7,7 +7,7 @@ match, so any refactor of the selector, ECU, MPU or simulator that shifts
 even a single execution's cycle or mode is caught before it silently moves
 the paper figures.
 
-Two reference scenarios are committed (:data:`GOLDEN_SCENARIOS`):
+Three reference scenarios are committed (:data:`GOLDEN_SCENARIOS`):
 
 * ``deblocking`` -- mRTS on the H.264 deblocking workload (the paper's
   Section 2 case study) at (1 CG fabric, 2 PRCs): small enough for a
@@ -16,6 +16,11 @@ Two reference scenarios are committed (:data:`GOLDEN_SCENARIOS`):
 * ``jpeg`` -- mRTS on the JPEG encoder at the same budget: a second
   workload family so the lock does not overfit to H.264 (risc, monocg and
   selected executions all occur).
+* ``h264`` -- mRTS on one frame of the whole H.264 encoder at (3 CG
+  fabrics, 2 PRCs), with execution counts scaled down to keep the
+  snapshot small: its kernels choose among several close-profit
+  candidates, so a selector that ranks candidates wrongly moves this
+  trace even where the winner of the other two scenarios is clear.
 
 Every scenario replays byte-identically under both simulator engines and
 both ISE selectors (:func:`golden_payload` takes ``engine`` and
@@ -49,7 +54,12 @@ from repro.fabric.resources import ResourceBudget
 from repro.ise.library import ISELibrary
 from repro.sim.program import Application
 from repro.sim.simulator import Simulator
-from repro.workloads.h264 import deblocking_application, deblocking_library
+from repro.workloads.h264 import (
+    deblocking_application,
+    deblocking_library,
+    h264_application,
+    h264_library,
+)
 from repro.workloads.jpeg import jpeg_application, jpeg_library
 
 #: The reference scenarios, each recorded inside its snapshot for
@@ -72,6 +82,14 @@ GOLDEN_SCENARIOS: Dict[str, Dict[str, object]] = {
         "budget": [1, 2],  # (n_cg_fabrics, n_prcs)
         "policy": "mrts",
     },
+    "h264": {
+        "workload": "h264",
+        "frames": 1,
+        "seed": 0,
+        "scale": 0.02,
+        "budget": [3, 2],  # (n_cg_fabrics, n_prcs)
+        "policy": "mrts",
+    },
 }
 
 #: Execution modes each scenario must keep exercising (a run that only
@@ -81,6 +99,7 @@ GOLDEN_SCENARIOS: Dict[str, Dict[str, object]] = {
 REQUIRED_MODES: Dict[str, frozenset] = {
     "deblocking": frozenset({"risc", "intermediate", "selected"}),
     "jpeg": frozenset({"risc", "monocg", "selected"}),
+    "h264": frozenset({"risc", "monocg", "selected"}),
 }
 
 #: The historical single-scenario spec (the deblocking reference).
@@ -117,6 +136,11 @@ def _build_scenario(
             frames=spec["frames"], seed=spec["seed"], scale=spec["scale"]
         )
         library = deblocking_library(budget)
+    elif spec["workload"] == "h264":
+        application = h264_application(
+            frames=spec["frames"], seed=spec["seed"], scale=spec["scale"]
+        )
+        library = h264_library(budget)
     else:
         application = jpeg_application(
             images=spec["images"],

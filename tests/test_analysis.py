@@ -638,58 +638,6 @@ class TestInvariantCheckers:
         messages = [f.message for f in findings if f.rule == "cache-key-fields"]
         assert any("budget_params" in m for m in messages)
 
-    def test_results_schema_gap_detected(self):
-        from repro.analysis.lint import run_invariants
-
-        sources = {
-            "experiments/engine.py": (
-                "class SweepCell:\n"
-                "    def payload(self):\n"
-                "        payload = {'budget': self.budget, 'seed': self.seed}\n"
-                "        payload['metrics'] = tuple(self.metrics)\n"
-                "        return payload\n"
-            ),
-            "results/schema.py": "CELL_FIELDS = ('budget', 'seed')\n",
-        }
-        findings = run_invariants(sources)
-        messages = [
-            f.message for f in findings
-            if f.rule == "results-schema-coverage"
-        ]
-        assert any("metrics" in m for m in messages)
-
-    def test_results_schema_anchor_missing_detected(self):
-        from repro.analysis.lint import run_invariants
-
-        sources = {
-            "experiments/engine.py": (
-                "class SweepCell:\n"
-                "    def payload(self):\n"
-                "        return {'budget': self.budget}\n"
-            ),
-            "results/schema.py": "OTHER = ('budget',)\n",
-        }
-        rules = {f.rule for f in run_invariants(sources)}
-        assert "results-schema-coverage" in rules
-
-    def test_results_schema_coverage_clean(self):
-        from repro.analysis.lint import run_invariants
-
-        sources = {
-            "experiments/engine.py": (
-                "class SweepCell:\n"
-                "    def payload(self):\n"
-                "        payload = {'budget': self.budget, 'seed': self.seed}\n"
-                "        payload['metrics'] = tuple(self.metrics)\n"
-                "        return payload\n"
-            ),
-            "results/schema.py": (
-                "CELL_FIELDS = ('budget', 'metrics', 'seed')\n"
-            ),
-        }
-        rules = {f.rule for f in run_invariants(sources)}
-        assert "results-schema-coverage" not in rules
-
     def test_out_of_scope_sources_skip_checkers(self):
         from repro.analysis.lint import run_invariants
 

@@ -18,7 +18,7 @@ the text:
 * **service golden cells**: the golden-trace scenarios as sweep cells,
   through the service backend and serially;
 * **store round-trip**: the reference sweep and the golden cells streamed
-  through a columnar ``ResultWriter`` (16-row shards) and read back.
+  through a ``ResultWriter`` (16-row shards) and read back.
 
 The golden traces themselves (every scenario under both engines and both
 selectors, traced and untraced) are checked in
@@ -230,7 +230,7 @@ def test_service_golden_cells():
     ids=["reference", "golden"],
 )
 def test_store_roundtrip(tmp_path, suite, make_cells):
-    """Streaming through the columnar store never alters a byte: the
+    """Streaming through the result store never alters a byte: the
     committed shards, reassembled by sweep index, serialise exactly as
     the in-memory run of the same engine."""
     cells = make_cells()

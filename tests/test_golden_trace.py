@@ -1,7 +1,8 @@
 """Golden-trace regression lock.
 
 ``tests/golden/`` holds the committed cycle-exact records of mRTS on the
-reference scenarios (H.264 deblocking and the JPEG encoder): every
+reference scenarios (H.264 deblocking, the JPEG encoder and one frame of
+the whole H.264 encoder): every
 execution (time, mode, level, ISE) plus all aggregate statistics.  A
 selector, ECU, MPU or simulator refactor that shifts any of it -- even one
 cycle -- fails here instead of silently moving the paper figures.
@@ -123,8 +124,8 @@ def test_untraced_stats_match_exactly(
 def test_scenario_exercises_the_ecu_cascade(scenario, committed):
     """Keep the reference scenarios meaningful: a run that only ever
     executes in one mode would let whole ECU branches drift unpinned.
-    Between them the two scenarios cover every cascade outcome
-    (deblocking: intermediate; jpeg: monocg)."""
+    Between them the scenarios cover every cascade outcome (deblocking:
+    intermediate; jpeg and h264: monocg)."""
     modes = committed["stats"]["executions_by_mode"]
     assert set(modes) >= REQUIRED_MODES[scenario]
     assert all(count > 0 for count in modes.values())
@@ -152,9 +153,26 @@ def test_regenerating_into_a_directory_is_byte_equal(tmp_path):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert completed.returncode == 0, completed.stderr
+    assert "RuntimeWarning" not in completed.stderr
     committed = [golden_path(name) for name in SCENARIOS] + [FIG8_RECORDS_PATH]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         p.name for p in committed
     )
     for path in committed:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_package_import_leaves_golden_unloaded():
+    """``repro.verification`` re-exports the golden names on first use, so
+    ``python -m repro.verification.golden`` runs its module once."""
+    probe = (
+        "import sys, repro.verification\n"
+        "assert 'repro.verification.golden' not in sys.modules\n"
+        "from repro.verification import golden_payload\n"
+        "assert golden_payload.__module__ == 'repro.verification.golden'\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert completed.returncode == 0, completed.stderr

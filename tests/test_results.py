@@ -1,4 +1,4 @@
-"""The columnar result store: schema, writer/reader, KPI layer, CLI.
+"""The result store: JSON-row shards, writer/reader, KPI layer, CLI.
 
 The store's contract is byte-identity: any row streamed through
 ``ResultWriter`` must come back out of ``ResultReader`` exactly — same
@@ -8,6 +8,7 @@ aggregates must match their in-memory recomputation.  The failure modes
 each exercised directly.
 """
 
+import hashlib
 import json
 import os
 import threading
@@ -19,13 +20,12 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.engine import SweepCell, SweepEngine
 from repro.experiments.sweep import run_sweep, run_sweep_stored
 from repro.results import (
-    CELL_FIELDS,
     ResultReader,
     ResultStoreError,
     ResultWriter,
     canonical_json,
     decode_rows,
-    encode_shard,
+    encode_row,
     fleet_summary,
     list_sweeps,
     speedup_summary,
@@ -50,11 +50,15 @@ def _small_cells():
 # ------------------------------------------------------------ shard codec
 
 
+def _shard(rows):
+    """The shard bytes of ``rows``, as ``ResultWriter`` spills them."""
+    return "".join(encode_row(*row) for row in rows).encode("ascii")
+
+
 class TestShardCodec:
     def test_synthetic_rows_roundtrip_exactly(self):
         rows = list(synthetic_rows(64, seed=3))
-        shard = encode_shard(rows)
-        assert decode_rows(shard) == rows
+        assert list(decode_rows(_shard(rows))) == rows
 
     def test_roundtrip_preserves_types(self):
         record = {
@@ -67,49 +71,71 @@ class TestShardCodec:
             "text": "hello",
         }
         cell = {"budget": [1, 2], "seed": 0}
-        ((_, got_cell, got_record),) = decode_rows(
-            encode_shard([(0, cell, record)])
-        )
+        ((_, got_cell, got_record),) = decode_rows(_shard([(0, cell, record)]))
         assert got_cell == cell
         assert got_record == record
         for key in record:
             assert type(got_record[key]) is type(record[key]), key
 
-    def test_unknown_cell_field_rejected(self):
-        with pytest.raises(ValueError):
-            encode_shard([(0, {"not_a_cell_field": 1}, {"total_cycles": 1})])
-
-    def test_cell_fields_cover_payload(self):
-        cell = SweepCell.make((1, 1), 0, "mrts", workload_params={"frames": 1})
-        assert set(cell.payload()) <= set(CELL_FIELDS)
+    def test_unknown_cell_field_roundtrips(self):
+        rows = [(0, {"not_a_cell_field": 1}, {"total_cycles": 1})]
+        assert list(decode_rows(_shard(rows))) == rows
 
     def test_field_projection(self):
         rows = list(synthetic_rows(8, seed=0))
-        shard = encode_shard(rows)
-        projected = decode_rows(shard, fields=("total_cycles", "policy"))
+        projected = decode_rows(_shard(rows), fields=("total_cycles", "policy"))
         for (_, _, full), (_, _, got) in zip(rows, projected):
             assert got == {
                 "total_cycles": full["total_cycles"],
                 "policy": full["policy"],
             }
 
-    def test_ragged_rows_use_presence_bitmap(self):
+    def test_ragged_rows_keep_absent_keys_absent(self):
         rows = [
             (0, {"seed": 0}, {"only_here": 1, "shared": 2}),
             (1, {"seed": 1}, {"shared": 3}),
         ]
-        assert decode_rows(encode_shard(rows)) == rows
+        assert list(decode_rows(_shard(rows))) == rows
+
+    def test_one_canonical_line_per_row(self):
+        rows = [(0, {"seed": 0}, {"b": "\u00e9\n", "a": [1.5, {}]})]
+        assert _shard(rows) == b'[0,{"seed":0},{"a":[1.5,{}],"b":"\\u00e9\\n"}]\n'
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'[0,{},{}]',  # no final newline: truncated
+            b'[0,{},{}]\n[1,{},',  # truncated mid-row
+            b'[0,{},{}] \n',  # trailing bytes after the row
+            b'[0,{},{}][1,{},{}]\n',  # two rows on one line
+            b'[true,{},{}]\n',  # a bool is not an index
+            b'[0,[],{}]\n',  # the cell is not an object
+            b'[0,{},{},{}]\n',  # not a triple
+            b'{"rows":[]}\n',
+            b'\n',
+            b'[0,{"a":"\xc3\xa9"},{}]\n',  # raw non-ASCII byte
+        ],
+        ids=["no-newline", "cut-mid-row", "trailing-bytes", "two-rows",
+             "bool-index", "list-cell", "four-items", "object", "empty-line",
+             "non-ascii"],
+    )
+    def test_malformed_rows_refused(self, data):
+        with pytest.raises(ValueError):
+            list(decode_rows(data))
 
 
 _JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2**80), max_value=2**80),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64]),  # just beyond int64
     st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
     st.text(max_size=20),
+    st.text(alphabet="\u00e9\u4e2d\U0001f600\u2028\x00\n\"\\", max_size=6),
 )
 _JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
+    st.one_of(_JSON_SCALARS, st.just([]), st.just({}), st.just([[{}]])),
     lambda children: st.one_of(
         st.lists(children, max_size=3),
         st.dictionaries(st.text(max_size=8), children, max_size=3),
@@ -118,8 +144,12 @@ _JSON_VALUES = st.recursive(
 )
 _RECORDS = st.dictionaries(st.text(min_size=1, max_size=12), _JSON_VALUES,
                            max_size=6)
-_CELLS = st.dictionaries(st.sampled_from(CELL_FIELDS), _JSON_VALUES,
-                         max_size=4)
+#: Any cell keys: the store is a transport and knows no cell schema.
+_CELLS = st.dictionaries(
+    st.one_of(st.sampled_from(["budget", "seed", "co_tasks"]),
+              st.text(min_size=1, max_size=12)),
+    _JSON_VALUES, max_size=4,
+)
 
 
 class TestRoundTripProperty:
@@ -136,7 +166,9 @@ class TestRoundTripProperty:
         path = writer.close()
         got = list(ResultReader(path).iter_rows())
         assert got == rows
-        assert canonical_json(got) == canonical_json(rows)
+        assert len(got) == len(rows)
+        for decoded, original in zip(got, rows):
+            assert canonical_json(decoded) == canonical_json(original)
 
 
 # ---------------------------------------------------------- writer/reader
@@ -155,6 +187,15 @@ class TestWriterReader:
         assert len(reader.manifest["shards"]) == 6  # 5 full + 1 partial
         assert reader.rows == 40
         assert list(reader.iter_rows()) == list(synthetic_rows(40, seed=0))
+        for entry in reader.manifest["shards"]:
+            with open(os.path.join(path, entry["name"]), "rb") as handle:
+                data = handle.read()
+            assert entry == {
+                "name": entry["name"],
+                "rows": data.count(b"\n"),
+                "bytes": len(data),
+                "sha256": hashlib.sha256(data).hexdigest(),
+            }
 
     def test_uncommitted_sweep_rejected(self, tmp_path):
         writer = ResultWriter(str(tmp_path), sweep="open", shard_rows=4)
@@ -170,24 +211,46 @@ class TestWriterReader:
         for row in rows:
             writer.append(*row)
         writer._flush()  # three shards on disk, no manifest (the "crash")
-        victim = os.path.join(writer.path, "shard-000002.json")
-        blob = open(victim, "r", encoding="utf-8").read()
-        with open(victim, "w", encoding="utf-8") as handle:
+        victim = os.path.join(writer.path, "shard-000001.json")
+        blob = open(victim, "rb").read()
+        with open(victim, "wb") as handle:
             handle.write(blob[: len(blob) // 2])  # truncated mid-write
         reader = ResultReader(writer.path, recover=True)
         assert reader.rows == 8
-        assert list(reader.iter_rows()) == rows[:8]
-        assert any("skipped corrupt" in note for note in reader.recovered_from)
+        assert list(reader.iter_rows()) == rows[:4] + rows[8:]
+        assert reader.recovered_from == [
+            "recovered shard shard-000000.json",
+            "skipped corrupt shard shard-000001.json",
+            "recovered shard shard-000002.json",
+        ]
         assert reader.manifest["meta"] == {"recovered": True}
+
+    @pytest.mark.parametrize("cut", [1, 5], ids=["newline", "mid-line"])
+    def test_crash_recovery_skips_shard_with_truncated_last_line(
+        self, tmp_path, cut
+    ):
+        writer = ResultWriter(str(tmp_path), sweep="crashed", shard_rows=4)
+        rows = list(synthetic_rows(12, seed=1))
+        for row in rows:
+            writer.append(*row)
+        writer._flush()
+        victim = os.path.join(writer.path, "shard-000002.json")
+        blob = open(victim, "rb").read()
+        with open(victim, "wb") as handle:
+            handle.write(blob[:-cut])  # the last row lost its tail
+        reader = ResultReader(writer.path, recover=True)
+        assert reader.rows == 8
+        assert list(reader.iter_rows()) == rows[:8]
+        assert reader.recovered_from[-1] == "skipped corrupt shard shard-000002.json"
 
     def test_schema_version_mismatch_rejected(self, tmp_path):
         path = self._write(tmp_path, n=4, shard_rows=4)
         manifest_path = os.path.join(path, "manifest.json")
         doc = json.load(open(manifest_path))
-        doc["schema"] = 999
+        doc["schema"] = 1  # the columnar codec's sweeps
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
-        with pytest.raises(ResultStoreError, match="schema"):
+        with pytest.raises(ResultStoreError, match="regenerate the sweep"):
             ResultReader(path)
 
     def test_foreign_manifest_kind_rejected(self, tmp_path):
@@ -202,13 +265,16 @@ class TestWriterReader:
 
     def test_post_commit_tamper_detected(self, tmp_path):
         path = self._write(tmp_path, n=10, shard_rows=5)
-        shard_path = os.path.join(path, "shard-000000.json")
-        doc = json.load(open(shard_path))
-        doc["rows"] = 4
-        with open(shard_path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        shard_path = os.path.join(path, "shard-000001.json")
+        data = bytearray(open(shard_path, "rb").read())
+        data[len(data) // 2] ^= 0x01  # one flipped bit, whether or not it parses
+        with open(shard_path, "wb") as handle:
+            handle.write(bytes(data))
+        reader = ResultReader(path)
+        rows = reader.iter_rows()
+        assert [next(rows) for _ in range(5)] == list(synthetic_rows(5))
         with pytest.raises(ResultStoreError, match="checksum"):
-            list(ResultReader(path).iter_rows())
+            next(rows)  # refused before any row of the flipped shard
 
     def test_append_after_close_rejected(self, tmp_path):
         writer = ResultWriter(str(tmp_path), sweep="done")
