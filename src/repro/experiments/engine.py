@@ -35,6 +35,7 @@ This module turns that shape into infrastructure:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -502,13 +503,30 @@ class SweepCell:
             ]
         return payload
 
+    @functools.cached_property
+    def payload_text(self) -> str:
+        """``canonical_json(self.payload())``, computed once per cell object.
+
+        The cache key (:func:`cell_key`) and the stored row
+        (``ResultWriter.sink``) both splice this text in, so a cell keyed
+        and stored serialises its payload once.  The fields are frozen, so
+        the text never goes stale; a ``dataclasses.replace`` copy is a new
+        object with its own text.
+        """
+        return _canonical_json(self.payload())
+
 
 # ------------------------------------------------------- cache key / hash
 
 
+#: The canonical JSON form (sorted keys, no whitespace): the text
+#: ``repro.results.schema.canonical_json`` writes, without importing the
+#: results package into every process that keys a cell.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _stable_hash(payload: object) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def _canonical(value: object) -> object:
@@ -568,6 +586,16 @@ def library_fingerprint(
     once per process, however many threads ask for it at once.
     """
     global _FINGERPRINT_LIBRARY
+    try:
+        # A cell's params are already normalised tuples: look them up as
+        # they are, and normalise only on a miss.
+        fingerprint = _FINGERPRINTS.get(
+            (workload, workload_params or (), tuple(budget), budget_params or ())
+        )
+    except TypeError:  # unhashable params (a mapping, a list)
+        fingerprint = None
+    if fingerprint is not None:
+        return fingerprint
     params = _normalize_params(workload_params)
     extra_budget = _normalize_params(budget_params)
     memo_key = (workload, params, tuple(budget), extra_budget)
@@ -610,23 +638,29 @@ def library_fingerprint(
 
 def cell_key(cell: SweepCell) -> str:
     """Content address of ``cell``: cell description + library fingerprint
-    (+ each co-task's library fingerprint, for a co-run)."""
-    key: Dict[str, object] = {
-        "schema": ENGINE_SCHEMA,
-        "cell": cell.payload(),
-        "library": library_fingerprint(
-            cell.workload, cell.budget, cell.workload_params, cell.budget_params
-        ),
-    }
-    if cell.co_tasks:
-        key["co_libraries"] = [
-            library_fingerprint(
-                task.workload, task.budget, task.workload_params,
-                task.budget_params,
-            )
-            for task in cell.co_task_cells()
-        ]
-    return _stable_hash(key)
+    (+ each co-task's library fingerprint, for a co-run).
+
+    The sha256 of the canonical JSON of ``{"cell": payload, "co_libraries":
+    [fingerprint, ...] (co-runs only), "library": fingerprint, "schema":
+    ENGINE_SCHEMA}``, spliced together in that sorted-key order around the
+    cell's cached :attr:`SweepCell.payload_text`.
+    """
+    libraries = [
+        library_fingerprint(
+            task.workload, task.budget, task.workload_params, task.budget_params
+        )
+        for task in (cell, *cell.co_task_cells())
+    ]
+    # Fingerprints are hex digests: quoting them is their canonical JSON.
+    co_libraries = (
+        ',"co_libraries":["' + '","'.join(libraries[1:]) + '"]'
+        if cell.co_tasks else ""
+    )
+    blob = (
+        f'{{"cell":{cell.payload_text}{co_libraries},'
+        f'"library":"{libraries[0]}","schema":{ENGINE_SCHEMA}}}'
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ------------------------------------------------------ cache maintenance

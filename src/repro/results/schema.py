@@ -37,9 +37,12 @@ def canonical_json(value: object) -> str:
     return _ENCODER.encode(value)
 
 
-def encode_row(index: int, cell: Dict[str, object], record: Dict[str, object]) -> str:
-    """One row's shard line: its canonical JSON triple and ``\\n``."""
-    return _ENCODER.encode([index, cell, record]) + "\n"
+def encode_row(index: int, cell_text: str, record: Dict[str, object]) -> str:
+    """One row's shard line: ``canonical_json([index, cell, record])`` and
+    ``\\n``, built around ``cell_text``, the cell payload's canonical JSON
+    (a ``SweepCell``'s cached ``payload_text``, or ``canonical_json`` of a
+    payload dict)."""
+    return f"[{index},{cell_text},{_ENCODER.encode(record)}]\n"
 
 
 def decode_rows(data: bytes, fields: Optional[Sequence[str]] = None) -> Iterator[Row]:

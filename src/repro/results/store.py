@@ -63,6 +63,9 @@ def _write_atomic(path: str, data: bytes) -> int:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        # mkstemp creates the file 0600; a published file is readable by
+        # every user who can list its directory.
+        os.chmod(tmp_path, 0o644)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -176,17 +179,21 @@ class ResultWriter(object):
 
     def append(self, index: int, cell: Dict[str, object], record: Dict[str, object]) -> None:
         """Append one evaluated cell; spills a shard when the buffer fills."""
+        self._add(encode_row(index, canonical_json(cell), record))
+
+    def sink(self, index: int, cell: object, record: Dict[str, object]) -> None:
+        """`SweepEngine.run_streamed` sink: accepts a SweepCell (its cached
+        ``payload_text`` goes into the row as is) or a payload dict."""
+        text = canonical_json(cell) if isinstance(cell, dict) else cell.payload_text
+        self._add(encode_row(index, text, record))
+
+    def _add(self, line: str) -> None:
         if self._closed:
             raise ResultStoreError("append() on a closed ResultWriter")
-        self._lines.append(encode_row(index, cell, record))
+        self._lines.append(line)
         self.rows += 1
         if len(self._lines) >= self.shard_rows:
             self._flush()
-
-    def sink(self, index: int, cell: object, record: Dict[str, object]) -> None:
-        """`SweepEngine.run_streamed` sink: accepts a SweepCell or payload."""
-        payload = cell.payload() if hasattr(cell, "payload") else cell
-        self.append(index, payload, record)
 
     def _flush(self) -> None:
         if not self._lines:

@@ -7,6 +7,7 @@ and cache keys react to every cell dimension.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -19,11 +20,13 @@ import pytest
 from repro.core.mrts import MRTS
 from repro.experiments import engine as engine_module
 from repro.experiments.engine import (
+    ENGINE_SCHEMA,
     POLICIES,
     SweepCell,
     SweepEngine,
     cell_key,
     execute_cell,
+    library_fingerprint,
 )
 from repro.experiments.fig10_speedup import run_fig10
 from repro.experiments.sweep import run_sweep
@@ -47,7 +50,90 @@ def make_cells(budgets=((1, 1), (2, 2), (3, 3)), seeds=range(6),
     ]
 
 
+#: One cell of every payload shape: the optional fields each enter the
+#: payload only when set, and a co-run adds its co-tasks' libraries.
+PAYLOAD_SHAPES = {
+    "plain": dict(budget=(1, 2), seed=7, policy="mrts", workload_params=FAST),
+    "budget-params": dict(budget=(2, 2), seed=1, policy="mrts",
+                          budget_params={"contexts_per_cg_fabric": 2}),
+    # A non-ASCII value: the key and the row both escape it.
+    "policy-params": dict(budget=(2, 2), seed=0, policy="mrts",
+                          policy_params={"enable_monocg": False,
+                                         "label": "caf\u00e9 \u2028"}),
+    "metrics": dict(budget=(2, 2), seed=1, policy="mrts",
+                    metrics={"energy": {}, "block_profile": {}}),
+    "contention": dict(budget=(2, 3), seed=1, policy="mrts",
+                       contention={"period": 925_000, "duty_prcs": 2,
+                                   "duty_cg_slots": 4, "until": 14_800_000}),
+    "co-run": dict(budget=(2, 2), seed=3, policy="mrts", workload_params=FAST,
+                   co_tasks=[{"workload": "jpeg", "seed": 4, "policy": "mrts",
+                              "workload_params": {"images": 1,
+                                                  "blocks_per_image": 60}}]),
+}
+
+
+def _reference_key(cell):
+    """The cell key's defining formula, kept here as the oracle: sha256 of
+    the sorted-key JSON of the payload, the engine schema and the library
+    fingerprints (a co-run's co-task libraries included)."""
+    key = {
+        "schema": ENGINE_SCHEMA,
+        "cell": cell.payload(),
+        "library": library_fingerprint(
+            cell.workload, cell.budget, cell.workload_params, cell.budget_params
+        ),
+    }
+    if cell.co_tasks:
+        key["co_libraries"] = [
+            library_fingerprint(
+                task.workload, task.budget, task.workload_params,
+                task.budget_params,
+            )
+            for task in cell.co_task_cells()
+        ]
+    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 class TestCellKeys:
+    @pytest.mark.parametrize("shape", sorted(PAYLOAD_SHAPES))
+    def test_key_matches_the_reference_formula(self, shape):
+        """The key spliced around the cached payload text is the sha256 of
+        the reference JSON, on a fresh cell and on an already-keyed one."""
+        cell = SweepCell.make(**PAYLOAD_SHAPES[shape])
+        expected = _reference_key(cell)
+        assert cell_key(cell) == expected  # computes the payload text
+        assert cell_key(cell) == expected  # reuses it
+
+    def test_key_pinned(self):
+        """Every existing ``.repro_cache`` and daemon store keeps hitting:
+        a plain cell's and a co-run cell's keys, as literals."""
+        plain = SweepCell.make(**PAYLOAD_SHAPES["plain"])
+        co_run = SweepCell.make(**PAYLOAD_SHAPES["co-run"])
+        assert cell_key(plain) == (
+            "9441bc85965eb807e03b51e6bc39697f40f6f32c2ca58e492edd1c9ecd25f416"
+        )
+        assert cell_key(co_run) == (
+            "0dd939dade60bc0b17ec893de43dae19e22f2b3163092a75fb01602bb64dfd10"
+        )
+
+    def test_fingerprint_of_raw_and_normalised_params_agree(self):
+        """A memo hit on a cell's normalised tuples and a lookup from raw
+        mappings or lists (normalised on the way) give one fingerprint."""
+        cell = SweepCell.make((1, 2), 7, "mrts", workload_params=FAST,
+                              budget_params={"contexts_per_cg_fabric": 2})
+        expected = library_fingerprint(
+            cell.workload, cell.budget, cell.workload_params, cell.budget_params
+        )
+        assert library_fingerprint(
+            "h264", [1, 2], {"scale": 0.4, "frames": 2},
+            [["contexts_per_cg_fabric", 2]],
+        ) == expected
+        assert library_fingerprint(
+            "h264", (1, 2), (("scale", 0.4), ("frames", 2)),
+            {"contexts_per_cg_fabric": 2},
+        ) == expected
+
     def test_key_is_stable(self):
         cell = SweepCell.make((1, 2), 7, "mrts", workload_params=FAST)
         again = SweepCell.make((1, 2), 7, "mrts", workload_params=FAST)

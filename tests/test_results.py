@@ -8,16 +8,19 @@ aggregates must match their in-memory recomputation.  The failure modes
 each exercised directly.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
+import pickle
+import stat
 import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.engine import SweepCell, SweepEngine
+from repro.experiments.engine import SweepCell, SweepEngine, cell_key
 from repro.experiments.sweep import run_sweep, run_sweep_stored
 from repro.results import (
     ResultReader,
@@ -33,6 +36,7 @@ from repro.results import (
 )
 from repro.results.synth import synthetic_row, synthetic_rows
 from repro.cli import main
+from tests.test_engine import PAYLOAD_SHAPES
 
 WORKLOAD_PARAMS = {"frames": 2, "scale": 0.5}
 
@@ -52,7 +56,10 @@ def _small_cells():
 
 def _shard(rows):
     """The shard bytes of ``rows``, as ``ResultWriter`` spills them."""
-    return "".join(encode_row(*row) for row in rows).encode("ascii")
+    return "".join(
+        encode_row(index, canonical_json(cell), record)
+        for index, cell, record in rows
+    ).encode("ascii")
 
 
 class TestShardCodec:
@@ -196,6 +203,24 @@ class TestWriterReader:
                 "bytes": len(data),
                 "sha256": hashlib.sha256(data).hexdigest(),
             }
+
+    def test_published_files_readable_by_all(self, tmp_path):
+        """Shards, the manifest and the store index are published 0644
+        (``mkstemp`` creates them 0600), in a named and an auto-named
+        sweep alike."""
+        for sweep in ("named", None):
+            writer = ResultWriter(str(tmp_path), sweep=sweep, shard_rows=7)
+            for row in synthetic_rows(10, seed=0):
+                writer.append(*row)
+            path = writer.close()
+            published = [
+                os.path.join(path, "shard-000000.json"),
+                os.path.join(path, "shard-000001.json"),
+                os.path.join(path, "manifest.json"),
+                os.path.join(str(tmp_path), "index.json"),
+            ]
+            for name in published:
+                assert stat.S_IMODE(os.stat(name).st_mode) == 0o644, name
 
     def test_uncommitted_sweep_rejected(self, tmp_path):
         writer = ResultWriter(str(tmp_path), sweep="open", shard_rows=4)
@@ -438,6 +463,64 @@ class TestStreamedMemory:
 
 
 # ----------------------------------------------- engine streaming parity
+
+
+class TestPayloadText:
+    """A cell's payload is serialised once, into ``SweepCell.payload_text``,
+    and the stored row splices that text in: the shard bytes are those of
+    ``canonical_json([index, payload, record])`` whatever form the cell
+    arrives in."""
+
+    RECORD = {"total_cycles": 123, "speedup": 1.5, "workload": "h264",
+              "nested": {"b": [1, 2.0, None], "a": True}}
+
+    @staticmethod
+    def _shard_bytes(root, sweep, cell):
+        writer = ResultWriter(str(root), sweep=sweep)
+        for index in range(3):
+            writer.sink(index, cell, TestPayloadText.RECORD)
+        path = writer.close()
+        with open(os.path.join(path, "shard-000000.json"), "rb") as handle:
+            return handle.read()
+
+    @pytest.mark.parametrize("shape", sorted(PAYLOAD_SHAPES))
+    def test_payload_text_is_canonical_payload(self, shape):
+        cell = SweepCell.make(**PAYLOAD_SHAPES[shape])
+        assert cell.payload_text == canonical_json(cell.payload())
+        for task in cell.co_task_cells():
+            assert task.payload_text == canonical_json(task.payload())
+
+    @pytest.mark.parametrize("shape", sorted(PAYLOAD_SHAPES))
+    def test_sink_writes_identical_rows_for_every_cell_form(self, tmp_path, shape):
+        keyed = SweepCell.make(**PAYLOAD_SHAPES[shape])
+        cell_key(keyed)  # the engine keys a cell before it is stored
+        restored = pickle.loads(pickle.dumps(keyed))
+        assert restored == keyed
+        assert restored.payload_text == keyed.payload_text
+        forms = {
+            "fresh cell": SweepCell.make(**PAYLOAD_SHAPES[shape]),
+            "keyed cell": keyed,
+            "payload dict": keyed.payload(),
+            "unpickled keyed cell": restored,
+        }
+        expected = "".join(
+            canonical_json([index, keyed.payload(), self.RECORD]) + "\n"
+            for index in range(3)
+        ).encode("ascii")
+        for form, cell in forms.items():
+            sweep = form.replace(" ", "-")
+            assert self._shard_bytes(tmp_path, sweep, cell) == expected, form
+
+    def test_replaced_copy_gets_its_own_text(self):
+        cell = SweepCell.make(**PAYLOAD_SHAPES["co-run"])
+        cell_key(cell)
+        (task,) = cell.co_task_cells()
+        assert "payload_text" not in vars(task)
+        assert task.payload_text == canonical_json(task.payload())
+        assert task.payload_text != cell.payload_text
+        other = dataclasses.replace(cell, seed=cell.seed + 1)
+        assert other.payload_text == canonical_json(other.payload())
+        assert other.payload_text != cell.payload_text
 
 
 class TestEngineStreaming:
